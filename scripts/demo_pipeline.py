@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from jzr.config import Config
 from jzr.extractor import RootExtractor
 from jzr.pipeline import learn_rules
-from jzr.rules import CONCATENATIVE, TEMPLATIC, key_str, rank_rules, save_rules
+from jzr.rules import CONCATENATIVE, TEMPLATIC, rank_rules, save_rules
 from jzr.synthlang import SynthConfig, generate, write_fixture
 
 
@@ -44,10 +44,10 @@ def main() -> int:
     print(f"\ntop {args.top} rules by semantic score:")
     for rule in rank_rules(validated, top_k=args.top):
         s = rule.scores
-        print(f"  {key_str(rule.key)}\t{s.orth}\t{s.sem:.4f}")
+        print(f"  {rule.key.key_str}\t{s.orth}\t{s.sem:.4f}")
 
-    planted = {key_str(r) for r in synth.rules}
-    recovered = planted & {key_str(r.key) for r in validated}
+    planted = {r.key_str for r in synth.rules}
+    recovered = planted & {r.key.key_str for r in validated}
     print(f"\nplanted rules recovered: {len(recovered)}/{len(planted)}")
 
     extractor = RootExtractor(validated, table)

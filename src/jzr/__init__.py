@@ -15,15 +15,7 @@ from .embeddings import (
 )
 from .evalharness import EvalReport, evaluate
 from .pipeline import learn_rules
-from .extractor import (
-    ExtractionTrace,
-    RootExtractor,
-    RulePartition,
-    extract_root,
-    extract_root_limited,
-    inverse_apply,
-    partition_rules,
-)
+from .extractor import ExtractionTrace, RootExtractor
 from .rules import (
     MorphRule,
     RuleScores,
@@ -44,12 +36,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConcatRule", "Config", "EmbeddingTable", "EvalReport", "ExtractionTrace",
-    "GoldEntry", "MorphRule", "PREFIX", "RootExtractor", "RulePartition",
-    "RuleScores", "RuleStore", "SUFFIX", "SynthConfig", "Template", "Thresholds",
+    "GoldEntry", "MorphRule", "PREFIX", "RootExtractor", "RuleScores",
+    "RuleStore", "SUFFIX", "SynthConfig", "Template", "Thresholds",
     "analogy_score", "build_config", "cosine", "enumerate_concat_rules",
-    "enumerate_templatic_rules", "evaluate", "extract_root",
-    "extract_root_limited", "extract_templates", "generate", "inverse_apply",
-    "learn_rules", "load_embeddings", "load_rules", "partition_rules", "prune_rules",
+    "enumerate_templatic_rules", "evaluate", "extract_templates", "generate",
+    "learn_rules", "load_embeddings", "load_rules", "prune_rules",
     "rank_rules", "save_rules", "score_r_sem", "score_w_sem",
     "vocab_fingerprint", "write_fixture",
 ]

@@ -188,13 +188,14 @@ def cmd_synth(args) -> int:
                          noise_sigma=args.noise_sigma, seed=args.seed,
                          chain_depth=args.chain_depth)
     vectors_path, gold_path = synthlang.write_fixture(config, args.out)
-    _, table, gold = synthlang.generate(config)
-    print(f"wrote {vectors_path} ({len(table)} words, dim {table.dim}) and {gold_path}")
+    with open(vectors_path, encoding="utf-8") as fh:
+        n_words, dim = fh.readline().split()
+    print(f"wrote {vectors_path} ({n_words} words, dim {dim}) and {gold_path}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    gold = evalharness.read_gold_roots(args.gold)
+    gold = evalharness.read_predictions(args.gold)
     predictions: dict[str, dict[str, str]] = {}
     for spec in args.pred:
         name, sep, path = spec.partition("=")

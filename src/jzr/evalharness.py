@@ -93,7 +93,3 @@ def read_predictions(path) -> dict[str, str]:
             preds[fields[0]] = fields[1]
     return preds
 
-
-def read_gold_roots(path) -> dict[str, str]:
-    """Read gold `word TAB root` records (extra columns ignored)."""
-    return read_predictions(path)

@@ -4,72 +4,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .concat import ConcatRule
+import numpy as np
+
 from .embeddings import EmbeddingTable, validate_word
-from .rules import RuleStore, Thresholds, key_str, score_w_sem
+from .rules import MorphRule, RuleStore, Thresholds, sample_w_sem, support_sample
 from .templatic import Template
 
 REACHED_TRILITERAL = "reached_triliteral"
 INFEASIBLE_STOP = "infeasible_stop"
 
-
-@dataclass(frozen=True)
-class RulePartition:
-    """Key strings of insertion-only-plus-templatic rules vs replacement rules."""
-
-    r_add: tuple[str, ...]
-    r_rep: tuple[str, ...]
-
-
-def partition_rules(store: RuleStore) -> RulePartition:
-    """Split validated rules for the extractor.
-
-    Pure insertions (empty deleted affix) and all templatic rules go to
-    r_add; replacements (both affixes non-empty) go to r_rep. Pure deletions
-    fall in neither: inverting them only grows the word, so the length
-    constraint could never accept them.
-    """
-    add: list[str] = []
-    rep: list[str] = []
-    for rule in store:
-        if isinstance(rule.key, Template):
-            add.append(key_str(rule.key))
-        elif rule.key.old == "":
-            add.append(key_str(rule.key))
-        elif rule.key.new != "":
-            rep.append(key_str(rule.key))
-    return RulePartition(tuple(add), tuple(rep))
+# Step kinds. Insertions (empty deleted affix) and templates are tried
+# first; replacements (both affixes non-empty) only when neither yields a
+# step. Pure deletions have no kind: inverting one only grows the word, so
+# the length constraint could never accept it.
+_INSERTION = "insertion"
+_TEMPLATE = "template"
+_REPLACEMENT = "replacement"
 
 
-def inverse_apply(key: ConcatRule | Template, word: str) -> str | None:
-    """Undo one rule application, or None when the rule cannot have produced `word`.
-
-    Concatenative (side, old, new): if `word` carries `new` on `side`, swap
-    it back for `old`. Templatic: literal runs pin every slot position, so a
-    matching word yields exactly one root, the three slot letters.
-    """
-    if isinstance(key, ConcatRule):
-        if key.side == "prefix":
-            if not word.startswith(key.new):
-                return None
-            return key.old + word[len(key.new):]
-        if not word.endswith(key.new):
-            return None
-        stem = word[: len(word) - len(key.new)] if key.new else word
-        return stem + key.old
-
-    p = key.parts
-    if len(word) != key.length:
-        return None
-    i1 = len(p[0])
-    i2 = i1 + 1 + len(p[1])
-    i3 = i2 + 1 + len(p[2])
-    if (word[:i1] != p[0]
-            or word[i1 + 1:i2] != p[1]
-            or word[i2 + 1:i3] != p[2]
-            or word[i3 + 1:] != p[3]):
-        return None
-    return word[i1] + word[i2] + word[i3]
+def _step_kind(rule: MorphRule) -> str | None:
+    key = rule.key
+    if isinstance(key, Template):
+        return _TEMPLATE
+    if key.old == "":
+        return _INSERTION
+    return _REPLACEMENT if key.new != "" else None
 
 
 @dataclass(frozen=True)
@@ -96,7 +55,9 @@ class RootExtractor:
 
     Building one extractor indexes every support pair by its derived word;
     extraction then only examines pairs whose derived side is the current
-    word, which covers the support-membership constraint for free.
+    word, which covers the support-membership constraint for free. Each
+    rule's support sample is drawn once, the first time one of its pairs
+    is scored.
     """
 
     def __init__(self, store: RuleStore, table: EmbeddingTable,
@@ -105,7 +66,7 @@ class RootExtractor:
         for rule in store:
             if rule.scores is None:
                 raise ValueError(
-                    f"rule {key_str(rule.key)} is unscored; extract against a "
+                    f"rule {rule.key.key_str} is unscored; extract against a "
                     "validated (scored and pruned) store"
                 )
         self.store = store
@@ -114,46 +75,41 @@ class RootExtractor:
         self.sample_cap = sample_cap
         self.seed = seed
 
-        partition = partition_rules(store)
-        self._add = frozenset(partition.r_add)
-        self._add_concat = frozenset(
-            ks for ks in partition.r_add
-            if isinstance(store.get(ks).key, ConcatRule)
-        )
-        self._rep = frozenset(partition.r_rep)
-
-        self._by_derived: dict[str, list[tuple[str, str]]] = {}
-        live = self._add | self._rep
+        # derived word -> (rule key text, rule, step kind, source word)
+        self._by_derived: dict[str, list[tuple[str, MorphRule, str, str]]] = {}
         for rule in store:
-            ks = key_str(rule.key)
-            if ks not in live:
+            kind = _step_kind(rule)
+            if kind is None:
                 continue
+            ks = rule.key.key_str
             for w1, w2 in rule.support:
-                self._by_derived.setdefault(w2, []).append((ks, w1))
+                self._by_derived.setdefault(w2, []).append((ks, rule, kind, w1))
 
+        self._samples: dict[str, np.ndarray] = {}
         self._w_sem_cache: dict[tuple[str, str, str], float] = {}
 
-    def _w_sem(self, ks: str, pair: tuple[str, str]) -> float:
+    def _w_sem(self, ks: str, rule: MorphRule, pair: tuple[str, str]) -> float:
         cache_key = (ks, pair[0], pair[1])
         cached = self._w_sem_cache.get(cache_key)
         if cached is None:
-            rule = self.store.get(ks)
-            cached = score_w_sem(pair, rule, self.table,
-                                 t_cos=self.thresholds.t_cos_sim,
-                                 sample_cap=self.sample_cap, seed=self.seed)
+            rows = self._samples.get(ks)
+            if rows is None:
+                rows, _ = support_sample(rule, self.table, self.sample_cap, self.seed)
+                self._samples[ks] = rows
+            cached = sample_w_sem(pair, rule, rows, self.table, self.thresholds.t_cos_sim)
             self._w_sem_cache[cache_key] = cached
         return cached
 
-    def _best_step(self, word: str, keys: frozenset[str]) -> TraceStep | None:
+    def _best_step(self, word: str, kinds: tuple[str, ...]) -> TraceStep | None:
         best = None
         best_step = None
-        for ks, w1 in self._by_derived.get(word, ()):
-            if ks not in keys or len(w1) >= len(word):
+        for ks, rule, kind, w1 in self._by_derived.get(word, ()):
+            if kind not in kinds or len(w1) >= len(word):
                 continue
-            w_sem = self._w_sem(ks, (w1, word))
+            w_sem = self._w_sem(ks, rule, (w1, word))
             if w_sem <= self.thresholds.t_w_sem:
                 continue
-            scores = self.store.get(ks).scores
+            scores = rule.scores
             # Maximize w_sem; break ties by rule sem, then orth, then key text.
             rank = (-w_sem, -scores.sem, -scores.orth, ks, w1)
             if best is None or rank < best:
@@ -162,35 +118,21 @@ class RootExtractor:
         return best_step
 
     def extract(self, word: str, limited: bool = False) -> ExtractionTrace:
+        """Invert rules until three letters remain or no step is feasible.
+
+        `limited` masks templates out, leaving concatenative rules only.
+        """
         validate_word(word)
-        add_keys = self._add_concat if limited else self._add
+        first = (_INSERTION,) if limited else (_INSERTION, _TEMPLATE)
         steps: list[TraceStep] = []
         current = word
         while len(current) > 3:
-            step = self._best_step(current, add_keys)
+            step = self._best_step(current, first)
             if step is None:
-                step = self._best_step(current, self._rep)
+                step = self._best_step(current, (_REPLACEMENT,))
             if step is None:
                 return ExtractionTrace(word, tuple(steps), current, INFEASIBLE_STOP)
             steps.append(step)
             assert len(step.word) < len(current)
             current = step.word
         return ExtractionTrace(word, tuple(steps), current, REACHED_TRILITERAL)
-
-
-def extract_root(word: str, store: RuleStore, table: EmbeddingTable,
-                 thresholds: Thresholds | None = None,
-                 sample_cap: int = 100, seed: int = 42) -> ExtractionTrace:
-    """One-shot extraction over the full validated rule set."""
-    extractor = RootExtractor(store, table, thresholds,
-                              sample_cap=sample_cap, seed=seed)
-    return extractor.extract(word)
-
-
-def extract_root_limited(word: str, store: RuleStore, table: EmbeddingTable,
-                         thresholds: Thresholds | None = None,
-                         sample_cap: int = 100, seed: int = 42) -> ExtractionTrace:
-    """Extraction restricted to concatenative rules (templatic rules masked out)."""
-    extractor = RootExtractor(store, table, thresholds,
-                              sample_cap=sample_cap, seed=seed)
-    return extractor.extract(word, limited=True)

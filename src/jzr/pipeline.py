@@ -9,13 +9,12 @@ from .rules import RuleStore, prune_rules, vocab_fingerprint
 from .templatic import enumerate_templatic_rules
 
 
-def learn_rules(table: EmbeddingTable, config: Config | None = None,
-                gate_scoring: bool = True) -> tuple[RuleStore, RuleStore]:
+def learn_rules(table: EmbeddingTable,
+                config: Config | None = None) -> tuple[RuleStore, RuleStore]:
     """Mine candidates from the table's vocabulary and validate them.
 
-    Returns (candidates, validated). With `gate_scoring` the semantic score
-    is only computed for rules that can clear the orthographic threshold;
-    pass False when candidate scores themselves are needed.
+    Returns (candidates, validated). The semantic score is only computed for
+    rules that can clear the orthographic threshold; the rest keep sem 0.0.
     """
     cfg = config or Config()
     concat_map = enumerate_concat_rules(
@@ -30,6 +29,6 @@ def learn_rules(table: EmbeddingTable, config: Config | None = None,
     )
     candidates.score_all(
         table, t_cos=cfg.thresholds.t_cos_sim, sample_cap=cfg.sample_cap,
-        seed=cfg.seed, orth_gate=cfg.thresholds.t_r_orth if gate_scoring else None,
+        seed=cfg.seed, orth_gate=cfg.thresholds.t_r_orth,
     )
     return candidates, prune_rules(candidates, cfg.thresholds)

@@ -37,10 +37,6 @@ def rule_kind(key: RuleKey) -> str:
     return CONCATENATIVE if isinstance(key, ConcatRule) else TEMPLATIC
 
 
-def key_str(key: RuleKey) -> str:
-    return key.key_str
-
-
 @dataclass(frozen=True)
 class RuleScores:
     """orth is the raw support size; sem the analogy-pass fraction in [0, 1]."""
@@ -90,64 +86,67 @@ def vocab_fingerprint(words) -> str:
     return h.hexdigest()
 
 
-def _rule_rng(seed: int, key: str) -> np.random.Generator:
-    # hashlib, not hash(): per-rule sampling must survive interpreter restarts.
-    digest = hashlib.sha256(f"{seed}|{key}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+def support_sample(rule: MorphRule, table: EmbeddingTable, sample_cap: int,
+                   seed: int) -> tuple[np.ndarray, bool]:
+    """Table rows (source, derived) of the embedded support pairs, one row each.
+
+    Supports larger than `sample_cap` are cut to a deterministic seeded
+    sample; the flag says whether that happened.
+    """
+    index = table.index
+    rows = [(index[a], index[b]) for a, b in rule.support if a in index and b in index]
+    sampled = len(rows) > sample_cap
+    if sampled:
+        # hashlib, not hash(): per-rule sampling must survive interpreter restarts.
+        digest = hashlib.sha256(f"{seed}|{rule.key.key_str}".encode("utf-8")).digest()
+        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        keep = sorted(rng.choice(len(rows), size=sample_cap, replace=False).tolist())
+        rows = [rows[i] for i in keep]
+    return np.array(rows, dtype=np.intp).reshape(-1, 2), sampled
 
 
-def _select_pairs(rule: MorphRule, table: EmbeddingTable, sample_cap: int,
-                  seed: int) -> tuple[tuple[Pair, ...], bool]:
-    embedded = tuple(p for p in rule.support if p[0] in table and p[1] in table)
-    if len(embedded) <= sample_cap:
-        return embedded, False
-    rng = _rule_rng(seed, key_str(rule.key))
-    idx = sorted(rng.choice(len(embedded), size=sample_cap, replace=False).tolist())
-    return tuple(embedded[i] for i in idx), True
+def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
+                  t_cos: float) -> np.ndarray:
+    """Per query pair (w1[q], w2[q]): the offsets o with cos(o + w1[q], w2[q]) > t_cos.
 
-
-def _pair_rows(table: EmbeddingTable, pairs) -> tuple[np.ndarray, np.ndarray]:
-    i1 = [table.index[p[0]] for p in pairs]
-    i2 = [table.index[p[1]] for p in pairs]
-    return table.matrix[i1], table.matrix[i2]
-
-
-def _count_rule_passes(table: EmbeddingTable, pairs, t_cos: float) -> int:
-    """Ordered (pair, pair) combinations whose analogy cosine clears t_cos."""
-    w1, w2 = _pair_rows(table, pairs)
-    diffs = w2 - w1
-    targets = diffs[:, None, :] + w1[None, :, :]
-    dots = np.einsum("ijd,jd->ij", targets, w2)
-    denom = np.linalg.norm(targets, axis=2) * np.linalg.norm(w2, axis=1)[None, :]
+    A target or query vector of (near-)zero norm counts as cosine 0.0.
+    """
+    targets = offsets[None, :, :] + w1[:, None, :]
+    dots = np.einsum("qid,qd->qi", targets, w2)
+    denom = np.linalg.norm(targets, axis=2) * np.linalg.norm(w2, axis=1)[:, None]
     ok = denom > 1e-12
     cos = np.where(ok, dots / np.where(ok, denom, 1.0), 0.0)
-    return int(np.count_nonzero(cos > t_cos))
+    return np.count_nonzero(cos > t_cos, axis=1)
 
 
-def _count_pair_passes(table: EmbeddingTable, pair: Pair, pairs, t_cos: float) -> int:
-    """Support pairs whose offset, applied to `pair`'s source, lands near `pair`'s target."""
-    v1 = table.lookup(pair[0])
-    v2 = table.lookup(pair[1])
-    w3, w4 = _pair_rows(table, pairs)
-    targets = (w4 - w3) + v1[None, :]
-    dots = targets @ v2
-    denom = np.linalg.norm(targets, axis=1) * float(np.linalg.norm(v2))
-    ok = denom > 1e-12
-    cos = np.where(ok, dots / np.where(ok, denom, 1.0), 0.0)
-    return int(np.count_nonzero(cos > t_cos))
+def _warn_empty(rule: MorphRule) -> None:
+    warnings.warn(
+        f"rule {rule.key.key_str} has no embedded support pairs; sem = 0.0",
+        EmptySupportWarning,
+    )
 
 
 def _score_rule_sem(rule: MorphRule, table: EmbeddingTable, t_cos: float,
                     sample_cap: int, seed: int) -> tuple[float, bool]:
-    pairs, sampled = _select_pairs(rule, table, sample_cap, seed)
-    if not pairs:
-        warnings.warn(
-            f"rule {key_str(rule.key)} has no embedded support pairs; sem = 0.0",
-            EmptySupportWarning,
-        )
+    rows, sampled = support_sample(rule, table, sample_cap, seed)
+    if not len(rows):
+        _warn_empty(rule)
         return 0.0, False
-    n = len(pairs)
-    return _count_rule_passes(table, pairs, t_cos) / (n * n), sampled
+    w1, w2 = table.matrix[rows[:, 0]], table.matrix[rows[:, 1]]
+    n = len(rows)
+    return int(_count_passes(w1, w2, w2 - w1, t_cos).sum()) / (n * n), sampled
+
+
+def sample_w_sem(pair: Pair, rule: MorphRule, rows: np.ndarray,
+                 table: EmbeddingTable, t_cos: float) -> float:
+    """w_sem of `pair` against the rule's support sample `rows` (see support_sample)."""
+    if not len(rows):
+        _warn_empty(rule)
+        return 0.0
+    w1 = table.lookup(pair[0])[None, :]
+    w2 = table.lookup(pair[1])[None, :]
+    offsets = table.matrix[rows[:, 1]] - table.matrix[rows[:, 0]]
+    return int(_count_passes(w1, w2, offsets, t_cos)[0]) / len(rows)
 
 
 def score_r_sem(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
@@ -172,15 +171,9 @@ def score_w_sem(pair: Pair, rule: MorphRule, table: EmbeddingTable,
     score_r_sem.
     """
     if pair not in rule.support:
-        raise PairNotInSupportError(f"{pair!r} not in support of {key_str(rule.key)}")
-    pairs, _ = _select_pairs(rule, table, sample_cap, seed)
-    if not pairs:
-        warnings.warn(
-            f"rule {key_str(rule.key)} has no embedded support pairs; sem = 0.0",
-            EmptySupportWarning,
-        )
-        return 0.0
-    return _count_pair_passes(table, pair, pairs, t_cos) / len(pairs)
+        raise PairNotInSupportError(f"{pair!r} not in support of {rule.key.key_str}")
+    rows, _ = support_sample(rule, table, sample_cap, seed)
+    return sample_w_sem(pair, rule, rows, table, t_cos)
 
 
 class RuleStore:
@@ -190,7 +183,7 @@ class RuleStore:
                  candidate_counts: dict[str, int] | None = None):
         self._rules: dict[str, MorphRule] = {}
         for rule in rules:
-            ks = key_str(rule.key)
+            ks = rule.key.key_str
             if ks in self._rules:
                 raise ValueError(f"duplicate rule key: {ks}")
             self._rules[ks] = rule
@@ -251,7 +244,7 @@ class RuleStore:
 
 
 def _order_key(rule: MorphRule):
-    return (-rule.scores.sem, -rule.scores.orth, key_str(rule.key))
+    return (-rule.scores.sem, -rule.scores.orth, rule.key.key_str)
 
 
 def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
@@ -261,7 +254,7 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
     """
     for rule in store:
         if rule.scores is None:
-            raise ValueError(f"rule {key_str(rule.key)} not scored; run score_all first")
+            raise ValueError(f"rule {rule.key.key_str} not scored; run score_all first")
     survivors = [
         rule for rule in store
         if rule.scores.sem > thresholds.t_r_sem and rule.scores.orth > thresholds.t_r_orth
@@ -278,7 +271,7 @@ def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[Mor
     rules = [r for r in store if kind == "all" or rule_kind(r.key) == kind]
     for rule in rules:
         if rule.scores is None:
-            raise ValueError(f"rule {key_str(rule.key)} not scored")
+            raise ValueError(f"rule {rule.key.key_str} not scored")
     rules.sort(key=_order_key)
     return rules[: max(top_k, 0)]
 
@@ -295,7 +288,7 @@ def save_rules(store: RuleStore, path) -> None:
     for rule in store:
         s = rule.scores
         if s is None:
-            raise ValueError(f"rule {key_str(rule.key)} not scored; cannot save")
+            raise ValueError(f"rule {rule.key.key_str} not scored; cannot save")
         sampled = "1" if s.sampled else "0"
         if isinstance(rule.key, ConcatRule):
             k = rule.key

@@ -17,7 +17,6 @@ import numpy as np
 
 from .concat import PREFIX, SUFFIX, ConcatRule
 from .embeddings import EmbeddingTable
-from .rules import key_str
 from .templatic import Template
 
 
@@ -78,7 +77,7 @@ class SynthConfig:
         for affix in self.affixes:
             if affix.old != "":
                 raise ValueError(f"planted affixes must be pure insertions: {affix}")
-        keys = [key_str(r) for r in self.templates + self.affixes]
+        keys = [r.key_str for r in self.templates + self.affixes]
         if len(set(keys)) != len(keys):
             raise ValueError("planted rules must have distinct keys")
 
@@ -134,7 +133,7 @@ def generate(config: SynthConfig) -> tuple[list[str], EmbeddingTable, GoldMap]:
 
     root_vecs = rng.standard_normal((config.n_roots, config.dim))
     root_vecs /= np.linalg.norm(root_vecs, axis=1)[:, None]
-    offsets = {key_str(rule): _unit(rng, config.dim) for rule in config.rules}
+    offsets = {rule.key_str: _unit(rng, config.dim) for rule in config.rules}
 
     words: list[str] = []
     vecs: list[np.ndarray] = []
@@ -154,16 +153,16 @@ def generate(config: SynthConfig) -> tuple[list[str], EmbeddingTable, GoldMap]:
 
     for root, base in zip(roots, root_vecs):
         for rule in config.rules:
-            rk = key_str(rule)
+            rk = rule.key_str
             word = _apply(rule, root)
             noise = rng.standard_normal(config.dim) * config.noise_sigma
             add(word, base + offsets[rk] + noise, GoldEntry(root, (rk,)))
         if config.chain_depth >= 2:
             for template in config.templates:
                 tword = template.render(root)
-                tk = key_str(template)
+                tk = template.key_str
                 for affix in config.affixes:
-                    ak = key_str(affix)
+                    ak = affix.key_str
                     word = _apply(affix, tword)
                     noise = rng.standard_normal(config.dim) * config.noise_sigma
                     add(word, base + offsets[tk] + offsets[ak] + noise,

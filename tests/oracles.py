@@ -96,3 +96,48 @@ def brute_w_sem(table, pair, pairs, t_cos: float) -> float:
         if analogy_score(table, w3, w4, w1, w2) > t_cos:
             count += 1
     return count / len(pairs)
+
+
+def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
+                  limited: bool = False):
+    """Root extraction by plain loops over every rule's whole support.
+
+    Returns (final, status, steps), each step as (rule key text, word, w_sem).
+    w_sem is taken over the whole embedded support, so this matches the
+    extractor only where every support fits under its sampling cap.
+    """
+    def kind(key):
+        if isinstance(key, Template):
+            return None if limited else "add"
+        if key.old == "":
+            return "add"
+        return "rep" if key.new != "" else None
+
+    steps = []
+    current = word
+    while len(current) > 3:
+        chosen = None
+        for stage in ("add", "rep"):
+            best = None
+            for rule in store:
+                if kind(rule.key) != stage:
+                    continue
+                embedded = [p for p in rule.support if p[0] in table and p[1] in table]
+                for w1, w2 in rule.support:
+                    if w2 != current or len(w1) >= len(current):
+                        continue
+                    w_sem = brute_w_sem(table, (w1, w2), embedded, t_cos)
+                    if w_sem <= t_w_sem:
+                        continue
+                    rank = (-w_sem, -rule.scores.sem, -rule.scores.orth,
+                            rule.key.key_str, w1)
+                    if best is None or rank < best:
+                        best = rank
+                        chosen = (rule.key.key_str, w1, w_sem)
+            if best is not None:
+                break
+        if chosen is None:
+            return current, "infeasible_stop", steps
+        steps.append(chosen)
+        current = chosen[1]
+    return current, "reached_triliteral", steps

@@ -26,7 +26,6 @@ from jzr.pipeline import learn_rules
 from jzr.rules import (
     MorphRule,
     Thresholds,
-    key_str,
     prune_rules,
     score_r_sem,
     score_w_sem,
@@ -63,22 +62,22 @@ def planted_closure(config: SynthConfig) -> set[str]:
     """
     expected: set[str] = set()
     for template in config.templates:
-        expected.add(key_str(template))
+        expected.add(template.key_str)
     by_side = {"prefix": [], "suffix": []}
     for affix in config.affixes:
-        expected.add(key_str(affix))
-        expected.add(key_str(ConcatRule(affix.side, affix.new, "")))
+        expected.add(affix.key_str)
+        expected.add(ConcatRule(affix.side, affix.new, "").key_str)
         if affix.side == "prefix":
             twin = Template((affix.new, "", "", ""))
         else:
             twin = Template(("", "", "", affix.new))
-        expected.add(key_str(twin))
+        expected.add(twin.key_str)
         by_side[affix.side].append(affix.new)
     for side, group in by_side.items():
         for x in group:
             for y in group:
                 if x != y:
-                    expected.add(key_str(ConcatRule(side, x, y)))
+                    expected.add(ConcatRule(side, x, y).key_str)
     return expected
 
 
@@ -90,9 +89,9 @@ def test_criterion_1_planted_rule_recovery():
     candidates, validated = learn_rules(table, Config())
     elapsed = time.monotonic() - started
 
-    planted = {key_str(rule) for rule in synth.rules}
+    planted = {rule.key_str for rule in synth.rules}
     assert len(planted) == 10
-    validated_keys = {key_str(rule.key) for rule in validated}
+    validated_keys = {rule.key.key_str for rule in validated}
 
     # No misses: every planted rule validates, with a decisive score.
     for ks in planted:
@@ -150,7 +149,7 @@ def test_criterion_4_analogy_identities():
     synth = SynthConfig(n_roots=60, noise_sigma=0.0)
     words, planted_table, gold = generate(synth)
     for rule in synth.rules:
-        ks = key_str(rule)
+        ks = rule.key_str
         pairs = tuple(sorted((e.root, w) for w, e in gold.items() if e.chain == (ks,)))
         assert len(pairs) == 60
         sem = score_r_sem(MorphRule(rule, pairs), planted_table, sample_cap=100)

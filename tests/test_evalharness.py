@@ -6,7 +6,6 @@ from jzr.evalharness import (
     CoverageError,
     evaluate,
     format_report,
-    read_gold_roots,
     read_predictions,
 )
 
@@ -125,7 +124,7 @@ class TestIo:
     def test_read_gold(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("w1\tktb\t\nw2\tdrs\tchain;stuff\n", encoding="utf-8")
-        assert read_gold_roots(path) == {"w1": "ktb", "w2": "drs"}
+        assert read_predictions(path) == {"w1": "ktb", "w2": "drs"}
 
     def test_read_rejects_single_column(self, tmp_path):
         path = tmp_path / "bad.tsv"

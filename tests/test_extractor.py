@@ -1,81 +1,133 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_extract
 from jzr.concat import ConcatRule
+from jzr.embeddings import EmbeddingTable
 from jzr.extractor import (
     INFEASIBLE_STOP,
     REACHED_TRILITERAL,
     ExtractionTrace,
     RootExtractor,
     TraceStep,
-    extract_root,
-    extract_root_limited,
-    inverse_apply,
-    partition_rules,
 )
 from jzr.rules import (
     MorphRule,
     RuleScores,
     RuleStore,
     Thresholds,
-    key_str,
     score_w_sem,
 )
 from jzr.templatic import Template
 
 PLACE = Template(("ma", "", "a", ""))
+INSERT_WA = ConcatRule("prefix", "", "wa")
+DELETE_WA = ConcatRule("prefix", "wa", "")
+INSERT_IYN = ConcatRule("suffix", "", "iyn")
+REPLACE_A_IYN = ConcatRule("suffix", "a", "iyn")
 
 
-class TestInverseApply:
-    def test_strip_prefix(self):
-        assert inverse_apply(ConcatRule("prefix", "", "al"), "almaktab") == "maktab"
+def planted_world(rules, n_genuine=4, dim=64, seed=0):
+    """Hand-built store: each entry is (key, query pairs, genuine query?).
 
-    def test_prefix_absent(self):
-        assert inverse_apply(ConcatRule("prefix", "", "al"), "maktab") is None
-
-    def test_replacement_inverse(self):
-        assert inverse_apply(ConcatRule("prefix", "al", "wa"), "wamaktab") == "almaktab"
-
-    def test_suffix_inverse(self):
-        assert inverse_apply(ConcatRule("suffix", "", "at"), "ktbat") == "ktb"
-        assert inverse_apply(ConcatRule("suffix", "a", "iyn"), "mudarrisiyn") == "mudarrisa"
-
-    def test_pure_deletion_inverse_grows_word(self):
-        assert inverse_apply(ConcatRule("prefix", "al", ""), "maktab") == "almaktab"
-
-    def test_template_inverse(self):
-        assert inverse_apply(PLACE, "maktab") == "ktb"
-
-    def test_template_wrong_length(self):
-        assert inverse_apply(PLACE, "maktabu") is None
-        assert inverse_apply(PLACE, "makta") is None
-
-    def test_template_literal_mismatch(self):
-        assert inverse_apply(PLACE, "miktab") is None
-        assert inverse_apply(PLACE, "maktib") is None
-
-    def test_template_inverse_round_trip(self):
-        agent = Template(("", "A", "i", ""))
-        assert inverse_apply(agent, agent.render("ktb")) == "ktb"
+    Every rule gets `n_genuine` pairs that share one offset. A genuine query
+    pair shares it too, so its w_sem is 1.0; any other query pair has
+    unrelated vectors, so only its own diagonal passes and w_sem is
+    1 / (n_genuine + 1).
+    """
+    rng = np.random.default_rng(seed)
+    vecs: dict[str, np.ndarray] = {}
+    store = []
+    for r, (key, queries, genuine) in enumerate(rules):
+        offset = rng.standard_normal(dim)
+        support = []
+        for i in range(n_genuine):
+            base = rng.standard_normal(dim)
+            vecs[f"src{r}x{i}"], vecs[f"der{r}x{i}"] = base, base + offset
+            support.append((f"src{r}x{i}", f"der{r}x{i}"))
+        for w1, w2 in queries:
+            vecs.setdefault(w2, rng.standard_normal(dim))
+            vecs[w1] = vecs[w2] - offset if genuine else rng.standard_normal(dim)
+            support.append((w1, w2))
+        support.sort()
+        store.append(MorphRule(key, tuple(support), RuleScores(len(support), 1.0, False)))
+    words = list(vecs)
+    table = EmbeddingTable.from_vectors(words, np.array([vecs[w] for w in words]),
+                                        normalize=False)
+    return RuleStore(store), table
 
 
-class TestPartition:
-    def test_partition_contents(self):
-        rules = [
-            MorphRule(ConcatRule("prefix", "", "al"), (), RuleScores(1, 1.0, False)),
-            MorphRule(ConcatRule("prefix", "al", "wa"), (), RuleScores(1, 1.0, False)),
-            MorphRule(ConcatRule("suffix", "at", ""), (), RuleScores(1, 1.0, False)),
-            MorphRule(PLACE, (), RuleScores(1, 1.0, False)),
-        ]
-        part = partition_rules(RuleStore(rules))
-        assert set(part.r_add) == {"concat:prefix:>al", "tmpl:ma<C1><C2>a<C3>"}
-        assert set(part.r_rep) == {"concat:prefix:al>wa"}
-        # Pure deletion sits in neither: inverting it can only grow the word.
-        assert "concat:suffix:at>" not in part.r_add + part.r_rep
+class TestStepKinds:
+    def test_pure_deletion_never_stepped(self):
+        # The support pair is hand-made so that it shrinks the word: only the
+        # kind mask, not the length rule, keeps the deletion rule out.
+        pair = [("maktab", "wamaktab")]
+        store, table = planted_world([(DELETE_WA, pair, True)])
+        trace = RootExtractor(store, table).extract("wamaktab")
+        assert trace.steps == () and trace.status == INFEASIBLE_STOP
+        store, table = planted_world([(INSERT_WA, pair, True)])
+        trace = RootExtractor(store, table).extract("wamaktab")
+        assert trace.steps[0] == TraceStep(INSERT_WA.key_str, "maktab", 1.0)
 
-    def test_partition_disjoint(self, small_world):
-        part = partition_rules(small_world[4])
-        assert not set(part.r_add) & set(part.r_rep)
+    def test_replacement_only_when_no_add_step_clears(self):
+        # The insertion's w_sem is 1/5; the replacement's is 1.0.
+        store, table = planted_world([
+            (INSERT_IYN, [("mudarris", "mudarrisiyn")], False),
+            (REPLACE_A_IYN, [("mudarrisa", "mudarrisiyn")], True),
+        ])
+        word = "mudarrisiyn"
+        trace = RootExtractor(store, table, Thresholds(t_w_sem=0.1)).extract(word)
+        assert trace.steps[0] == TraceStep(INSERT_IYN.key_str, "mudarris", 0.2)
+        trace = RootExtractor(store, table, Thresholds(t_w_sem=0.2)).extract(word)
+        assert trace.steps[0] == TraceStep(REPLACE_A_IYN.key_str, "mudarrisa", 1.0)
+
+
+KEYS = (ConcatRule("prefix", "", "al"), ConcatRule("prefix", "al", ""),
+        ConcatRule("prefix", "al", "wa"), ConcatRule("suffix", "", "at"),
+        ConcatRule("suffix", "a", "iyn"), PLACE, Template(("", "A", "i", "")))
+SAMPLE_CAP = 6
+
+
+@st.composite
+def small_stores(draw):
+    """Random rules over a random vocabulary, every support within SAMPLE_CAP.
+
+    Supports ignore orthography on purpose: the extractor must follow them
+    as given. Two-dimensional vectors make analogy passes, and so w_sem
+    ties, common; orth is drawn apart from the support size so that the
+    sem and orth tie-breaks often disagree.
+    """
+    words = draw(st.lists(st.text("abkt", min_size=2, max_size=7),
+                          min_size=2, max_size=8, unique=True))
+    pairs = [(a, b) for a in words for b in words if a != b]
+    rules = []
+    for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
+        support = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                max_size=SAMPLE_CAP, unique=True))
+        sem = draw(st.sampled_from([0.5, 1.0]))
+        orth = draw(st.integers(21, 23))
+        rules.append(MorphRule(key, tuple(sorted(support)), RuleScores(orth, sem, False)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = EmbeddingTable.from_vectors(words, rng.standard_normal((len(words), 2)))
+    thresholds = Thresholds(t_cos_sim=draw(st.sampled_from([0.0, 0.3, 0.5])),
+                            t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
+    return RuleStore(rules), table, thresholds
+
+
+class TestOracle:
+    @settings(max_examples=200)
+    @given(small_stores(), st.booleans())
+    def test_extract_matches_brute_extract(self, world, limited):
+        store, table, th = world
+        extractor = RootExtractor(store, table, th, sample_cap=SAMPLE_CAP)
+        for word in table.words + ["zzzz"]:
+            trace = extractor.extract(word, limited=limited)
+            got = (trace.final, trace.status,
+                   [(s.rule, s.word, s.w_sem) for s in trace.steps])
+            assert got == brute_extract(store, table, word, th.t_cos_sim,
+                                        th.t_w_sem, limited=limited)
 
 
 class TestExtraction:
@@ -98,7 +150,7 @@ class TestExtraction:
 
     def test_limited_stops_at_template_word(self, small_world):
         config, words, _, gold, _, extractor = small_world
-        template_keys = {key_str(t) for t in config.templates}
+        template_keys = {t.key_str for t in config.templates}
         w = next(w for w in words if gold[w].chain
                  and gold[w].chain[0] in template_keys and len(gold[w].chain) == 1)
         trace = extractor.extract(w, limited=True)
@@ -127,7 +179,7 @@ class TestExtraction:
         # tie-break chain (w_sem, rule sem, orth, key) must pick the concat
         # rule, whose support is larger in a chain_depth=2 world.
         config, words, _, gold, _, extractor = small_world
-        affix_keys = {key_str(a) for a in config.affixes}
+        affix_keys = {a.key_str for a in config.affixes}
         w = next(w for w in words if gold[w].chain
                  and len(gold[w].chain) == 1 and gold[w].chain[0] in affix_keys)
         trace = extractor.extract(w)
@@ -136,7 +188,6 @@ class TestExtraction:
 
     def test_every_step_satisfies_constraints(self, small_world):
         config, words, table, gold, validated, extractor = small_world
-        part = partition_rules(validated)
         th = Thresholds()
         for w in [w for w in words if gold[w].chain][:60]:
             trace = extractor.extract(w)
@@ -144,7 +195,7 @@ class TestExtraction:
             for step in trace.steps:
                 rule = validated.get(step.rule)
                 assert rule is not None
-                assert step.rule in part.r_add or step.rule in part.r_rep
+                assert not (isinstance(rule.key, ConcatRule) and rule.key.new == "")
                 assert len(step.word) < len(current)
                 assert (step.word, current) in rule.support
                 recomputed = score_w_sem((step.word, current), rule, table,
@@ -182,14 +233,6 @@ class TestExtraction:
         extractor = RootExtractor(concat_only, table, Thresholds())
         for w in [w for w in words if gold[w].chain][:50]:
             assert extractor.extract(w) == extractor.extract(w, limited=True)
-
-    def test_one_shot_helpers(self, small_world):
-        _, words, table, gold, validated, extractor = small_world
-        w = next(w for w in words if len(gold[w].chain) == 2)
-        assert extract_root(w, validated, table).final == gold[w].root
-        assert extract_root_limited(w, validated, table) == extractor.extract(
-            w, limited=True
-        )
 
     def test_rejects_invalid_word(self, small_world):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from jzr.rules import (
     RuleScores,
     RuleStore,
     Thresholds,
-    key_str,
     load_rules,
     prune_rules,
     rank_rules,
@@ -200,7 +199,7 @@ class TestStoreAndPrune:
         r3 = self.scored(ConcatRule("prefix", "", "c"), 30, 0.5)
         r4 = self.scored(Template(("m", "", "", "")), 21, 0.9)
         pruned = prune_rules(self.build_store([r1, r2, r3, r4]), Thresholds())
-        assert [key_str(r.key) for r in pruned] == [
+        assert [r.key.key_str for r in pruned] == [
             "tmpl:m<C1><C2><C3>",
             "concat:prefix:>c",
             "concat:prefix:>a",
@@ -255,7 +254,7 @@ class TestStoreAndPrune:
         store = RuleStore(rules)
         store.score_all(table)
         survivors = prune_rules(store, Thresholds())
-        assert sorted(key_str(r.key) for r in survivors) == [
+        assert sorted(r.key.key_str for r in survivors) == [
             f"concat:prefix:>good{p}" for p in range(5)
         ]
 
@@ -276,14 +275,14 @@ class TestRank:
         return RuleStore(rules)
 
     def test_rank_all(self):
-        got = [key_str(r.key) for r in rank_rules(self.make_store(), top_k=30)]
+        got = [r.key.key_str for r in rank_rules(self.make_store(), top_k=30)]
         assert got == ["tmpl:m<C1><C2><C3>", "concat:prefix:>a",
                        "concat:prefix:>b", "tmpl:t<C1><C2><C3>"]
 
     def test_rank_kind_filter(self):
-        got = [key_str(r.key) for r in rank_rules(self.make_store(), kind="templatic")]
+        got = [r.key.key_str for r in rank_rules(self.make_store(), kind="templatic")]
         assert got == ["tmpl:m<C1><C2><C3>", "tmpl:t<C1><C2><C3>"]
-        got = [key_str(r.key) for r in
+        got = [r.key.key_str for r in
                rank_rules(self.make_store(), kind="concatenative", top_k=1)]
         assert got == ["concat:prefix:>a"]
 

@@ -3,7 +3,7 @@ import pytest
 
 from jzr.concat import PREFIX, ConcatRule
 from jzr.embeddings import analogy_score
-from jzr.rules import MorphRule, key_str, score_r_sem
+from jzr.rules import MorphRule, score_r_sem
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
     DEFAULT_TEMPLATES,
@@ -20,7 +20,7 @@ from jzr.templatic import Template
 
 
 def planted_rules_by_key(config):
-    return {key_str(rule): rule for rule in config.rules}
+    return {rule.key_str: rule for rule in config.rules}
 
 
 class TestConfigValidation:
@@ -86,8 +86,8 @@ class TestGenerate:
     def test_depth2_chains_are_template_then_affix(self):
         config = SynthConfig(n_roots=5, chain_depth=2)
         _, _, gold = generate(config)
-        template_keys = {key_str(t) for t in config.templates}
-        affix_keys = {key_str(a) for a in config.affixes}
+        template_keys = {t.key_str for t in config.templates}
+        affix_keys = {a.key_str for a in config.affixes}
         two_step = [e for e in gold.values() if len(e.chain) == 2]
         assert len(two_step) == 5 * 25
         for entry in two_step:
@@ -102,7 +102,7 @@ class TestGenerate:
         config = SynthConfig(n_roots=15, noise_sigma=0.0)
         words, table, gold = generate(config)
         for rule in config.rules:
-            ks = key_str(rule)
+            ks = rule.key_str
             members = [(e.root, w) for w, e in gold.items() if e.chain == (ks,)]
             for (r1, d1), (r2, d2) in zip(members, members[1:]):
                 assert analogy_score(table, r1, d1, r2, d2) > 0.8
@@ -111,7 +111,7 @@ class TestGenerate:
         config = SynthConfig(n_roots=25, noise_sigma=0.0)
         words, table, gold = generate(config)
         for rule in config.rules:
-            ks = key_str(rule)
+            ks = rule.key_str
             pairs = tuple(sorted(
                 (e.root, w) for w, e in gold.items() if e.chain == (ks,)
             ))
