@@ -6,40 +6,40 @@ Exit codes: 0 success, 1 usage error, 2 data error. Warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import evalharness, synthlang
 from .config import Config, build_config, read_config_file
-from .embeddings import EmbeddingError, UnknownWordError, load_embeddings
-from .evalharness import CoverageError
+from .embeddings import EmbeddingError, InvalidWordError, UnknownWordError, load_embeddings
+from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
 from .pipeline import learn_rules
 from .rules import (
     CONCATENATIVE,
     TEMPLATIC,
-    PairNotInSupportError,
     RuleDbError,
     load_rules,
     rank_rules,
     save_rules,
-    vocab_fingerprint,
+    write_atomic,
 )
 from .synthlang import AlphabetTooSmallError, SurfaceCollisionError, SynthConfig
 
 DATA_ERRORS = (
     EmbeddingError,
+    InvalidWordError,
     UnknownWordError,
     RuleDbError,
-    PairNotInSupportError,
     CoverageError,
+    PredictionFormatError,
     SurfaceCollisionError,
     AlphabetTooSmallError,
     OSError,
     UnicodeDecodeError,
     json.JSONDecodeError,
-    ValueError,
 )
 
 
@@ -69,15 +69,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group-cap", type=int, dest="group_cap")
 
 
-def _config_from_args(args) -> Config:
+def _config_from_args(args, learned: dict | None = None) -> Config:
+    """The run's Config; `learned` fills in what neither file nor flags set.
+
+    An unreadable config file is a data error; an invalid setting is a
+    usage error.
+    """
     flag_values = {
         name: getattr(args, name, None)
         for name in ("t_cos_sim", "t_r_sem", "t_r_orth", "t_w_sem", "max_affix",
                      "min_stem", "max_derived_len", "sample_cap", "seed",
                      "vector_format", "top_n", "group_cap")
     }
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else None
-    return build_config(file_values, flag_values)
+    try:
+        file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+        return build_config({**(learned or {}), **file_values}, flag_values)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
 
 
 def build_parser() -> _Parser:
@@ -127,7 +137,7 @@ def build_parser() -> _Parser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -160,33 +170,30 @@ def cmd_rank(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = _config_from_args(args)
     store = load_rules(args.rules)
+    # The DB's scoring settings are the defaults; a differing explicit one
+    # makes RootExtractor refuse.
+    cfg = _config_from_args(args, dataclasses.asdict(store.scoring))
     table = load_embeddings(args.vectors, format=cfg.vector_format, top_n=cfg.top_n)
-    actual = vocab_fingerprint(table.words)
-    if store.vocab_hash and store.vocab_hash != actual:
-        print(
-            "error: rule DB was learned from a different vocabulary "
-            f"(db hash {store.vocab_hash[:12]}..., vectors hash {actual[:12]}...)",
-            file=sys.stderr,
-        )
-        return 2
+    extractor = RootExtractor(store, table, cfg.thresholds,
+                              sample_cap=cfg.sample_cap, seed=cfg.seed)
     if args.word is not None:
         words = [args.word]
     else:
         text = Path(args.words).read_text(encoding="utf-8")
         words = [line.strip() for line in text.splitlines() if line.strip()]
-    extractor = RootExtractor(store, table, cfg.thresholds,
-                              sample_cap=cfg.sample_cap, seed=cfg.seed)
     lines = [extractor.extract(w, limited=args.limited).format_line() for w in words]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(n_roots=args.n_roots, dim=args.dim,
-                         noise_sigma=args.noise_sigma, seed=args.seed,
-                         chain_depth=args.chain_depth)
+    try:
+        config = SynthConfig(n_roots=args.n_roots, dim=args.dim,
+                             noise_sigma=args.noise_sigma, seed=args.seed,
+                             chain_depth=args.chain_depth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     vectors_path, gold_path = synthlang.write_fixture(config, args.out)
     with open(vectors_path, encoding="utf-8") as fh:
         n_words, dim = fh.readline().split()

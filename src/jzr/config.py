@@ -30,9 +30,13 @@ class Config:
     def __post_init__(self):
         if self.vector_format not in (HEADERED, HEADERLESS):
             raise ValueError(f"unknown vector format: {self.vector_format!r}")
-        for name in ("max_affix", "min_stem", "max_derived_len", "sample_cap", "group_cap"):
+        for name in ("max_affix", "max_derived_len", "sample_cap", "group_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
+        if self.min_stem < 1:
+            raise ValueError("min_stem must be at least 1")
+        if self.top_n is not None and self.top_n < 0:
+            raise ValueError("top_n cannot be negative")
 
 
 def read_config_file(path) -> dict:

@@ -34,6 +34,10 @@ class UnknownWordError(KeyError):
     """Lookup of a word absent from the table."""
 
 
+class InvalidWordError(ValueError):
+    """A word is empty or contains whitespace or a control character."""
+
+
 class ZeroVectorWarning(UserWarning):
     """A cosine operand had (near-)zero norm; the result was defined as 0.0."""
 
@@ -45,10 +49,10 @@ def validate_word(text: str) -> str:
     All lengths throughout the package are measured in code points.
     """
     if not text:
-        raise ValueError("word must be non-empty")
+        raise InvalidWordError("word must be non-empty")
     for ch in text:
         if ch.isspace() or unicodedata.category(ch) == "Cc":
-            raise ValueError(f"word contains whitespace or a control character: {text!r}")
+            raise InvalidWordError(f"word contains whitespace or a control character: {text!r}")
     return text
 
 

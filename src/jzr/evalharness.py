@@ -9,6 +9,10 @@ class CoverageError(ValueError):
     """A system's predictions do not cover the evaluated word set."""
 
 
+class PredictionFormatError(ValueError):
+    """A prediction or gold file line lacks its word and root fields."""
+
+
 @dataclass(frozen=True)
 class EvalReport:
     systems: tuple[str, ...]
@@ -89,7 +93,7 @@ def read_predictions(path) -> dict[str, str]:
                 continue
             fields = line.split("\t")
             if len(fields) < 2:
-                raise ValueError(f"prediction line needs at least two fields: {line!r}")
+                raise PredictionFormatError(f"prediction line needs at least two fields: {line!r}")
             preds[fields[0]] = fields[1]
     return preds
 

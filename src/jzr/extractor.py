@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .embeddings import EmbeddingTable, validate_word
-from .rules import MorphRule, RuleStore, Thresholds, sample_w_sem, support_sample
+from .rules import MorphRule, RuleDbError, RuleStore, Thresholds, vocab_fingerprint
 from .templatic import Template
 
 REACHED_TRILITERAL = "reached_triliteral"
@@ -51,78 +49,77 @@ class ExtractionTrace:
 
 
 class RootExtractor:
-    """Extracts roots against a frozen validated rule store and embedding table.
+    """Extracts roots against a frozen validated rule store.
 
-    Building one extractor indexes every support pair by its derived word;
-    extraction then only examines pairs whose derived side is the current
-    word, which covers the support-membership constraint for free. Each
-    rule's support sample is drawn once, the first time one of its pairs
-    is scored.
+    Building one extractor indexes every support pair by its derived word,
+    with the w_sem the store holds for it, and ranks each word's candidate
+    steps once; extraction then only looks up the current word, which
+    covers the support-membership constraint for free. No vectors are read:
+    `table` only has to be the vocabulary the store was learned from.
+
+    `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
+    was scored; giving one that differs raises RuleDbError.
     """
 
     def __init__(self, store: RuleStore, table: EmbeddingTable,
                  thresholds: Thresholds | None = None,
-                 sample_cap: int = 100, seed: int = 42):
+                 sample_cap: int | None = None, seed: int | None = None):
         for rule in store:
-            if rule.scores is None:
+            if rule.scores is None or len(rule.scores.w_sem) != len(rule.support):
                 raise ValueError(
                     f"rule {rule.key.key_str} is unscored; extract against a "
                     "validated (scored and pruned) store"
                 )
+        actual = vocab_fingerprint(table.words)
+        if store.vocab_hash and store.vocab_hash != actual:
+            raise RuleDbError(
+                "rule DB was learned from a different vocabulary "
+                f"(db hash {store.vocab_hash[:12]}..., vectors hash {actual[:12]}...)"
+            )
+        given = {"t_cos_sim": None if thresholds is None else thresholds.t_cos_sim,
+                 "sample_cap": sample_cap, "seed": seed}
+        for name, value in given.items():
+            learned = None if store.scoring is None else getattr(store.scoring, name)
+            if None not in (value, learned) and value != learned:
+                raise RuleDbError(
+                    f"rule DB was scored with {name}={learned!r}, not {value!r}; "
+                    f"leave {name} unset or re-run `jzr learn` with it"
+                )
         self.store = store
-        self.table = table
         self.thresholds = thresholds or Thresholds()
-        self.sample_cap = sample_cap
-        self.seed = seed
 
-        # derived word -> (rule key text, rule, step kind, source word)
-        self._by_derived: dict[str, list[tuple[str, MorphRule, str, str]]] = {}
+        # derived word -> candidate steps (-w_sem, -sem, -orth, key text,
+        # source word, step kind), best first: maximize w_sem, then break
+        # ties by rule sem, orth and key text.
+        t_w_sem = self.thresholds.t_w_sem
+        self._steps: dict[str, list[tuple]] = {}
         for rule in store:
             kind = _step_kind(rule)
             if kind is None:
                 continue
-            ks = rule.key.key_str
-            for w1, w2 in rule.support:
-                self._by_derived.setdefault(w2, []).append((ks, rule, kind, w1))
-
-        self._samples: dict[str, np.ndarray] = {}
-        self._w_sem_cache: dict[tuple[str, str, str], float] = {}
-
-    def _w_sem(self, ks: str, rule: MorphRule, pair: tuple[str, str]) -> float:
-        cache_key = (ks, pair[0], pair[1])
-        cached = self._w_sem_cache.get(cache_key)
-        if cached is None:
-            rows = self._samples.get(ks)
-            if rows is None:
-                rows, _ = support_sample(rule, self.table, self.sample_cap, self.seed)
-                self._samples[ks] = rows
-            cached = sample_w_sem(pair, rule, rows, self.table, self.thresholds.t_cos_sim)
-            self._w_sem_cache[cache_key] = cached
-        return cached
+            ks, sem, orth = rule.key.key_str, rule.scores.sem, rule.scores.orth
+            for (w1, w2), w_sem in zip(rule.support, rule.scores.w_sem):
+                # A step must shorten the word and leave at least three letters.
+                if w_sem > t_w_sem and 3 <= len(w1) < len(w2):
+                    self._steps.setdefault(w2, []).append((-w_sem, -sem, -orth, ks, w1, kind))
+        for steps in self._steps.values():
+            steps.sort()
 
     def _best_step(self, word: str, kinds: tuple[str, ...]) -> TraceStep | None:
-        best = None
-        best_step = None
-        for ks, rule, kind, w1 in self._by_derived.get(word, ()):
-            if kind not in kinds or len(w1) >= len(word):
-                continue
-            w_sem = self._w_sem(ks, rule, (w1, word))
-            if w_sem <= self.thresholds.t_w_sem:
-                continue
-            scores = rule.scores
-            # Maximize w_sem; break ties by rule sem, then orth, then key text.
-            rank = (-w_sem, -scores.sem, -scores.orth, ks, w1)
-            if best is None or rank < best:
-                best = rank
-                best_step = TraceStep(ks, w1, w_sem)
-        return best_step
+        for neg_w_sem, _, _, ks, w1, kind in self._steps.get(word, ()):
+            if kind in kinds:
+                return TraceStep(ks, w1, -neg_w_sem)
+        return None
 
     def extract(self, word: str, limited: bool = False) -> ExtractionTrace:
         """Invert rules until three letters remain or no step is feasible.
 
-        `limited` masks templates out, leaving concatenative rules only.
+        `limited` masks templates out, leaving concatenative rules only. A
+        word shorter than three letters has no feasible step.
         """
         validate_word(word)
+        if len(word) < 3:
+            return ExtractionTrace(word, (), word, INFEASIBLE_STOP)
         first = (_INSERTION,) if limited else (_INSERTION, _TEMPLATE)
         steps: list[TraceStep] = []
         current = word
@@ -133,6 +130,5 @@ class RootExtractor:
             if step is None:
                 return ExtractionTrace(word, tuple(steps), current, INFEASIBLE_STOP)
             steps.append(step)
-            assert len(step.word) < len(current)
             current = step.word
         return ExtractionTrace(word, tuple(steps), current, REACHED_TRILITERAL)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +20,8 @@ TEMPLATIC = "templatic"
 RuleKey = ConcatRule | Template
 Pair = tuple[str, str]
 
-_DB_MAGIC = "#morphruledb 1"
+_DB_MAGIC = "#morphruledb 2"
+_V1_MAGIC = "#morphruledb 1"
 
 
 class RuleDbError(ValueError):
@@ -39,17 +42,31 @@ def rule_kind(key: RuleKey) -> str:
 
 @dataclass(frozen=True)
 class RuleScores:
-    """orth is the raw support size; sem the analogy-pass fraction in [0, 1]."""
+    """orth is the raw support size; sem the analogy-pass fraction in [0, 1].
+
+    w_sem holds each support pair's own pass fraction, aligned with the
+    rule's support; it is empty for rules left semantically unscored.
+    """
 
     orth: int
     sem: float
     sampled: bool
+    w_sem: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.orth < 0:
             raise ValueError("orth score is a support size and cannot be negative")
         if not 0.0 <= self.sem <= 1.0:
             raise ValueError(f"sem score out of [0, 1]: {self.sem}")
+
+
+@dataclass(frozen=True)
+class ScoringSettings:
+    """The settings semantic scores were computed with; a rule DB records them."""
+
+    t_cos_sim: float
+    sample_cap: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -87,22 +104,29 @@ def vocab_fingerprint(words) -> str:
 
 
 def support_sample(rule: MorphRule, table: EmbeddingTable, sample_cap: int,
-                   seed: int) -> tuple[np.ndarray, bool]:
-    """Table rows (source, derived) of the embedded support pairs, one row each.
+                   seed: int) -> tuple[list[int], list[int]]:
+    """Support positions of the embedded pairs, and of the sample drawn from them.
 
-    Supports larger than `sample_cap` are cut to a deterministic seeded
-    sample; the flag says whether that happened.
+    The sample is every embedded pair, unless there are more than
+    `sample_cap`: then it is a deterministic seeded choice of that many.
     """
     index = table.index
-    rows = [(index[a], index[b]) for a, b in rule.support if a in index and b in index]
-    sampled = len(rows) > sample_cap
-    if sampled:
-        # hashlib, not hash(): per-rule sampling must survive interpreter restarts.
-        digest = hashlib.sha256(f"{seed}|{rule.key.key_str}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        keep = sorted(rng.choice(len(rows), size=sample_cap, replace=False).tolist())
-        rows = [rows[i] for i in keep]
-    return np.array(rows, dtype=np.intp).reshape(-1, 2), sampled
+    embedded = [i for i, (a, b) in enumerate(rule.support) if a in index and b in index]
+    if len(embedded) <= sample_cap:
+        return embedded, embedded
+    # hashlib, not hash(): per-rule sampling must survive interpreter restarts.
+    digest = hashlib.sha256(f"{seed}|{rule.key.key_str}".encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    keep = sorted(rng.choice(len(embedded), size=sample_cap, replace=False).tolist())
+    return embedded, [embedded[i] for i in keep]
+
+
+def _vectors(rule: MorphRule, table: EmbeddingTable,
+             positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Source and derived vectors of the support pairs at `positions`."""
+    index, support = table.index, rule.support
+    return (table.matrix[[index[support[p][0]] for p in positions]],
+            table.matrix[[index[support[p][1]] for p in positions]])
 
 
 def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
@@ -126,27 +150,36 @@ def _warn_empty(rule: MorphRule) -> None:
     )
 
 
-def _score_rule_sem(rule: MorphRule, table: EmbeddingTable, t_cos: float,
-                    sample_cap: int, seed: int) -> tuple[float, bool]:
-    rows, sampled = support_sample(rule, table, sample_cap, seed)
-    if not len(rows):
-        _warn_empty(rule)
-        return 0.0, False
-    w1, w2 = table.matrix[rows[:, 0]], table.matrix[rows[:, 1]]
-    n = len(rows)
-    return int(_count_passes(w1, w2, w2 - w1, t_cos).sum()) / (n * n), sampled
+def score_rule(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
+               sample_cap: int = 100, seed: int = 42) -> RuleScores:
+    """orth, sem (r_sem) and every support pair's w_sem, from one seeded sample.
 
-
-def sample_w_sem(pair: Pair, rule: MorphRule, rows: np.ndarray,
-                 table: EmbeddingTable, t_cos: float) -> float:
-    """w_sem of `pair` against the rule's support sample `rows` (see support_sample)."""
-    if not len(rows):
+    A pair's w_sem is the fraction of sample offsets it passes the analogy
+    test against; sem is the mean of the sample's own w_sem values. Pairs
+    in the sample reuse sem's per-query counts; the rest are counted in
+    blocks of at most `sample_cap` queries, so that no block is larger than
+    sem's own. A pair without vectors gets w_sem 0.0.
+    """
+    orth = len(rule.support)
+    embedded, sample = support_sample(rule, table, sample_cap, seed)
+    w_sem = [0.0] * orth
+    if not sample:
         _warn_empty(rule)
-        return 0.0
-    w1 = table.lookup(pair[0])[None, :]
-    w2 = table.lookup(pair[1])[None, :]
-    offsets = table.matrix[rows[:, 1]] - table.matrix[rows[:, 0]]
-    return int(_count_passes(w1, w2, offsets, t_cos)[0]) / len(rows)
+        return RuleScores(orth, 0.0, False, tuple(w_sem))
+    n = len(sample)
+    w1, w2 = _vectors(rule, table, sample)
+    offsets = w2 - w1
+    counts = _count_passes(w1, w2, offsets, t_cos)
+    blocks = [(sample, counts)]
+    in_sample = set(sample)
+    rest = [p for p in embedded if p not in in_sample]
+    for start in range(0, len(rest), sample_cap):
+        block = rest[start:start + sample_cap]
+        blocks.append((block, _count_passes(*_vectors(rule, table, block), offsets, t_cos)))
+    for positions, passes in blocks:
+        for p, c in zip(positions, passes.tolist()):
+            w_sem[p] = c / n
+    return RuleScores(orth, int(counts.sum()) / (n * n), n < len(embedded), tuple(w_sem))
 
 
 def score_r_sem(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
@@ -157,8 +190,7 @@ def score_r_sem(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
     t_cos < 1. Supports larger than `sample_cap` are scored over a
     deterministic seeded sample.
     """
-    sem, _ = _score_rule_sem(rule, table, t_cos, sample_cap, seed)
-    return sem
+    return score_rule(rule, table, t_cos, sample_cap, seed).sem
 
 
 def score_w_sem(pair: Pair, rule: MorphRule, table: EmbeddingTable,
@@ -168,19 +200,26 @@ def score_w_sem(pair: Pair, rule: MorphRule, table: EmbeddingTable,
     For query pair (w1, w2) and each support pair (w3, w4) the test reads
     cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos; the result is the passing
     fraction. Sampling follows the same per-rule deterministic scheme as
-    score_r_sem.
+    score_r_sem. This scores the one pair on its own; score_rule stores
+    the same value for every support pair.
     """
     if pair not in rule.support:
         raise PairNotInSupportError(f"{pair!r} not in support of {rule.key.key_str}")
-    rows, _ = support_sample(rule, table, sample_cap, seed)
-    return sample_w_sem(pair, rule, rows, table, t_cos)
+    _, sample = support_sample(rule, table, sample_cap, seed)
+    if not sample:
+        _warn_empty(rule)
+        return 0.0
+    w1, w2 = _vectors(rule, table, sample)
+    query = table.lookup(pair[0])[None, :], table.lookup(pair[1])[None, :]
+    return int(_count_passes(*query, w2 - w1, t_cos)[0]) / len(sample)
 
 
 class RuleStore:
     """Insertion-ordered collection of rules, keyed by their textual form."""
 
     def __init__(self, rules=(), vocab_hash: str = "",
-                 candidate_counts: dict[str, int] | None = None):
+                 candidate_counts: dict[str, int] | None = None,
+                 scoring: ScoringSettings | None = None):
         self._rules: dict[str, MorphRule] = {}
         for rule in rules:
             ks = rule.key.key_str
@@ -189,6 +228,7 @@ class RuleStore:
             self._rules[ks] = rule
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
+        self.scoring = scoring
 
     @classmethod
     def from_candidates(cls, concat_map, templatic_map, vocab_hash: str = "") -> "RuleStore":
@@ -214,7 +254,8 @@ class RuleStore:
             return NotImplemented
         return (self._rules == other._rules
                 and self.vocab_hash == other.vocab_hash
-                and self.candidate_counts == other.candidate_counts)
+                and self.candidate_counts == other.candidate_counts
+                and self.scoring == other.scoring)
 
     def count_by_kind(self) -> dict[str, int]:
         counts = {CONCATENATIVE: 0, TEMPLATIC: 0}
@@ -225,12 +266,12 @@ class RuleStore:
     def score_all(self, table: EmbeddingTable, t_cos: float = 0.5,
                   sample_cap: int = 100, seed: int = 42,
                   orth_gate: int | None = None) -> None:
-        """Fill in RuleScores for every rule.
+        """Fill in RuleScores, per-pair w_sem included, for every rule.
 
         With `orth_gate` set, rules whose support size cannot clear the
-        orthographic threshold keep sem = 0.0 unscored; they can never
-        validate, and skipping them avoids scoring the long tail of
-        single-pair candidates.
+        orthographic threshold keep sem = 0.0 and no w_sem, unscored; they
+        can never validate, and skipping them avoids scoring the long tail
+        of single-pair candidates.
         """
         for rule in self:
             orth = len(rule.support)
@@ -239,8 +280,8 @@ class RuleStore:
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptySupportWarning)
-                sem, sampled = _score_rule_sem(rule, table, t_cos, sample_cap, seed)
-            rule.scores = RuleScores(orth, sem, sampled)
+                rule.scores = score_rule(rule, table, t_cos, sample_cap, seed)
+        self.scoring = ScoringSettings(float(t_cos), int(sample_cap), int(seed))
 
 
 def _order_key(rule: MorphRule):
@@ -261,7 +302,7 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
     ]
     survivors.sort(key=_order_key)
     return RuleStore(survivors, vocab_hash=store.vocab_hash,
-                     candidate_counts=store.candidate_counts)
+                     candidate_counts=store.candidate_counts, scoring=store.scoring)
 
 
 def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[MorphRule]:
@@ -276,19 +317,44 @@ def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[Mor
     return rules[: max(top_k, 0)]
 
 
+def write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temporary file beside it.
+
+    The file appears whole or not at all: a write that fails leaves any
+    previous file at `path` intact, and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_rules(store: RuleStore, path) -> None:
-    """Write the rule DB: header lines, then one rule record plus its pairs."""
-    lines = [_DB_MAGIC, f"#vocab-hash {store.vocab_hash}"]
+    """Write the rule DB: header lines, then one rule record plus its pairs.
+
+    Each pair line carries the pair's w_sem, so extraction needs no vectors.
+    """
+    sc = store.scoring
+    if sc is None:
+        raise ValueError("store has no scoring settings; run score_all first")
     counts = store.candidate_counts
-    lines.append(
+    lines = [
+        _DB_MAGIC,
+        f"#vocab-hash {store.vocab_hash}",
         "#candidates "
         f"{CONCATENATIVE}={counts.get(CONCATENATIVE, 0)} "
-        f"{TEMPLATIC}={counts.get(TEMPLATIC, 0)}"
-    )
+        f"{TEMPLATIC}={counts.get(TEMPLATIC, 0)}",
+        f"#scoring t_cos_sim={sc.t_cos_sim!r} sample_cap={sc.sample_cap} seed={sc.seed}",
+    ]
     for rule in store:
         s = rule.scores
-        if s is None:
-            raise ValueError(f"rule {rule.key.key_str} not scored; cannot save")
+        if s is None or len(s.w_sem) != len(rule.support):
+            raise ValueError(f"rule {rule.key.key_str} has no per-pair scores; cannot save")
         sampled = "1" if s.sampled else "0"
         if isinstance(rule.key, ConcatRule):
             k = rule.key
@@ -300,53 +366,79 @@ def save_rules(store: RuleStore, path) -> None:
             lines.append(
                 f"rule\t{TEMPLATIC}\t{rule.key.pattern}\t{s.orth}\t{s.sem!r}\t{sampled}"
             )
-        for w1, w2 in rule.support:
-            lines.append(f"pair\t{w1}\t{w2}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for (w1, w2), w_sem in zip(rule.support, s.w_sem):
+            lines.append(f"pair\t{w1}\t{w2}\t{w_sem!r}")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_counts(text: str) -> dict[str, int]:
-    counts = {}
-    for field in text.split():
-        name, _, value = field.partition("=")
-        counts[name] = int(value)
-    return counts
+def _parse_fields(text: str) -> dict[str, str]:
+    return dict(field.partition("=")[::2] for field in text.split())
+
+
+def _parse_scoring(text: str) -> ScoringSettings:
+    values = _parse_fields(text)
+    if sorted(values) != ["sample_cap", "seed", "t_cos_sim"]:
+        raise ValueError(f"#scoring needs t_cos_sim, sample_cap and seed: {text!r}")
+    return ScoringSettings(float(values["t_cos_sim"]), int(values["sample_cap"]),
+                           int(values["seed"]))
 
 
 def load_rules(path) -> RuleStore:
+    """Read a rule DB written by save_rules, checking every record.
+
+    Raises RuleDbError, with the line number, for a malformed record, a
+    support that is unsorted or repeats a pair, a pair count other than the
+    rule's orth, or a w_sem outside [0, 1].
+    """
     rules: list[MorphRule] = []
     vocab_hash = ""
     counts: dict[str, int] = {}
+    scoring: ScoringSettings | None = None
+    rule_line = 0
     current_key: RuleKey | None = None
     current_scores: RuleScores | None = None
     current_pairs: list[Pair] = []
+    current_w_sem: list[float] = []
 
     def flush():
-        if current_key is not None:
-            rules.append(MorphRule(current_key, tuple(current_pairs), current_scores))
+        if current_key is None:
+            return
+        if len(current_pairs) != current_scores.orth:
+            raise RuleDbError(f"line {rule_line}: rule has orth {current_scores.orth} "
+                              f"but {len(current_pairs)} pairs")
+        scores = replace(current_scores, w_sem=tuple(current_w_sem))
+        rules.append(MorphRule(current_key, tuple(current_pairs), scores))
 
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
+        if first == _V1_MAGIC:
+            raise RuleDbError("rule DB format 1 stores no per-pair w_sem; "
+                              "re-run `jzr learn` to rebuild it")
         if first != _DB_MAGIC:
             raise RuleDbError(f"not a rule DB (bad magic line): {first!r}")
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#vocab-hash "):
-                vocab_hash = line.split(" ", 1)[1]
-                continue
-            if line.startswith("#candidates "):
-                counts = _parse_counts(line.split(" ", 1)[1])
-                continue
-            if line.startswith("#"):
-                continue
             fields = line.split("\t")
+            record = fields[0]
+            if record == "rule":
+                flush()
             try:
-                if fields[0] == "rule":
-                    flush()
-                    current_pairs = []
+                if record == "pair":
+                    if current_key is None:
+                        raise ValueError("pair record before any rule record")
+                    if len(fields) != 4:
+                        raise ValueError("pair record needs two words and one w_sem")
+                    pair = (fields[1], fields[2])
+                    if current_pairs and pair <= current_pairs[-1]:
+                        problem = "repeats" if pair == current_pairs[-1] else "is unsorted at"
+                        raise ValueError(f"support {problem} {pair!r}")
+                    w_sem = float(fields[3])
+                    if not 0.0 <= w_sem <= 1.0:
+                        raise ValueError(f"w_sem out of [0, 1]: {fields[3]!r}")
+                    current_pairs.append(pair)
+                    current_w_sem.append(w_sem)
+                elif record == "rule":
+                    rule_line, current_pairs, current_w_sem = lineno, [], []
                     if fields[1] == CONCATENATIVE:
                         _, _, side, old, new, orth, sem, sampled = fields
                         current_key = ConcatRule(side, old, new)
@@ -356,12 +448,18 @@ def load_rules(path) -> RuleStore:
                     else:
                         raise ValueError(f"unknown rule kind {fields[1]!r}")
                     current_scores = RuleScores(int(orth), float(sem), sampled == "1")
-                elif fields[0] == "pair":
-                    _, w1, w2 = fields
-                    current_pairs.append((w1, w2))
-                else:
-                    raise ValueError(f"unknown record type {fields[0]!r}")
+                elif line.startswith("#vocab-hash "):
+                    vocab_hash = line.split(" ", 1)[1]
+                elif line.startswith("#candidates "):
+                    counts = {k: int(v) for k, v in _parse_fields(line[12:]).items()}
+                elif line.startswith("#scoring "):
+                    scoring = _parse_scoring(line[9:])
+                elif line and not line.startswith("#"):
+                    raise ValueError(f"unknown record type {record!r}")
             except (ValueError, IndexError) as exc:
                 raise RuleDbError(f"line {lineno}: {exc}") from None
     flush()
-    return RuleStore(rules, vocab_hash=vocab_hash, candidate_counts=counts)
+    if scoring is None:
+        raise RuleDbError("rule DB has no #scoring header line")
+    return RuleStore(rules, vocab_hash=vocab_hash, candidate_counts=counts,
+                     scoring=scoring)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from jzr import rules as rules_module
 from jzr.config import Config
 from jzr.embeddings import EmbeddingTable
 from jzr.extractor import RootExtractor
@@ -80,3 +81,28 @@ def random_table(n_words: int, dim: int, seed: int, prefix: str = "w") -> Embedd
     rng = np.random.default_rng(seed)
     words = [f"{prefix}{i}" for i in range(n_words)]
     return EmbeddingTable.from_vectors(words, rng.standard_normal((n_words, dim)))
+
+
+class _HalfWrittenFile:
+    """Writes half of what it is given, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def fail_writes_halfway(monkeypatch):
+    """Make every file write_atomic opens fail partway through."""
+    monkeypatch.setattr(rules_module, "open",
+                        lambda *args, **kwargs: _HalfWrittenFile(open(*args, **kwargs)),
+                        raising=False)

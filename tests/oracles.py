@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: all-pairs scans, no indexing,
 no vectorization. Keep it that way; the whole point is independence from the
-implementation under test.
+implementation under test. The one piece borrowed is `support_sample`, which
+only names the seeded sample a score is taken over.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 
 from jzr.concat import ConcatRule
 from jzr.embeddings import analogy_score
+from jzr.rules import support_sample
 from jzr.templatic import Template
 
 
@@ -99,12 +101,13 @@ def brute_w_sem(table, pair, pairs, t_cos: float) -> float:
 
 
 def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
-                  limited: bool = False):
+                  limited: bool = False, sample_cap: int = 100, seed: int = 42):
     """Root extraction by plain loops over every rule's whole support.
 
     Returns (final, status, steps), each step as (rule key text, word, w_sem).
-    w_sem is taken over the whole embedded support, so this matches the
-    extractor only where every support fits under its sampling cap.
+    w_sem is brute_w_sem against the rule's support sample: the pairs that
+    `support_sample` draws, which below `sample_cap` are all embedded pairs.
+    A step must shorten the word and leave at least three letters.
     """
     def kind(key):
         if isinstance(key, Template):
@@ -113,6 +116,8 @@ def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
             return "add"
         return "rep" if key.new != "" else None
 
+    if len(word) < 3:
+        return word, "infeasible_stop", []
     steps = []
     current = word
     while len(current) > 3:
@@ -122,11 +127,12 @@ def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
             for rule in store:
                 if kind(rule.key) != stage:
                     continue
-                embedded = [p for p in rule.support if p[0] in table and p[1] in table]
+                _, sample = support_sample(rule, table, sample_cap, seed)
+                sample_pairs = [rule.support[i] for i in sample]
                 for w1, w2 in rule.support:
-                    if w2 != current or len(w1) >= len(current):
+                    if w2 != current or not 3 <= len(w1) < len(current):
                         continue
-                    w_sem = brute_w_sem(table, (w1, w2), embedded, t_cos)
+                    w_sem = brute_w_sem(table, (w1, w2), sample_pairs, t_cos)
                     if w_sem <= t_w_sem:
                         continue
                     rank = (-w_sem, -rule.scores.sem, -rule.scores.orth,

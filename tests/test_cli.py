@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from conftest import fail_writes_halfway
+from jzr import cli
 from jzr.cli import main
 from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
@@ -99,6 +101,13 @@ class TestRank:
 
 
 class TestExtract:
+    def test_invalid_word_is_data_error(self, workspace, tmp_path):
+        _, fix, db = workspace
+        words = tmp_path / "words.txt"
+        words.write_text("two words\n", encoding="utf-8")
+        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
+                     "--words", str(words)]) == 2
+
     def test_single_word_trace(self, workspace, capsys):
         _, fix, db = workspace
         gold = load_gold(fix / "gold.tsv")
@@ -146,6 +155,31 @@ class TestExtract:
                      "--vectors", str(other / "vectors.txt"), "--word", "abc"])
         assert code == 2
         assert "different vocabulary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-cos-sim", "0.3"), ("--sample-cap", "50"), ("--seed", "7"),
+    ])
+    def test_setting_other_than_the_db_is_refused(self, workspace, capsys, flag, value):
+        _, fix, db = workspace
+        code = main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
+                     "--word", "abcd", flag, value])
+        assert code == 2
+        assert "re-run `jzr learn`" in capsys.readouterr().err
+
+    def test_setting_equal_to_the_db_is_accepted(self, workspace, capsys):
+        _, fix, db = workspace
+        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
+                     "--word", "abcd", "--t-cos-sim", "0.5", "--sample-cap", "100",
+                     "--seed", "42"]) == 0
+
+    def test_format_1_db_is_refused(self, workspace, tmp_path, capsys):
+        _, fix, _ = workspace
+        old = tmp_path / "old.db"
+        old.write_text("#morphruledb 1\n#vocab-hash x\n", encoding="utf-8")
+        code = main(["extract", "--rules", str(old), "--vectors", str(fix / "vectors.txt"),
+                     "--word", "abcd"])
+        assert code == 2
+        assert "re-run `jzr learn`" in capsys.readouterr().err
 
 
 class TestEval:
@@ -218,10 +252,54 @@ class TestUsageAndConfig:
                      "--out", str(out), "--config", str(cfg)]) == 0
         assert len(load_rules(out)) == 0
 
-    def test_unknown_config_key_is_data_error(self, workspace, tmp_path, capsys):
+    def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         root, fix, _ = workspace
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}), encoding="utf-8")
         code = main(["learn", "--vectors", str(fix / "vectors.txt"),
                      "--out", str(tmp_path / "x.db"), "--config", str(cfg)])
-        assert code == 2
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_unparsable_config_file_is_data_error(self, workspace, tmp_path):
+        _, fix, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json", encoding="utf-8")
+        assert main(["learn", "--vectors", str(fix / "vectors.txt"),
+                     "--out", str(tmp_path / "x.db"), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--min-stem", "0"), ("--top-n", "-1"),
+                                             ("--t-r-sem", "1.5")])
+    def test_invalid_flag_value_is_usage_error(self, workspace, tmp_path, capsys,
+                                               flag, value):
+        _, fix, _ = workspace
+        code = main(["learn", "--vectors", str(fix / "vectors.txt"),
+                     "--out", str(tmp_path / "x.db"), flag, value])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_invalid_synth_flag_is_usage_error(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "fix"), "--n-roots", "0"]) == 1
+
+    def test_internal_value_error_is_not_a_data_error(self, workspace, monkeypatch):
+        # A ValueError from inside the package is a bug, not bad input: it
+        # must surface, not exit 2.
+        _, _, db = workspace
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "rank_rules", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["rank", "--rules", str(db)])
+
+    def test_failed_out_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("w1\tktb\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        out.write_text("previous report\n", encoding="utf-8")
+        fail_writes_halfway(monkeypatch)
+        assert main(["eval", "--gold", str(gold), "--pred", f"a={gold}",
+                     "--out", str(out)]) == 2
+        assert out.read_text(encoding="utf-8") == "previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "report.txt"]

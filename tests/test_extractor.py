@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from jzr.extractor import (
 )
 from jzr.rules import (
     MorphRule,
-    RuleScores,
+    RuleDbError,
     RuleStore,
+    ScoringSettings,
     Thresholds,
+    score_rule,
     score_w_sem,
 )
 from jzr.templatic import Template
@@ -39,7 +43,7 @@ def planted_world(rules, n_genuine=4, dim=64, seed=0):
     """
     rng = np.random.default_rng(seed)
     vecs: dict[str, np.ndarray] = {}
-    store = []
+    rules_out = []
     for r, (key, queries, genuine) in enumerate(rules):
         offset = rng.standard_normal(dim)
         support = []
@@ -51,12 +55,13 @@ def planted_world(rules, n_genuine=4, dim=64, seed=0):
             vecs.setdefault(w2, rng.standard_normal(dim))
             vecs[w1] = vecs[w2] - offset if genuine else rng.standard_normal(dim)
             support.append((w1, w2))
-        support.sort()
-        store.append(MorphRule(key, tuple(support), RuleScores(len(support), 1.0, False)))
+        rules_out.append(MorphRule(key, tuple(sorted(support))))
     words = list(vecs)
     table = EmbeddingTable.from_vectors(words, np.array([vecs[w] for w in words]),
                                         normalize=False)
-    return RuleStore(store), table
+    store = RuleStore(rules_out)
+    store.score_all(table)
+    return store, table
 
 
 class TestStepKinds:
@@ -84,6 +89,55 @@ class TestStepKinds:
         assert trace.steps[0] == TraceStep(REPLACE_A_IYN.key_str, "mudarrisa", 1.0)
 
 
+class TestStopStatus:
+    def test_no_step_lands_below_three_letters(self):
+        # The insertion rule for "xyz" supports (ab, xyzab) with w_sem 1.0,
+        # but inverting it would leave two letters.
+        store, table = planted_world([(ConcatRule("prefix", "", "xyz"),
+                                       [("ab", "xyzab")], True)])
+        trace = RootExtractor(store, table).extract("xyzab")
+        assert (trace.steps, trace.final, trace.status) == ((), "xyzab", INFEASIBLE_STOP)
+
+    @pytest.mark.parametrize("word", ["b", "ab"])
+    def test_input_below_three_letters_is_infeasible(self, word):
+        store, table = planted_world([(INSERT_WA, [("maktab", "wamaktab")], True)])
+        trace = RootExtractor(store, table).extract(word)
+        assert (trace.steps, trace.final, trace.status) == ((), word, INFEASIBLE_STOP)
+
+
+class TestStoredScores:
+    def world(self):
+        return planted_world([(INSERT_WA, [("maktab", "wamaktab")], True)])
+
+    def test_extraction_reads_no_vectors(self):
+        store, table = self.world()
+        rng = np.random.default_rng(3)
+        other = EmbeddingTable.from_vectors(table.words,
+                                            rng.standard_normal(table.matrix.shape))
+        for word in table.words:
+            assert (RootExtractor(store, other).extract(word)
+                    == RootExtractor(store, table).extract(word))
+
+    def test_settings_equal_to_the_store_are_accepted(self):
+        store, table = self.world()
+        RootExtractor(store, table, Thresholds(t_cos_sim=0.5), sample_cap=100, seed=42)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"thresholds": Thresholds(t_cos_sim=0.3)}, {"sample_cap": 50}, {"seed": 7},
+    ])
+    def test_settings_other_than_the_store_are_refused(self, kwargs):
+        store, table = self.world()
+        with pytest.raises(RuleDbError, match="re-run `jzr learn`"):
+            RootExtractor(store, table, **kwargs)
+
+    def test_store_without_pair_scores_is_refused(self):
+        store, table = self.world()
+        rule = next(iter(store))
+        rule.scores = replace(rule.scores, w_sem=())
+        with pytest.raises(ValueError, match="unscored"):
+            RootExtractor(store, table)
+
+
 KEYS = (ConcatRule("prefix", "", "al"), ConcatRule("prefix", "al", ""),
         ConcatRule("prefix", "al", "wa"), ConcatRule("suffix", "", "at"),
         ConcatRule("suffix", "a", "iyn"), PLACE, Template(("", "A", "i", "")))
@@ -92,28 +146,32 @@ SAMPLE_CAP = 6
 
 @st.composite
 def small_stores(draw):
-    """Random rules over a random vocabulary, every support within SAMPLE_CAP.
+    """Random rules over a random vocabulary, supports up to 3 * SAMPLE_CAP.
 
     Supports ignore orthography on purpose: the extractor must follow them
     as given. Two-dimensional vectors make analogy passes, and so w_sem
-    ties, common; orth is drawn apart from the support size so that the
-    sem and orth tie-breaks often disagree.
+    ties, common; sem and orth are drawn apart from the scored ones so that
+    the sem and orth tie-breaks often disagree.
     """
     words = draw(st.lists(st.text("abkt", min_size=2, max_size=7),
-                          min_size=2, max_size=8, unique=True))
+                          min_size=2, max_size=9, unique=True))
     pairs = [(a, b) for a in words for b in words if a != b]
-    rules = []
-    for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
-        support = draw(st.lists(st.sampled_from(pairs), min_size=1,
-                                max_size=SAMPLE_CAP, unique=True))
-        sem = draw(st.sampled_from([0.5, 1.0]))
-        orth = draw(st.integers(21, 23))
-        rules.append(MorphRule(key, tuple(sorted(support)), RuleScores(orth, sem, False)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = EmbeddingTable.from_vectors(words, rng.standard_normal((len(words), 2)))
     thresholds = Thresholds(t_cos_sim=draw(st.sampled_from([0.0, 0.3, 0.5])),
                             t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
-    return RuleStore(rules), table, thresholds
+    seed = draw(st.integers(0, 3))
+    rules = []
+    for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
+        support = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                max_size=3 * SAMPLE_CAP, unique=True))
+        rule = MorphRule(key, tuple(sorted(support)))
+        scores = score_rule(rule, table, thresholds.t_cos_sim, SAMPLE_CAP, seed)
+        rule.scores = replace(scores, sem=draw(st.sampled_from([0.5, 1.0])),
+                              orth=draw(st.integers(21, 23)))
+        rules.append(rule)
+    scoring = ScoringSettings(thresholds.t_cos_sim, SAMPLE_CAP, seed)
+    return RuleStore(rules, scoring=scoring), table, thresholds
 
 
 class TestOracle:
@@ -121,13 +179,14 @@ class TestOracle:
     @given(small_stores(), st.booleans())
     def test_extract_matches_brute_extract(self, world, limited):
         store, table, th = world
-        extractor = RootExtractor(store, table, th, sample_cap=SAMPLE_CAP)
+        sc = store.scoring
+        extractor = RootExtractor(store, table, th, sample_cap=sc.sample_cap, seed=sc.seed)
         for word in table.words + ["zzzz"]:
             trace = extractor.extract(word, limited=limited)
             got = (trace.final, trace.status,
                    [(s.rule, s.word, s.w_sem) for s in trace.steps])
-            assert got == brute_extract(store, table, word, th.t_cos_sim,
-                                        th.t_w_sem, limited=limited)
+            assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem,
+                                        limited, sc.sample_cap, sc.seed)
 
 
 class TestExtraction:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_table
+from conftest import fail_writes_halfway, random_table
 from oracles import brute_r_sem, brute_w_sem
 from jzr.concat import ConcatRule
 from jzr.embeddings import EmbeddingTable
@@ -11,15 +11,19 @@ from jzr.rules import (
     EmptySupportWarning,
     MorphRule,
     PairNotInSupportError,
+    RuleDbError,
     RuleScores,
     RuleStore,
+    ScoringSettings,
     Thresholds,
     load_rules,
     prune_rules,
     rank_rules,
     save_rules,
     score_r_sem,
+    score_rule,
     score_w_sem,
+    support_sample,
     vocab_fingerprint,
 )
 from jzr.templatic import Template
@@ -152,6 +156,14 @@ class TestScoreWSem:
         for pair in rule.support:
             got = score_w_sem(pair, rule, table, t_cos=0.5)
             assert got == brute_w_sem(table, pair, rule.support, 0.5)
+
+    def test_pair_without_vectors_stores_zero(self):
+        rule, table = offset_rule(4, seed=3)
+        bigger = MorphRule(rule.key, rule.support + (("nope", "alsonope"),))
+        scores = score_rule(bigger, table)
+        assert scores.w_sem[-1] == 0.0
+        assert scores.w_sem[:-1] == tuple(
+            score_w_sem(pair, bigger, table) for pair in rule.support)
 
     def test_mean_w_sem_equals_r_sem(self):
         # Row means of the shared indicator matrix recover the full mean.
@@ -303,21 +315,57 @@ class TestSamplingInvariant:
         assert got == brute_r_sem(table, rule.support, 0.4)
 
 
+class TestStoredWSem:
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=10_000), st.sampled_from([0.0, 0.3, 0.5]))
+    @settings(max_examples=60)
+    def test_stored_scores_equal_the_oracles(self, n, cap, seed, t_cos):
+        # Supports above `cap` put most pairs outside the sample, where their
+        # w_sem comes from the blockwise out-of-sample pass.
+        rule, table = random_rule(n, dim=16, seed=seed)
+        store = RuleStore([rule])
+        store.score_all(table, t_cos=t_cos, sample_cap=cap, seed=seed)
+        assert store.scoring == ScoringSettings(t_cos, cap, seed)
+        _, sample = support_sample(rule, table, cap, seed)
+        sample_pairs = [rule.support[i] for i in sample]
+        assert rule.scores.sampled == (n > cap)
+        assert rule.scores.sem == brute_r_sem(table, sample_pairs, t_cos)
+        assert len(rule.scores.w_sem) == n
+        for pair, w_sem in zip(rule.support, rule.scores.w_sem):
+            assert w_sem == brute_w_sem(table, pair, sample_pairs, t_cos)
+            assert w_sem == score_w_sem(pair, rule, table, t_cos, cap, seed)
+
+    def test_gated_rules_keep_no_pair_scores(self):
+        rule, table = random_rule(3, seed=2)
+        store = RuleStore([rule])
+        store.score_all(table, orth_gate=3)
+        assert rule.scores == RuleScores(3, 0.0, False)
+
+
+SCORING = ScoringSettings(0.5, 100, 42)
+
+
 class TestDbRoundTrip:
     def build(self):
         rules = [
             MorphRule(ConcatRule("prefix", "", "al"),
-                      (("maktab", "almaktab"), ("jaras", "aljaras")),
-                      RuleScores(2, 1.0, False)),
+                      (("jaras", "aljaras"), ("maktab", "almaktab")),
+                      RuleScores(2, 1.0, False, (1.0, 0.5))),
             MorphRule(ConcatRule("suffix", "at", "u"),
                       (("ktbat", "ktbu"),),
-                      RuleScores(1, 0.3333333333333333, True)),
+                      RuleScores(1, 0.3333333333333333, True, (0.3333333333333333,))),
             MorphRule(Template(("ma", "", "a", "")),
                       (("ktb", "maktab"),),
-                      RuleScores(1, 0.9999999999999999, False)),
+                      RuleScores(1, 0.9999999999999999, False, (0.0,))),
         ]
         return RuleStore(rules, vocab_hash=vocab_fingerprint(["a", "b"]),
-                         candidate_counts={"concatenative": 10, "templatic": 3})
+                         candidate_counts={"concatenative": 10, "templatic": 3},
+                         scoring=SCORING)
+
+    def saved_lines(self, tmp_path):
+        path = tmp_path / "rules.db"
+        save_rules(self.build(), path)
+        return path, path.read_text(encoding="utf-8").splitlines()
 
     def test_round_trip(self, tmp_path):
         store = self.build()
@@ -342,18 +390,65 @@ class TestDbRoundTrip:
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_text("#morphruledb 1\nrule\tconcatenative\tprefix\n", encoding="utf-8")
-        from jzr.rules import RuleDbError
-        with pytest.raises(RuleDbError):
+        with pytest.raises(RuleDbError, match="re-run `jzr learn`"):
+            load_rules(path)
+
+    def test_header_records_scoring_and_pairs_their_w_sem(self, tmp_path):
+        _, lines = self.saved_lines(tmp_path)
+        assert lines[0] == "#morphruledb 2"
+        assert lines[3] == "#scoring t_cos_sim=0.5 sample_cap=100 seed=42"
+        assert lines[4:7] == ["rule\tconcatenative\tprefix\t\tal\t2\t1.0\t0",
+                              "pair\tjaras\taljaras\t1.0",
+                              "pair\tmaktab\talmaktab\t0.5"]
+
+    # Each edit of the saved DB, and the line the error must name. Lines 5-7
+    # are the "al" rule and its two pairs.
+    @pytest.mark.parametrize("edit, lineno, message", [
+        (lambda ls: ls[:5] + [ls[6], ls[5]] + ls[7:], 7, "unsorted"),
+        (lambda ls: ls[:6] + [ls[5]] + ls[7:], 7, "repeats"),
+        (lambda ls: ls[:6] + ls[7:], 5, "orth 2 but 1 pairs"),
+        (lambda ls: ls[:5] + [ls[5].rsplit("\t", 1)[0]] + ls[6:], 6, "one w_sem"),
+        (lambda ls: ls[:5] + [ls[5] + "\t0.5"] + ls[6:], 6, "one w_sem"),
+        (lambda ls: ls[:5] + [ls[5][:-3] + "1.5"] + ls[6:], 6, "out of"),
+        (lambda ls: ls[:5] + [ls[5][:-3] + "-0.0001"] + ls[6:], 6, "out of"),
+        (lambda ls: ls[:5] + [ls[5][:-3] + "nan"] + ls[6:], 6, "out of"),
+        (lambda ls: ls[:4] + [ls[5]] + ls[4:], 5, "before any rule"),
+        (lambda ls: ls[:3] + ["#scoring t_cos_sim=0.5 seed=42"] + ls[4:], 4, "#scoring"),
+    ])
+    def test_defect_is_reported_with_its_line(self, tmp_path, edit, lineno, message):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(RuleDbError, match=f"^line {lineno}: .*{message}"):
+            load_rules(path)
+
+    def test_missing_scoring_header(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:3] + lines[4:]) + "\n", encoding="utf-8")
+        with pytest.raises(RuleDbError, match="#scoring"):
             load_rules(path)
 
     def test_empty_affixes_survive_round_trip(self, tmp_path):
         rule = MorphRule(ConcatRule("prefix", "al", ""), (("almaktab", "maktab"),),
-                         RuleScores(1, 1.0, False))
-        store = RuleStore([rule])
+                         RuleScores(1, 1.0, False, (1.0,)))
+        store = RuleStore([rule], scoring=SCORING)
         path = tmp_path / "rules.db"
         save_rules(store, path)
         loaded = load_rules(path)
         assert loaded.get("concat:prefix:al>").key == rule.key
+
+
+class TestAtomicWrite:
+    def test_failed_save_keeps_previous_db(self, tmp_path, monkeypatch):
+        store = TestDbRoundTrip().build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        before = path.read_bytes()
+        store.vocab_hash = vocab_fingerprint(["c"])
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            save_rules(store, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rules.db"]
 
 
 class TestVocabFingerprint:
