@@ -1,6 +1,6 @@
 """Command line surface: learn, rank, extract, synth, eval.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Warnings go to stderr.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal bug. Warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import evalharness, synthlang
@@ -237,6 +238,11 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal bug: the traceback above is jzr's fault, not the input's",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ class StemGroupOverflowWarning(UserWarning):
     """A stem bucket exceeded the group cap and was skipped."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ConcatRule:
     """Edge transformation (side, old, new): old + stem maps to new + stem.
 
@@ -110,4 +110,7 @@ def enumerate_concat_rules(
                     rule = ConcatRule(side, a1, a2)
                     rules.setdefault(rule, []).append((w1, w2))
 
-    return {rule: tuple(sorted(pairs)) for rule, pairs in rules.items()}
+    # Values are replaced in place: no second map of every rule is built.
+    for rule, pairs in rules.items():
+        rules[rule] = tuple(sorted(pairs))
+    return rules

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import unicodedata
+import re
 import warnings
 from pathlib import Path
 
@@ -12,6 +12,9 @@ HEADERED = "headered"
 HEADERLESS = "headerless"
 
 _NORM_EPS = 1e-12
+# Whitespace (str.isspace) or a control character (category Cc); equal to
+# that per-character test on every code point.
+_INVALID_CHAR = re.compile(r"[\s\x00-\x1f\x7f-\x9f]")
 
 
 class EmbeddingError(ValueError):
@@ -50,9 +53,8 @@ def validate_word(text: str) -> str:
     """
     if not text:
         raise InvalidWordError("word must be non-empty")
-    for ch in text:
-        if ch.isspace() or unicodedata.category(ch) == "Cc":
-            raise InvalidWordError(f"word contains whitespace or a control character: {text!r}")
+    if _INVALID_CHAR.search(text):
+        raise InvalidWordError(f"word contains whitespace or a control character: {text!r}")
     return text
 
 

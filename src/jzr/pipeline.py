@@ -17,15 +17,15 @@ def learn_rules(table: EmbeddingTable,
     rules that can clear the orthographic threshold; the rest keep sem 0.0.
     """
     cfg = config or Config()
-    concat_map = enumerate_concat_rules(
-        table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem,
-        group_cap=cfg.group_cap,
-    )
-    templ_map = enumerate_templatic_rules(
-        table.words, max_derived_len=cfg.max_derived_len,
-    )
+    # The candidate maps go straight into the store, so that they are freed
+    # once it holds their rules.
     candidates = RuleStore.from_candidates(
-        concat_map, templ_map, vocab_hash=vocab_fingerprint(table.words),
+        enumerate_concat_rules(
+            table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem,
+            group_cap=cfg.group_cap,
+        ),
+        enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len),
+        vocab_hash=vocab_fingerprint(table.words),
     )
     candidates.score_all(
         table, t_cos=cfg.thresholds.t_cos_sim, sample_cap=cfg.sample_cap,

@@ -40,7 +40,7 @@ def rule_kind(key: RuleKey) -> str:
     return CONCATENATIVE if isinstance(key, ConcatRule) else TEMPLATIC
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleScores:
     """orth is the raw support size; sem the analogy-pass fraction in [0, 1].
 
@@ -87,7 +87,7 @@ class Thresholds:
             raise ValueError("t_r_orth must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class MorphRule:
     key: RuleKey
     support: tuple[Pair, ...]
@@ -215,25 +215,28 @@ def score_w_sem(pair: Pair, rule: MorphRule, table: EmbeddingTable,
 
 
 class RuleStore:
-    """Insertion-ordered collection of rules, keyed by their textual form."""
+    """Insertion-ordered collection of rules, keyed by their RuleKey.
+
+    Key text (`key.key_str`) is for display and may be ambiguous: two
+    distinct keys can print alike, e.g. prefix "a>b" -> "" and prefix
+    "a" -> "b>" are both `concat:prefix:a>b>`.
+    """
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
                  scoring: ScoringSettings | None = None):
-        self._rules: dict[str, MorphRule] = {}
+        self._rules: dict[RuleKey, MorphRule] = {}
         for rule in rules:
-            ks = rule.key.key_str
-            if ks in self._rules:
-                raise ValueError(f"duplicate rule key: {ks}")
-            self._rules[ks] = rule
+            if rule.key in self._rules:
+                raise ValueError(f"duplicate rule key: {rule.key.key_str}")
+            self._rules[rule.key] = rule
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
         self.scoring = scoring
 
     @classmethod
     def from_candidates(cls, concat_map, templatic_map, vocab_hash: str = "") -> "RuleStore":
-        rules = [MorphRule(k, v) for k, v in concat_map.items()]
-        rules += [MorphRule(k, v) for k, v in templatic_map.items()]
+        rules = (MorphRule(k, v) for m in (concat_map, templatic_map) for k, v in m.items())
         counts = {CONCATENATIVE: len(concat_map), TEMPLATIC: len(templatic_map)}
         return cls(rules, vocab_hash=vocab_hash, candidate_counts=counts)
 
@@ -244,10 +247,11 @@ class RuleStore:
         return len(self._rules)
 
     def __contains__(self, ks: str) -> bool:
-        return ks in self._rules
+        return self.get(ks) is not None
 
     def get(self, ks: str) -> MorphRule | None:
-        return self._rules.get(ks)
+        """The first rule whose key text is `ks`, found by a scan of the store."""
+        return next((rule for rule in self if rule.key.key_str == ks), None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuleStore):
@@ -273,10 +277,15 @@ class RuleStore:
         can never validate, and skipping them avoids scoring the long tail
         of single-pair candidates.
         """
+        # RuleScores is frozen, so every unscored rule of one orth shares one.
+        unscored: dict[int, RuleScores] = {}
         for rule in self:
             orth = len(rule.support)
             if orth_gate is not None and orth <= orth_gate:
-                rule.scores = RuleScores(orth, 0.0, False)
+                scores = unscored.get(orth)
+                if scores is None:
+                    scores = unscored[orth] = RuleScores(orth, 0.0, False)
+                rule.scores = scores
                 continue
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptySupportWarning)

@@ -10,7 +10,7 @@ Pair = tuple[str, str]
 _TEMPLATE_RE = re.compile(r"(.*?)<C1>(.*?)<C2>(.*?)<C3>(.*)", re.DOTALL)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Template:
     """Word pattern with three ordered consonant slots.
 
@@ -63,6 +63,7 @@ def extract_templates(root: str, derived: str) -> set[Template]:
 
     Returns the empty set when no alignment exists. Words with repeated
     letters can align several ways and then contribute several templates.
+    Alignments that leave "<C" inside a literal are skipped.
     """
     if len(root) != 3:
         raise ValueError(f"root must have exactly 3 code points, got {root!r}")
@@ -79,7 +80,9 @@ def extract_templates(root: str, derived: str) -> set[Template]:
                 if derived[k] != c3:
                     continue
                 parts = (derived[:i], derived[i + 1:j], derived[j + 1:k], derived[k + 1:])
-                if any(parts):
+                # A literal holding a slot marker could not round-trip
+                # through the pattern text, so that alignment is skipped.
+                if any(parts) and not any("<C" in p for p in parts):
                     out.add(Template(parts))
     return out
 
@@ -110,4 +113,7 @@ def enumerate_templatic_rules(
             for template in sorted(extract_templates(root, w)):
                 rules.setdefault(template, []).append((root, w))
 
-    return {t: tuple(sorted(pairs)) for t, pairs in rules.items()}
+    # Values are replaced in place: no second map of every template is built.
+    for template, pairs in rules.items():
+        rules[template] = tuple(sorted(pairs))
+    return rules

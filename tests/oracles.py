@@ -9,11 +9,18 @@ only names the seeded sample a score is taken over.
 from __future__ import annotations
 
 import itertools
+import unicodedata
 
 from jzr.concat import ConcatRule
 from jzr.embeddings import analogy_score
 from jzr.rules import support_sample
 from jzr.templatic import Template
+
+
+def brute_valid_word(text: str) -> bool:
+    """Non-empty, with no whitespace and no control character (category Cc)."""
+    return bool(text) and not any(
+        ch.isspace() or unicodedata.category(ch) == "Cc" for ch in text)
 
 
 def common_prefix_len(a: str, b: str) -> int:
@@ -56,12 +63,16 @@ def brute_concat_rules(vocab, max_affix=6, min_stem=2):
 
 
 def brute_templates(root: str, derived: str) -> set[Template]:
-    """Every in-order embedding of the root's three letters, via combinations."""
+    """Every in-order embedding of the root's three letters, via combinations.
+
+    Embeddings that leave "<C" inside a literal are left out: their
+    pattern text would not read back as the same template.
+    """
     out = set()
     for i, j, k in itertools.combinations(range(len(derived)), 3):
         if (derived[i], derived[j], derived[k]) == (root[0], root[1], root[2]):
             parts = (derived[:i], derived[i + 1:j], derived[j + 1:k], derived[k + 1:])
-            if any(parts):
+            if any(parts) and all("<C" not in p for p in parts):
                 out.add(Template(parts))
     return out
 

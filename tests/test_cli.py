@@ -281,17 +281,20 @@ class TestUsageAndConfig:
     def test_invalid_synth_flag_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "fix"), "--n-roots", "0"]) == 1
 
-    def test_internal_value_error_is_not_a_data_error(self, workspace, monkeypatch):
+    def test_internal_value_error_is_not_a_data_error(self, workspace, monkeypatch,
+                                                      capsys):
         # A ValueError from inside the package is a bug, not bad input: it
-        # must surface, not exit 2.
+        # exits 3 with its traceback, not 2.
         _, _, db = workspace
 
         def broken(*args, **kwargs):
-            raise ValueError("internal bug")
+            raise ValueError("rank broke")
 
         monkeypatch.setattr(cli, "rank_rules", broken)
-        with pytest.raises(ValueError, match="internal bug"):
-            main(["rank", "--rules", str(db)])
+        assert main(["rank", "--rules", str(db)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "ValueError: rank broke" in err
+        assert "internal bug" in err
 
     def test_failed_out_write_keeps_previous_file(self, tmp_path, monkeypatch):
         gold = tmp_path / "gold.tsv"

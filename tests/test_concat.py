@@ -98,7 +98,10 @@ class TestEnumeration:
 
     @given(small_vocab)
     def test_matches_brute_force(self, vocab):
-        assert enumerate_concat_rules(vocab) == brute_concat_rules(vocab)
+        got = enumerate_concat_rules(vocab)
+        assert got == brute_concat_rules(vocab)
+        for pairs in got.values():
+            assert type(pairs) is tuple and list(pairs) == sorted(pairs)
 
     @given(small_vocab, st.integers(min_value=0, max_value=3),
            st.integers(min_value=1, max_value=3))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_table
+from oracles import brute_valid_word
 from jzr.embeddings import (
     DimensionMismatchError,
     EmbeddingTable,
     EmptyFileError,
+    InvalidWordError,
     UnknownWordError,
     VectorParseError,
     ZeroVectorWarning,
@@ -125,6 +128,21 @@ class TestWordValidation:
     def test_accepts_plain_words(self):
         for word in ["ktb", "maktab", "كتب"]:
             assert validate_word(word) == word
+
+    @staticmethod
+    def accepts(text):
+        try:
+            return validate_word(text) == text
+        except InvalidWordError:
+            return False
+
+    @given(st.text())
+    def test_matches_oracle(self, text):
+        assert self.accepts(text) == brute_valid_word(text)
+
+    def test_every_code_point_matches_oracle(self):
+        for code in range(sys.maxunicode + 1):
+            assert self.accepts(chr(code)) == brute_valid_word(chr(code)), hex(code)
 
 
 class TestCosine:

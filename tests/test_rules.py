@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from conftest import fail_writes_halfway, random_table
 from oracles import brute_r_sem, brute_w_sem
 from jzr.concat import ConcatRule
+from jzr.config import Config
 from jzr.embeddings import EmbeddingTable
+from jzr.pipeline import learn_rules
 from jzr.rules import (
     EmptySupportWarning,
     MorphRule,
@@ -275,6 +277,21 @@ class TestStoreAndPrune:
         with pytest.raises(ValueError):
             RuleStore([rule, MorphRule(ConcatRule("prefix", "", "x"), ())])
 
+    def test_rules_with_the_same_key_text_are_distinct(self):
+        a = MorphRule(ConcatRule("prefix", "a>b", ""), ())
+        b = MorphRule(ConcatRule("prefix", "a", "b>"), ())
+        assert a.key.key_str == b.key.key_str == "concat:prefix:a>b>"
+        store = RuleStore([a, b])
+        assert list(store) == [a, b]
+        assert store.get("concat:prefix:a>b>") is a
+        assert "concat:prefix:a>b>" in store and "concat:prefix:a>" not in store
+
+    def test_records_have_no_instance_dict(self):
+        records = [ConcatRule("prefix", "", "x"), Template(("m", "", "", "")),
+                   MorphRule(ConcatRule("prefix", "", "x"), ()), RuleScores(0, 0.0, False)]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
 
 class TestRank:
     def make_store(self):
@@ -337,9 +354,12 @@ class TestStoredWSem:
 
     def test_gated_rules_keep_no_pair_scores(self):
         rule, table = random_rule(3, seed=2)
-        store = RuleStore([rule])
+        twin = MorphRule(ConcatRule("suffix", "", "x"), rule.support[::-1])
+        store = RuleStore([rule, twin])
         store.score_all(table, orth_gate=3)
         assert rule.scores == RuleScores(3, 0.0, False)
+        # Gated rules of one orth share one (frozen) scores object.
+        assert twin.scores is rule.scores
 
 
 SCORING = ScoringSettings(0.5, 100, 42)
@@ -426,6 +446,20 @@ class TestDbRoundTrip:
         path.write_text("\n".join(lines[:3] + lines[4:]) + "\n", encoding="utf-8")
         with pytest.raises(RuleDbError, match="#scoring"):
             load_rules(path)
+
+    def test_learned_rules_with_the_same_key_text_round_trip(self, tmp_path):
+        # prefix "a>b" -> "" and prefix "a" -> "b>" both print as
+        # concat:prefix:a>b>; each has two support pairs, so both validate.
+        words = ["a>bxyz", "xyz", "axyz", "b>xyz", "a>bpqr", "pqr", "apqr", "b>pqr"]
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable.from_vectors(words, rng.standard_normal((len(words), 16)))
+        _, validated = learn_rules(table, Config(thresholds=Thresholds(t_r_orth=1)))
+        keys = [r.key for r in validated]
+        assert ConcatRule("prefix", "a>b", "") in keys
+        assert ConcatRule("prefix", "a", "b>") in keys
+        path = tmp_path / "rules.db"
+        save_rules(validated, path)
+        assert load_rules(path) == validated
 
     def test_empty_affixes_survive_round_trip(self, tmp_path):
         rule = MorphRule(ConcatRule("prefix", "al", ""), (("almaktab", "maktab"),),

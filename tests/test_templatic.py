@@ -13,8 +13,9 @@ from jzr.templatic import (
 AGENT = Template(("", "A", "i", ""))        # <C1>A<C2>i<C3>
 PLACE = Template(("ma", "", "a", ""))       # ma<C1><C2>a<C3>
 
-roots = st.text(alphabet="abc", min_size=3, max_size=3)
-derived_words = st.text(alphabet="abcd", min_size=4, max_size=9)
+# "<" and "C" let words spell a slot marker, inside a literal or across a slot.
+roots = st.text(alphabet="abc<", min_size=3, max_size=3)
+derived_words = st.text(alphabet="abcd<C", min_size=4, max_size=9)
 
 
 class TestTemplate:
@@ -115,11 +116,23 @@ class TestEnumerate:
         # "drb" is not a vocabulary word, so "madrab" supports nothing.
         assert all(w1 == "ktb" for pairs in got.values() for w1, _ in pairs)
 
-    @given(st.lists(st.text(alphabet="abcd", min_size=1, max_size=7),
+    def test_slot_marker_in_a_literal_is_skipped(self):
+        # Root "abc" aligns with "a<Cbc" only by leaving "<C" in a literal;
+        # root "<bc" aligns with it leaving "C" alone, which reads back.
+        got = enumerate_templatic_rules(["abc", "<bc", "a<Cbc"])
+        template = Template(("a", "C", "", ""))
+        assert got == {template: (("<bc", "a<Cbc"),)}
+        assert parse_template(template.pattern) == template
+
+    @given(st.lists(st.text(alphabet="abcd<C", min_size=1, max_size=7),
                     min_size=1, max_size=25, unique=True))
     @settings(max_examples=40)
     def test_matches_brute_force(self, vocab):
-        assert enumerate_templatic_rules(vocab) == brute_templatic_rules(vocab)
+        got = enumerate_templatic_rules(vocab)
+        assert got == brute_templatic_rules(vocab)
+        for template, pairs in got.items():
+            assert type(pairs) is tuple and list(pairs) == sorted(pairs)
+            assert parse_template(template.pattern) == template
 
     @given(st.lists(st.text(alphabet="abc", min_size=3, max_size=8),
                     min_size=1, max_size=20, unique=True))
