@@ -25,8 +25,6 @@ from .rules import (
     prune_rules,
     rank_rules,
     save_rules,
-    score_r_sem,
-    score_w_sem,
     vocab_fingerprint,
 )
 from .synthlang import GoldEntry, SynthConfig, generate, write_fixture
@@ -41,6 +39,5 @@ __all__ = [
     "analogy_score", "build_config", "cosine", "enumerate_concat_rules",
     "enumerate_templatic_rules", "evaluate", "extract_templates", "generate",
     "learn_rules", "load_embeddings", "load_rules", "prune_rules",
-    "rank_rules", "save_rules", "score_r_sem", "score_w_sem",
-    "vocab_fingerprint", "write_fixture",
+    "rank_rules", "save_rules", "vocab_fingerprint", "write_fixture",
 ]

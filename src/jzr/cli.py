@@ -13,7 +13,7 @@ import traceback
 from pathlib import Path
 
 from . import evalharness, synthlang
-from .config import Config, build_config, read_config_file
+from .config import SETTING_NAMES, Config, build_config, read_config_file
 from .embeddings import EmbeddingError, InvalidWordError, UnknownWordError, load_embeddings
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
@@ -76,14 +76,9 @@ def _config_from_args(args, learned: dict | None = None) -> Config:
     An unreadable config file is a data error; an invalid setting is a
     usage error.
     """
-    flag_values = {
-        name: getattr(args, name, None)
-        for name in ("t_cos_sim", "t_r_sem", "t_r_orth", "t_w_sem", "max_affix",
-                     "min_stem", "max_derived_len", "sample_cap", "seed",
-                     "vector_format", "top_n", "group_cap")
-    }
+    flag_values = {name: getattr(args, name) for name in SETTING_NAMES}
     try:
-        file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
+        file_values = read_config_file(args.config) if args.config else {}
         return build_config({**(learned or {}), **file_values}, flag_values)
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise
@@ -163,6 +158,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.top < 0:
+        raise UsageError(f"--top cannot be negative: {args.top}")
     store = load_rules(args.rules)
     for rule in rank_rules(store, kind=args.kind, top_k=args.top):
         s = rule.scores

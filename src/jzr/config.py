@@ -6,13 +6,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .embeddings import HEADERED, HEADERLESS
-from .rules import Thresholds
-
-_THRESHOLD_KEYS = ("t_cos_sim", "t_r_sem", "t_r_orth", "t_w_sem")
-_CONFIG_KEYS = (
-    "max_affix", "min_stem", "max_derived_len", "sample_cap", "seed",
-    "vector_format", "top_n", "group_cap",
-)
+from .rules import ScoringSettings, Thresholds
 
 
 @dataclass(frozen=True)
@@ -30,13 +24,27 @@ class Config:
     def __post_init__(self):
         if self.vector_format not in (HEADERED, HEADERLESS):
             raise ValueError(f"unknown vector format: {self.vector_format!r}")
-        for name in ("max_affix", "max_derived_len", "sample_cap", "group_cap"):
+        for name in ("max_affix", "max_derived_len", "group_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
         if self.min_stem < 1:
             raise ValueError("min_stem must be at least 1")
         if self.top_n is not None and self.top_n < 0:
             raise ValueError("top_n cannot be negative")
+        self.scoring  # ScoringSettings checks sample_cap
+
+    @property
+    def scoring(self) -> ScoringSettings:
+        """The settings semantic scores are computed with."""
+        return ScoringSettings(float(self.thresholds.t_cos_sim), int(self.sample_cap),
+                               int(self.seed))
+
+
+# Every setting's name: a config-file key, a flag's dest, a field of
+# Thresholds or Config.
+_THRESHOLD_NAMES = tuple(f.name for f in fields(Thresholds))
+SETTING_NAMES = _THRESHOLD_NAMES + tuple(
+    f.name for f in fields(Config) if f.name != "thresholds")
 
 
 def read_config_file(path) -> dict:
@@ -45,10 +53,6 @@ def read_config_file(path) -> dict:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    known = set(_THRESHOLD_KEYS) | set(_CONFIG_KEYS)
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return values
 
 
@@ -56,18 +60,15 @@ def build_config(file_values: dict | None = None,
                  flag_values: dict | None = None) -> Config:
     """Merge defaults, config-file values, and flags; flags win, file second.
 
-    Flag entries whose value is None are treated as not given.
+    Entries whose value is None are treated as not given.
     """
     merged: dict = {}
     for source in (file_values or {}), (flag_values or {}):
-        for key, value in source.items():
-            if value is not None:
-                merged[key] = value
+        unknown = sorted(set(source) - set(SETTING_NAMES))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        merged.update((k, v) for k, v in source.items() if v is not None)
     thresholds = Thresholds(**{
-        k: merged.pop(k) for k in _THRESHOLD_KEYS if k in merged
+        k: merged.pop(k) for k in _THRESHOLD_NAMES if k in merged
     })
-    allowed = {f.name for f in fields(Config)} - {"thresholds"}
-    unknown = sorted(set(merged) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return Config(thresholds=thresholds, **merged)

@@ -27,8 +27,5 @@ def learn_rules(table: EmbeddingTable,
         enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len),
         vocab_hash=vocab_fingerprint(table.words),
     )
-    candidates.score_all(
-        table, t_cos=cfg.thresholds.t_cos_sim, sample_cap=cfg.sample_cap,
-        seed=cfg.seed, orth_gate=cfg.thresholds.t_r_orth,
-    )
+    candidates.score_all(table, cfg.scoring, orth_gate=cfg.thresholds.t_r_orth)
     return candidates, prune_rules(candidates, cfg.thresholds)

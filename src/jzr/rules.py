@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,14 +25,6 @@ _V1_MAGIC = "#morphruledb 1"
 
 class RuleDbError(ValueError):
     """Malformed rule database file."""
-
-
-class PairNotInSupportError(LookupError):
-    """A word pair was scored against a rule that does not support it."""
-
-
-class EmptySupportWarning(UserWarning):
-    """No support pair had embeddings; the semantic score was defined as 0.0."""
 
 
 def rule_kind(key: RuleKey) -> str:
@@ -62,11 +53,17 @@ class RuleScores:
 
 @dataclass(frozen=True)
 class ScoringSettings:
-    """The settings semantic scores were computed with; a rule DB records them."""
+    """The settings semantic scores are computed with; a rule DB records them."""
 
     t_cos_sim: float
     sample_cap: int
     seed: int
+
+    def __post_init__(self):
+        if not -1.0 < self.t_cos_sim < 1.0:
+            raise ValueError("t_cos_sim must lie strictly inside (-1, 1)")
+        if self.sample_cap < 1:
+            raise ValueError("sample_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -143,28 +140,24 @@ def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
     return np.count_nonzero(cos > t_cos, axis=1)
 
 
-def _warn_empty(rule: MorphRule) -> None:
-    warnings.warn(
-        f"rule {rule.key.key_str} has no embedded support pairs; sem = 0.0",
-        EmptySupportWarning,
-    )
-
-
-def score_rule(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
-               sample_cap: int = 100, seed: int = 42) -> RuleScores:
+def score_rule(rule: MorphRule, table: EmbeddingTable,
+               scoring: ScoringSettings) -> RuleScores:
     """orth, sem (r_sem) and every support pair's w_sem, from one seeded sample.
 
-    A pair's w_sem is the fraction of sample offsets it passes the analogy
-    test against; sem is the mean of the sample's own w_sem values. Pairs
-    in the sample reuse sem's per-query counts; the rest are counted in
-    blocks of at most `sample_cap` queries, so that no block is larger than
-    sem's own. A pair without vectors gets w_sem 0.0.
+    For query pair (w1, w2) and sample pair (w3, w4) the analogy test reads
+    cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim. A pair's w_sem is the
+    fraction of sample offsets it passes against; sem is the mean of the
+    sample's own w_sem values, the diagonal included, so a singleton
+    support scores 1.0. Pairs in the sample reuse sem's per-query counts;
+    the rest are counted in blocks of at most `sample_cap` queries, so that
+    no block is larger than sem's own. A pair without vectors gets w_sem
+    0.0, and a rule with no embedded pair sem 0.0.
     """
+    t_cos, sample_cap = scoring.t_cos_sim, scoring.sample_cap
     orth = len(rule.support)
-    embedded, sample = support_sample(rule, table, sample_cap, seed)
+    embedded, sample = support_sample(rule, table, sample_cap, scoring.seed)
     w_sem = [0.0] * orth
     if not sample:
-        _warn_empty(rule)
         return RuleScores(orth, 0.0, False, tuple(w_sem))
     n = len(sample)
     w1, w2 = _vectors(rule, table, sample)
@@ -180,38 +173,6 @@ def score_rule(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
         for p, c in zip(positions, passes.tolist()):
             w_sem[p] = c / n
     return RuleScores(orth, int(counts.sum()) / (n * n), n < len(embedded), tuple(w_sem))
-
-
-def score_r_sem(rule: MorphRule, table: EmbeddingTable, t_cos: float = 0.5,
-                sample_cap: int = 100, seed: int = 42) -> float:
-    """Fraction of ordered support-pair combinations that pass the analogy test.
-
-    The diagonal is included, so a singleton support always scores 1.0 when
-    t_cos < 1. Supports larger than `sample_cap` are scored over a
-    deterministic seeded sample.
-    """
-    return score_rule(rule, table, t_cos, sample_cap, seed).sem
-
-
-def score_w_sem(pair: Pair, rule: MorphRule, table: EmbeddingTable,
-                t_cos: float = 0.5, sample_cap: int = 100, seed: int = 42) -> float:
-    """How well one support pair's offset agrees with the rest of the rule's.
-
-    For query pair (w1, w2) and each support pair (w3, w4) the test reads
-    cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos; the result is the passing
-    fraction. Sampling follows the same per-rule deterministic scheme as
-    score_r_sem. This scores the one pair on its own; score_rule stores
-    the same value for every support pair.
-    """
-    if pair not in rule.support:
-        raise PairNotInSupportError(f"{pair!r} not in support of {rule.key.key_str}")
-    _, sample = support_sample(rule, table, sample_cap, seed)
-    if not sample:
-        _warn_empty(rule)
-        return 0.0
-    w1, w2 = _vectors(rule, table, sample)
-    query = table.lookup(pair[0])[None, :], table.lookup(pair[1])[None, :]
-    return int(_count_passes(*query, w2 - w1, t_cos)[0]) / len(sample)
 
 
 class RuleStore:
@@ -267,30 +228,27 @@ class RuleStore:
             counts[rule_kind(rule.key)] += 1
         return counts
 
-    def score_all(self, table: EmbeddingTable, t_cos: float = 0.5,
-                  sample_cap: int = 100, seed: int = 42,
-                  orth_gate: int | None = None) -> None:
+    def score_all(self, table: EmbeddingTable, scoring: ScoringSettings,
+                  orth_gate: int) -> None:
         """Fill in RuleScores, per-pair w_sem included, for every rule.
 
-        With `orth_gate` set, rules whose support size cannot clear the
-        orthographic threshold keep sem = 0.0 and no w_sem, unscored; they
-        can never validate, and skipping them avoids scoring the long tail
-        of single-pair candidates.
+        Rules whose support size is at most `orth_gate` cannot clear the
+        orthographic threshold: they keep sem = 0.0 and no w_sem, unscored,
+        which avoids scoring the long tail of single-pair candidates. An
+        `orth_gate` of 0 scores every rule.
         """
         # RuleScores is frozen, so every unscored rule of one orth shares one.
         unscored: dict[int, RuleScores] = {}
         for rule in self:
             orth = len(rule.support)
-            if orth_gate is not None and orth <= orth_gate:
+            if orth <= orth_gate:
                 scores = unscored.get(orth)
                 if scores is None:
                     scores = unscored[orth] = RuleScores(orth, 0.0, False)
                 rule.scores = scores
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EmptySupportWarning)
-                rule.scores = score_rule(rule, table, t_cos, sample_cap, seed)
-        self.scoring = ScoringSettings(float(t_cos), int(sample_cap), int(seed))
+            rule.scores = score_rule(rule, table, scoring)
+        self.scoring = scoring
 
 
 def _order_key(rule: MorphRule):

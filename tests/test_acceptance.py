@@ -25,10 +25,10 @@ from jzr.evalharness import evaluate
 from jzr.pipeline import learn_rules
 from jzr.rules import (
     MorphRule,
+    ScoringSettings,
     Thresholds,
     prune_rules,
-    score_r_sem,
-    score_w_sem,
+    score_rule,
 )
 from jzr.synthlang import SynthConfig, generate
 from jzr.templatic import Template, enumerate_templatic_rules, extract_templates
@@ -128,12 +128,10 @@ def test_criterion_3_scoring_oracle_equivalence():
             (f"w{2 * i}", f"w{2 * i + 1}") for i in range(n_pairs)
         )
         rule = MorphRule(ConcatRule("prefix", "", "x"), pairs)
-        got = score_r_sem(rule, table, t_cos=0.5, sample_cap=100)
-        assert got == brute_r_sem(table, pairs, 0.5)
-        probe = [pairs[int(i)] for i in rng.integers(0, n_pairs, size=min(3, n_pairs))]
-        for pair in probe:
-            got_w = score_w_sem(pair, rule, table, t_cos=0.5, sample_cap=100)
-            assert got_w == brute_w_sem(table, pair, pairs, 0.5)
+        scores = score_rule(rule, table, ScoringSettings(0.5, 100, 42))
+        assert scores.sem == brute_r_sem(table, pairs, 0.5)
+        for i in rng.integers(0, n_pairs, size=min(3, n_pairs)).tolist():
+            assert scores.w_sem[i] == brute_w_sem(table, pairs[i], pairs, 0.5)
 
 
 @criterion(4, "analogy identities: self-pairs score 1; sigma-0 planted rules "
@@ -152,7 +150,8 @@ def test_criterion_4_analogy_identities():
         ks = rule.key_str
         pairs = tuple(sorted((e.root, w) for w, e in gold.items() if e.chain == (ks,)))
         assert len(pairs) == 60
-        sem = score_r_sem(MorphRule(rule, pairs), planted_table, sample_cap=100)
+        sem = score_rule(MorphRule(rule, pairs), planted_table,
+                         ScoringSettings(0.5, 100, 42)).sem
         assert abs(sem - 1.0) < 1e-6
 
 

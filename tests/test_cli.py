@@ -99,6 +99,12 @@ class TestRank:
         assert main(["rank", "--rules", str(db), "--top", "0"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_rank_negative_top_is_usage_error(self, workspace, capsys):
+        _, _, db = workspace
+        assert main(["rank", "--rules", str(db), "--top", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error: --top" in captured.err
+
 
 class TestExtract:
     def test_invalid_word_is_data_error(self, workspace, tmp_path):
@@ -181,6 +187,23 @@ class TestExtract:
         assert code == 2
         assert "re-run `jzr learn`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, name", [
+        ("t_cos_sim=0.5", "t_cos_sim=5.0", "t_cos_sim"),
+        ("sample_cap=100", "sample_cap=0", "sample_cap"),
+    ])
+    def test_db_with_invalid_scoring_is_data_error(self, workspace, tmp_path, capsys,
+                                                   old, new, name):
+        # The DB is at fault, not the flags: exit 2, naming the #scoring line.
+        _, fix, db = workspace
+        edited = tmp_path / "edited.db"
+        edited.write_text(db.read_text(encoding="utf-8").replace(old, new),
+                          encoding="utf-8")
+        code = main(["extract", "--rules", str(edited), "--vectors",
+                     str(fix / "vectors.txt"), "--word", "abcd"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 4: {name}") and "usage error" not in err
+
 
 class TestEval:
     def test_eval_report(self, tmp_path, capsys):
@@ -261,6 +284,21 @@ class TestUsageAndConfig:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, message", [
+        ({"sample_cap": 0}, "sample_cap must be at least 1"),
+        ({"nonsense": None}, "unknown config keys: nonsense"),
+    ])
+    def test_invalid_config_file_value_is_usage_error(self, workspace, tmp_path, capsys,
+                                                      values, message):
+        _, fix, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        code = main(["learn", "--vectors", str(fix / "vectors.txt"),
+                     "--out", str(tmp_path / "x.db"), "--config", str(cfg)])
+        assert code == 1
+        assert f"usage error: invalid configuration: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x.db").exists()
+
     def test_unparsable_config_file_is_data_error(self, workspace, tmp_path):
         _, fix, _ = workspace
         cfg = tmp_path / "cfg.json"
@@ -269,7 +307,7 @@ class TestUsageAndConfig:
                      "--out", str(tmp_path / "x.db"), "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("flag, value", [("--min-stem", "0"), ("--top-n", "-1"),
-                                             ("--t-r-sem", "1.5")])
+                                             ("--t-r-sem", "1.5"), ("--sample-cap", "0")])
     def test_invalid_flag_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                flag, value):
         _, fix, _ = workspace

@@ -22,7 +22,6 @@ from jzr.rules import (
     ScoringSettings,
     Thresholds,
     score_rule,
-    score_w_sem,
 )
 from jzr.templatic import Template
 
@@ -60,7 +59,7 @@ def planted_world(rules, n_genuine=4, dim=64, seed=0):
     table = EmbeddingTable.from_vectors(words, np.array([vecs[w] for w in words]),
                                         normalize=False)
     store = RuleStore(rules_out)
-    store.score_all(table)
+    store.score_all(table, ScoringSettings(0.5, 100, 42), orth_gate=0)
     return store, table
 
 
@@ -161,16 +160,16 @@ def small_stores(draw):
     thresholds = Thresholds(t_cos_sim=draw(st.sampled_from([0.0, 0.3, 0.5])),
                             t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
     seed = draw(st.integers(0, 3))
+    scoring = ScoringSettings(thresholds.t_cos_sim, SAMPLE_CAP, seed)
     rules = []
     for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
         support = draw(st.lists(st.sampled_from(pairs), min_size=1,
                                 max_size=3 * SAMPLE_CAP, unique=True))
         rule = MorphRule(key, tuple(sorted(support)))
-        scores = score_rule(rule, table, thresholds.t_cos_sim, SAMPLE_CAP, seed)
+        scores = score_rule(rule, table, scoring)
         rule.scores = replace(scores, sem=draw(st.sampled_from([0.5, 1.0])),
                               orth=draw(st.integers(21, 23)))
         rules.append(rule)
-    scoring = ScoringSettings(thresholds.t_cos_sim, SAMPLE_CAP, seed)
     return RuleStore(rules, scoring=scoring), table, thresholds
 
 
@@ -257,9 +256,8 @@ class TestExtraction:
                 assert not (isinstance(rule.key, ConcatRule) and rule.key.new == "")
                 assert len(step.word) < len(current)
                 assert (step.word, current) in rule.support
-                recomputed = score_w_sem((step.word, current), rule, table,
-                                         t_cos=th.t_cos_sim)
-                assert recomputed == step.w_sem
+                recomputed = score_rule(rule, table, validated.scoring).w_sem
+                assert recomputed[rule.support.index((step.word, current))] == step.w_sem
                 assert step.w_sem > th.t_w_sem
                 current = step.word
             assert trace.final == current

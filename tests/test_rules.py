@@ -10,9 +10,7 @@ from jzr.config import Config
 from jzr.embeddings import EmbeddingTable
 from jzr.pipeline import learn_rules
 from jzr.rules import (
-    EmptySupportWarning,
     MorphRule,
-    PairNotInSupportError,
     RuleDbError,
     RuleScores,
     RuleStore,
@@ -22,9 +20,7 @@ from jzr.rules import (
     prune_rules,
     rank_rules,
     save_rules,
-    score_r_sem,
     score_rule,
-    score_w_sem,
     support_sample,
     vocab_fingerprint,
 )
@@ -48,6 +44,18 @@ def offset_rule(n_pairs, dim=32, seed=0, noise=0.0, normalize=False):
     return rule, table
 
 
+def scoring(t_cos=0.5, sample_cap=100, seed=42):
+    return ScoringSettings(t_cos, sample_cap, seed)
+
+
+def r_sem(rule, table, **kwargs):
+    return score_rule(rule, table, scoring(**kwargs)).sem
+
+
+def w_sem(pair, rule, table, **kwargs):
+    return score_rule(rule, table, scoring(**kwargs)).w_sem[rule.support.index(pair)]
+
+
 def random_rule(n_pairs, dim=64, seed=0):
     table = random_table(2 * n_pairs, dim, seed=seed)
     pairs = tuple((f"w{2 * i}", f"w{2 * i + 1}") for i in range(n_pairs))
@@ -68,61 +76,73 @@ class TestThresholds:
             Thresholds(**kwargs)
 
 
+class TestScoringSettings:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_cos": 1.0}, "t_cos_sim"), ({"t_cos": -1.0}, "t_cos_sim"),
+        ({"sample_cap": 0}, "sample_cap"), ({"sample_cap": -5}, "sample_cap"),
+    ])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            scoring(**kwargs)
+
+    def test_extremes_accepted(self):
+        assert scoring(t_cos=-0.999, sample_cap=1, seed=-7).sample_cap == 1
+
+
 class TestScoreRSem:
     def test_singleton_support_scores_one(self):
         rule, table = random_rule(1, seed=5)
-        assert score_r_sem(rule, table, t_cos=0.99) == 1.0
+        assert r_sem(rule, table, t_cos=0.99) == 1.0
 
     def test_offset_planted_scores_one(self):
         rule, table = offset_rule(10, seed=8)
-        assert score_r_sem(rule, table) == pytest.approx(1.0, abs=1e-6)
+        assert r_sem(rule, table) == pytest.approx(1.0, abs=1e-6)
 
     def test_random_support_only_diagonal_passes(self):
         rule, table = random_rule(5, seed=23)
-        assert score_r_sem(rule, table, t_cos=0.5) == 0.2
+        assert r_sem(rule, table, t_cos=0.5) == 0.2
 
     def test_diagonal_lower_bound(self):
         for seed in range(5):
             rule, table = random_rule(7, seed=seed)
-            assert score_r_sem(rule, table, t_cos=0.9) >= 1 / 7
+            assert r_sem(rule, table, t_cos=0.9) >= 1 / 7
 
-    def test_empty_support_flagged(self):
+    def test_empty_support_scores_zero(self):
         rule, _ = random_rule(3, seed=1)
         other = random_table(4, 8, seed=2, prefix="v")
-        with pytest.warns(EmptySupportWarning):
-            assert score_r_sem(rule, other) == 0.0
+        assert score_rule(rule, other, scoring()) == RuleScores(3, 0.0, False, (0.0,) * 3)
 
     def test_missing_words_dropped_not_fatal(self):
         rule, table = offset_rule(4, seed=3)
         bigger = MorphRule(rule.key, rule.support + (("nope", "alsonope"),))
-        assert score_r_sem(bigger, table) == pytest.approx(1.0, abs=1e-6)
+        assert r_sem(bigger, table) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 20])
     def test_matches_brute_force_exactly(self, n):
         rule, table = random_rule(n, seed=100 + n)
-        assert score_r_sem(rule, table, t_cos=0.5) == brute_r_sem(table, rule.support, 0.5)
+        assert r_sem(rule, table, t_cos=0.5) == brute_r_sem(table, rule.support, 0.5)
 
     def test_sampling_deterministic(self):
         rule, table = offset_rule(150, seed=4)
-        a = score_r_sem(rule, table, sample_cap=50)
-        b = score_r_sem(rule, table, sample_cap=50)
-        assert a == b
+        a = score_rule(rule, table, scoring(sample_cap=50))
+        b = score_rule(rule, table, scoring(sample_cap=50))
+        assert a == b and a.sampled
 
     def test_sampling_identity_below_cap(self):
         rule, table = random_rule(10, seed=6)
-        assert score_r_sem(rule, table, sample_cap=10) == score_r_sem(
-            rule, table, sample_cap=10_000
+        assert score_rule(rule, table, scoring(sample_cap=10)) == score_rule(
+            rule, table, scoring(sample_cap=10_000)
         )
 
 
 class TestScoreWSem:
     def test_singleton_support(self):
         rule, table = random_rule(1, seed=9)
-        assert score_w_sem(rule.support[0], rule, table, t_cos=0.99) == 1.0
+        assert w_sem(rule.support[0], rule, table, t_cos=0.99) == 1.0
 
     def test_offset_planted_genuine_pair(self):
         rule, table = offset_rule(10, seed=11)
-        assert score_w_sem(rule.support[0], rule, table) == pytest.approx(1.0, abs=1e-6)
+        assert w_sem(rule.support[0], rule, table) == pytest.approx(1.0, abs=1e-6)
 
     def test_mis_planted_pair_scores_low(self):
         # 20 genuine offset pairs plus one unrelated pair: only its own
@@ -142,41 +162,33 @@ class TestScoreWSem:
         pairs.append(("zhb", "mazhab"))
         table = EmbeddingTable.from_vectors(words, np.array(vecs), normalize=False)
         rule = MorphRule(ConcatRule("prefix", "", "ma"), tuple(sorted(pairs)))
-        assert score_w_sem(("r0", "d0"), rule, table) == pytest.approx(1.0, abs=1e-6)
-        mis = score_w_sem(("zhb", "mazhab"), rule, table)
+        assert w_sem(("r0", "d0"), rule, table) == pytest.approx(1.0, abs=1e-6)
+        mis = w_sem(("zhb", "mazhab"), rule, table)
         assert mis == 1 / 21
         assert mis < 0.3
-
-    def test_pair_not_in_support(self):
-        rule, table = random_rule(3, seed=13)
-        with pytest.raises(PairNotInSupportError):
-            score_w_sem(("w0", "w3"), rule, table)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_matches_brute_force_exactly(self, n):
         rule, table = random_rule(n, seed=200 + n)
         for pair in rule.support:
-            got = score_w_sem(pair, rule, table, t_cos=0.5)
+            got = w_sem(pair, rule, table, t_cos=0.5)
             assert got == brute_w_sem(table, pair, rule.support, 0.5)
 
     def test_pair_without_vectors_stores_zero(self):
         rule, table = offset_rule(4, seed=3)
         bigger = MorphRule(rule.key, rule.support + (("nope", "alsonope"),))
-        scores = score_rule(bigger, table)
+        scores = score_rule(bigger, table, scoring())
         assert scores.w_sem[-1] == 0.0
-        assert scores.w_sem[:-1] == tuple(
-            score_w_sem(pair, bigger, table) for pair in rule.support)
+        assert scores.w_sem[:-1] == score_rule(rule, table, scoring()).w_sem
 
     def test_mean_w_sem_equals_r_sem(self):
         # Row means of the shared indicator matrix recover the full mean.
         for seed in (3, 17, 51):
             rule, table = random_rule(6, dim=16, seed=seed)
             n = len(rule.support)
-            total = 0
-            for pair in rule.support:
-                w = score_w_sem(pair, rule, table, t_cos=0.35)
-                total += round(w * n)
-            assert total / (n * n) == score_r_sem(rule, table, t_cos=0.35)
+            scores = score_rule(rule, table, scoring(t_cos=0.35))
+            total = sum(round(w * n) for w in scores.w_sem)
+            assert total / (n * n) == scores.sem
 
 
 class TestStoreAndPrune:
@@ -266,7 +278,7 @@ class TestStoreAndPrune:
                                    ((f"t{q}r", f"t{q}d"),)))
         table = EmbeddingTable.from_vectors(words, np.array(vecs), normalize=False)
         store = RuleStore(rules)
-        store.score_all(table)
+        store.score_all(table, scoring(), orth_gate=0)
         survivors = prune_rules(store, Thresholds())
         assert sorted(r.key.key_str for r in survivors) == [
             f"concat:prefix:>good{p}" for p in range(5)
@@ -328,7 +340,7 @@ class TestSamplingInvariant:
     @settings(max_examples=30)
     def test_unsampled_equals_brute_force(self, n, seed):
         rule, table = random_rule(n, dim=16, seed=seed)
-        got = score_r_sem(rule, table, t_cos=0.4, sample_cap=100)
+        got = r_sem(rule, table, t_cos=0.4, sample_cap=100)
         assert got == brute_r_sem(table, rule.support, 0.4)
 
 
@@ -341,22 +353,22 @@ class TestStoredWSem:
         # w_sem comes from the blockwise out-of-sample pass.
         rule, table = random_rule(n, dim=16, seed=seed)
         store = RuleStore([rule])
-        store.score_all(table, t_cos=t_cos, sample_cap=cap, seed=seed)
-        assert store.scoring == ScoringSettings(t_cos, cap, seed)
+        sc = ScoringSettings(t_cos, cap, seed)
+        store.score_all(table, sc, orth_gate=0)
+        assert store.scoring is sc
         _, sample = support_sample(rule, table, cap, seed)
         sample_pairs = [rule.support[i] for i in sample]
         assert rule.scores.sampled == (n > cap)
         assert rule.scores.sem == brute_r_sem(table, sample_pairs, t_cos)
         assert len(rule.scores.w_sem) == n
-        for pair, w_sem in zip(rule.support, rule.scores.w_sem):
-            assert w_sem == brute_w_sem(table, pair, sample_pairs, t_cos)
-            assert w_sem == score_w_sem(pair, rule, table, t_cos, cap, seed)
+        for pair, got in zip(rule.support, rule.scores.w_sem):
+            assert got == brute_w_sem(table, pair, sample_pairs, t_cos)
 
     def test_gated_rules_keep_no_pair_scores(self):
         rule, table = random_rule(3, seed=2)
         twin = MorphRule(ConcatRule("suffix", "", "x"), rule.support[::-1])
         store = RuleStore([rule, twin])
-        store.score_all(table, orth_gate=3)
+        store.score_all(table, scoring(), orth_gate=3)
         assert rule.scores == RuleScores(3, 0.0, False)
         # Gated rules of one orth share one (frozen) scores object.
         assert twin.scores is rule.scores
@@ -434,6 +446,8 @@ class TestDbRoundTrip:
         (lambda ls: ls[:5] + [ls[5][:-3] + "nan"] + ls[6:], 6, "out of"),
         (lambda ls: ls[:4] + [ls[5]] + ls[4:], 5, "before any rule"),
         (lambda ls: ls[:3] + ["#scoring t_cos_sim=0.5 seed=42"] + ls[4:], 4, "#scoring"),
+        (lambda ls: ls[:3] + [ls[3].replace("=0.5", "=5.0")] + ls[4:], 4, "t_cos_sim"),
+        (lambda ls: ls[:3] + [ls[3].replace("=100", "=0")] + ls[4:], 4, "sample_cap"),
     ])
     def test_defect_is_reported_with_its_line(self, tmp_path, edit, lineno, message):
         path, lines = self.saved_lines(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 
 from jzr.concat import PREFIX, ConcatRule
 from jzr.embeddings import analogy_score
-from jzr.rules import MorphRule, score_r_sem
+from jzr.rules import MorphRule, ScoringSettings, score_rule
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
     DEFAULT_TEMPLATES,
@@ -116,7 +116,8 @@ class TestGenerate:
                 (e.root, w) for w, e in gold.items() if e.chain == (ks,)
             ))
             mr = MorphRule(rule if isinstance(rule, Template) else rule, pairs)
-            assert score_r_sem(mr, table) == pytest.approx(1.0, abs=1e-6)
+            sem = score_rule(mr, table, ScoringSettings(0.5, 100, 42)).sem
+            assert sem == pytest.approx(1.0, abs=1e-6)
 
     def test_alphabet_too_small(self):
         with pytest.raises(AlphabetTooSmallError):
@@ -161,7 +162,7 @@ class TestGenerate:
                 if gold[w1].root != gold[w2].root and (w1, w2) not in pairs:
                     pairs.append((w1, w2))
             fake = MorphRule(ConcatRule(PREFIX, "", "zz"), tuple(sorted(pairs)))
-            if score_r_sem(fake, table, t_cos=0.5) >= 0.3:
+            if score_rule(fake, table, ScoringSettings(0.5, 100, 42)).sem >= 0.3:
                 failures += 1
         assert failures <= 1
 
