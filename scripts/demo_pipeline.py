@@ -12,10 +12,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jzr.config import Config
+from jzr.embeddings import load_embeddings
 from jzr.extractor import RootExtractor
 from jzr.pipeline import learn_rules
 from jzr.rules import CONCATENATIVE, TEMPLATIC, rank_rules, save_rules
-from jzr.synthlang import SynthConfig, generate, write_fixture
+from jzr.synthlang import SynthConfig, load_gold, write_fixture
 
 
 def main() -> int:
@@ -29,9 +30,10 @@ def main() -> int:
 
     synth = SynthConfig(n_roots=args.n_roots, seed=args.seed,
                         chain_depth=args.chain_depth)
-    words, table, gold = generate(synth)
     vectors_path, gold_path = write_fixture(synth, args.workdir)
-    print(f"fixture: {len(words)} words  ->  {vectors_path}, {gold_path}")
+    table = load_embeddings(vectors_path)
+    gold = load_gold(gold_path)
+    print(f"fixture: {len(table)} words  ->  {vectors_path}, {gold_path}")
 
     candidates, validated = learn_rules(table, Config())
     db_path = Path(args.workdir) / "rules.db"
@@ -51,7 +53,7 @@ def main() -> int:
     print(f"\nplanted rules recovered: {len(recovered)}/{len(planted)}")
 
     extractor = RootExtractor(validated, table)
-    samples = [w for w in words if len(gold[w].chain) == args.chain_depth][:8]
+    samples = [w for w in table.words if len(gold[w].chain) == args.chain_depth][:8]
     print("\nsample extractions (word -> root, gold in brackets):")
     for word in samples:
         trace = extractor.extract(word)

@@ -67,7 +67,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["headered", "headerless"],
                         dest="vector_format")
     parser.add_argument("--top-n", type=int, dest="top_n")
-    parser.add_argument("--group-cap", type=int, dest="group_cap")
 
 
 def _config_from_args(args, learned: dict | None = None) -> Config:

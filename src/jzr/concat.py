@@ -10,9 +10,11 @@ SUFFIX = "suffix"
 
 Pair = tuple[str, str]
 
+GROUP_CAP = 10_000
+
 
 class StemGroupOverflowWarning(UserWarning):
-    """A stem bucket exceeded the group cap and was skipped."""
+    """A stem bucket exceeded GROUP_CAP and was skipped."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -58,7 +60,6 @@ def enumerate_concat_rules(
     vocab,
     max_affix: int = 6,
     min_stem: int = 2,
-    group_cap: int = 10_000,
 ) -> dict[ConcatRule, tuple[Pair, ...]]:
     """Group every stem-sharing ordered word pair under its canonical edge rule.
 
@@ -69,7 +70,7 @@ def enumerate_concat_rules(
     which keeps the rule map canonical. Both orientations are emitted; the
     extractor's length constraint picks the direction later.
 
-    Stem buckets larger than `group_cap` are skipped with a warning.
+    Stem buckets larger than `GROUP_CAP` are skipped with a warning.
     """
     if max_affix < 0:
         raise ValueError("max_affix must be non-negative")
@@ -90,10 +91,10 @@ def enumerate_concat_rules(
                     stem = w[: len(w) - k] if k else w
                 buckets.setdefault(stem, []).append((affix, w))
         for stem, entries in buckets.items():
-            if len(entries) > group_cap:
+            if len(entries) > GROUP_CAP:
                 warnings.warn(
                     f"stem group {stem!r} has {len(entries)} entries, over the "
-                    f"cap of {group_cap}; skipped",
+                    f"cap of {GROUP_CAP}; skipped",
                     StemGroupOverflowWarning,
                 )
                 continue

@@ -19,12 +19,11 @@ class Config:
     seed: int = 42
     vector_format: str = HEADERED
     top_n: int | None = None
-    group_cap: int = 10_000
 
     def __post_init__(self):
         if self.vector_format not in (HEADERED, HEADERLESS):
             raise ValueError(f"unknown vector format: {self.vector_format!r}")
-        for name in ("max_affix", "max_derived_len", "group_cap"):
+        for name in ("max_affix", "max_derived_len"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
         if self.min_stem < 1:

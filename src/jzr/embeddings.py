@@ -196,9 +196,7 @@ def load_embeddings(path, format: str = HEADERED, top_n: int | None = None) -> E
             index[word] = len(words)
             words.append(word)
 
-    if not saw_record:
-        raise EmptyFileError(f"no vector records in {path}")
-    if dim is None:
+    if not saw_record or dim is None:
         raise EmptyFileError(f"no vector records in {path}")
     mat = np.array(rows, dtype=np.float64).reshape(len(words), dim)
     return EmbeddingTable(words, mat, duplicates_dropped=duplicates)

@@ -20,10 +20,8 @@ def learn_rules(table: EmbeddingTable,
     # The candidate maps go straight into the store, so that they are freed
     # once it holds their rules.
     candidates = RuleStore.from_candidates(
-        enumerate_concat_rules(
-            table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem,
-            group_cap=cfg.group_cap,
-        ),
+        enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
+                               min_stem=cfg.min_stem),
         enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len),
         vocab_hash=vocab_fingerprint(table.words),
     )

@@ -148,31 +148,27 @@ def score_rule(rule: MorphRule, table: EmbeddingTable,
     cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim. A pair's w_sem is the
     fraction of sample offsets it passes against; sem is the mean of the
     sample's own w_sem values, the diagonal included, so a singleton
-    support scores 1.0. Pairs in the sample reuse sem's per-query counts;
-    the rest are counted in blocks of at most `sample_cap` queries, so that
-    no block is larger than sem's own. A pair without vectors gets w_sem
+    support scores 1.0. Every embedded pair is counted against the sample's
+    offsets in one pass over blocks of at most `sample_cap` queries, so that
+    no block is larger than the sample. A pair without vectors gets w_sem
     0.0, and a rule with no embedded pair sem 0.0.
     """
     t_cos, sample_cap = scoring.t_cos_sim, scoring.sample_cap
     orth = len(rule.support)
     embedded, sample = support_sample(rule, table, sample_cap, scoring.seed)
-    w_sem = [0.0] * orth
     if not sample:
-        return RuleScores(orth, 0.0, False, tuple(w_sem))
+        return RuleScores(orth, 0.0, False, (0.0,) * orth)
     n = len(sample)
     w1, w2 = _vectors(rule, table, sample)
     offsets = w2 - w1
-    counts = _count_passes(w1, w2, offsets, t_cos)
-    blocks = [(sample, counts)]
-    in_sample = set(sample)
-    rest = [p for p in embedded if p not in in_sample]
-    for start in range(0, len(rest), sample_cap):
-        block = rest[start:start + sample_cap]
-        blocks.append((block, _count_passes(*_vectors(rule, table, block), offsets, t_cos)))
-    for positions, passes in blocks:
-        for p, c in zip(positions, passes.tolist()):
-            w_sem[p] = c / n
-    return RuleScores(orth, int(counts.sum()) / (n * n), n < len(embedded), tuple(w_sem))
+    counts = [0] * orth
+    for start in range(0, len(embedded), sample_cap):
+        block = embedded[start:start + sample_cap]
+        passes = _count_passes(*_vectors(rule, table, block), offsets, t_cos)
+        for p, c in zip(block, passes.tolist()):
+            counts[p] = c
+    sem = sum(counts[p] for p in sample) / (n * n)
+    return RuleScores(orth, sem, n < len(embedded), tuple(c / n for c in counts))
 
 
 class RuleStore:

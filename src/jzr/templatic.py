@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 Pair = tuple[str, str]
 
@@ -58,33 +59,31 @@ def parse_template(text: str) -> Template:
     return Template(tuple(m.groups()))
 
 
+def _alignments(derived: str, roots):
+    """Yield (root, template) for each index triple i<j<k of `derived` whose
+    letters spell a root in `roots`, walking the triples once.
+
+    Alignments with all literals empty, or that leave "<C" inside a literal
+    (their pattern text could not read back), are skipped.
+    """
+    for i, j, k in combinations(range(len(derived)), 3):
+        root = derived[i] + derived[j] + derived[k]
+        if root not in roots:
+            continue
+        parts = (derived[:i], derived[i + 1:j], derived[j + 1:k], derived[k + 1:])
+        if any(parts) and not any("<C" in p for p in parts):
+            yield root, Template(parts)
+
+
 def extract_templates(root: str, derived: str) -> set[Template]:
     """All templates aligning `root`'s letters as an in-order subsequence of `derived`.
 
     Returns the empty set when no alignment exists. Words with repeated
     letters can align several ways and then contribute several templates.
-    Alignments that leave "<C" inside a literal are skipped.
     """
     if len(root) != 3:
         raise ValueError(f"root must have exactly 3 code points, got {root!r}")
-    c1, c2, c3 = root
-    n = len(derived)
-    out: set[Template] = set()
-    for i in range(n - 2):
-        if derived[i] != c1:
-            continue
-        for j in range(i + 1, n - 1):
-            if derived[j] != c2:
-                continue
-            for k in range(j + 1, n):
-                if derived[k] != c3:
-                    continue
-                parts = (derived[:i], derived[i + 1:j], derived[j + 1:k], derived[k + 1:])
-                # A literal holding a slot marker could not round-trip
-                # through the pattern text, so that alignment is skipped.
-                if any(parts) and not any("<C" in p for p in parts):
-                    out.add(Template(parts))
-    return out
+    return {template for _, template in _alignments(derived, (root,))}
 
 
 def enumerate_templatic_rules(
@@ -94,23 +93,17 @@ def enumerate_templatic_rules(
     """Map each candidate template to its (root, derived) support pairs.
 
     Roots are the triliteral vocabulary words; derived words are longer
-    vocabulary words up to `max_derived_len`. A first-letter index restricts
-    each root's scan to words that carry its first letter early enough to
-    leave room for the other two.
+    vocabulary words up to `max_derived_len`. Each derived word's index
+    triples are walked once and looked up in the set of roots, so the cost
+    grows with the number of words, not roots times words.
     """
     words = list(dict.fromkeys(vocab))
-    roots = [w for w in words if len(w) == 3]
-
-    by_first_letter: dict[str, list[str]] = {}
-    for w in words:
-        if 3 < len(w) <= max_derived_len:
-            for ch in dict.fromkeys(w[: len(w) - 2]):
-                by_first_letter.setdefault(ch, []).append(w)
+    roots = {w for w in words if len(w) == 3}
 
     rules: dict[Template, list[Pair]] = {}
-    for root in roots:
-        for w in by_first_letter.get(root[0], ()):
-            for template in sorted(extract_templates(root, w)):
+    for w in words:
+        if 3 < len(w) <= max_derived_len:
+            for root, template in _alignments(w, roots):
                 rules.setdefault(template, []).append((root, w))
 
     # Values are replaced in place: no second map of every template is built.

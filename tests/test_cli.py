@@ -5,6 +5,7 @@ import pytest
 from conftest import fail_writes_halfway
 from jzr import cli
 from jzr.cli import main
+from jzr.config import SETTING_NAMES
 from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
 from jzr.synthlang import load_gold
@@ -287,6 +288,7 @@ class TestUsageAndConfig:
     @pytest.mark.parametrize("values, message", [
         ({"sample_cap": 0}, "sample_cap must be at least 1"),
         ({"nonsense": None}, "unknown config keys: nonsense"),
+        ({"group_cap": 10_000}, "unknown config keys: group_cap"),
     ])
     def test_invalid_config_file_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                       values, message):
@@ -307,7 +309,8 @@ class TestUsageAndConfig:
                      "--out", str(tmp_path / "x.db"), "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("flag, value", [("--min-stem", "0"), ("--top-n", "-1"),
-                                             ("--t-r-sem", "1.5"), ("--sample-cap", "0")])
+                                             ("--t-r-sem", "1.5"), ("--sample-cap", "0"),
+                                             ("--group-cap", "10000")])
     def test_invalid_flag_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                flag, value):
         _, fix, _ = workspace
@@ -315,6 +318,17 @@ class TestUsageAndConfig:
                      "--out", str(tmp_path / "x.db"), flag, value])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, own_dests", [
+        (["learn", "--vectors", "v", "--out", "o"], {"vectors", "out"}),
+        (["extract", "--rules", "r", "--vectors", "v", "--word", "w"],
+         {"rules", "vectors", "word", "words", "limited", "out"}),
+    ])
+    def test_config_flags_match_setting_names(self, argv, own_dests):
+        # The config is read by setting name only, so a flag without a
+        # setting would be parsed and then silently ignored.
+        dests = set(vars(cli.build_parser().parse_args(argv)))
+        assert dests - own_dests - {"command", "config"} == set(SETTING_NAMES)
 
     def test_invalid_synth_flag_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "fix"), "--n-roots", "0"]) == 1

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_concat_rules
+from jzr import concat
 from jzr.concat import (
     ConcatRule,
     StemGroupOverflowWarning,
@@ -88,10 +89,11 @@ class TestEnumeration:
     def test_empty_vocab(self):
         assert enumerate_concat_rules([]) == {}
 
-    def test_group_cap_skips_with_warning(self):
+    def test_group_cap_skips_with_warning(self, monkeypatch):
         words = [c + "stem" for c in "abcdefgh"]
+        monkeypatch.setattr(concat, "GROUP_CAP", 3)
         with pytest.warns(StemGroupOverflowWarning):
-            rules = enumerate_concat_rules(words, group_cap=3)
+            rules = enumerate_concat_rules(words)
         # The shared "stem" bucket was dropped; distinct-prefix pairs with
         # shorter shared stems remain.
         assert ConcatRule("prefix", "a", "b") not in rules

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,27 @@ class TestStoredWSem:
         assert len(rule.scores.w_sem) == n
         for pair, got in zip(rule.support, rule.scores.w_sem):
             assert got == brute_w_sem(table, pair, sample_pairs, t_cos)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("t_cos, expected", [(0.0, (0.5, 0.0)), (-0.5, (1.0, 1.0))])
+    def test_zero_norm_target_counts_as_cosine_zero(self, scale, t_cos, expected):
+        # a and c share one vector and z is zero, so the target (z - c) + a
+        # of query (a, b) is exactly zero, and so is query (c, z)'s w2: both
+        # read as cosine 0.0, which passes only a negative t_cos. A kernel
+        # that forms the target's norm by expansion leaves a rounding
+        # residual in a few percent of draws, hence many draws.
+        rng = np.random.default_rng(7)
+        rule = MorphRule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "z")))
+        for _ in range(200):
+            v, u = rng.standard_normal((2, 8)) * scale
+            table = EmbeddingTable.from_vectors(["a", "b", "c", "z"],
+                                                [v, u, v, np.zeros(8)], normalize=False)
+            RuleStore([rule]).score_all(table, scoring(t_cos=t_cos), orth_gate=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the oracle warns on each zero norm
+                brute = tuple(brute_w_sem(table, pair, rule.support, t_cos)
+                              for pair in rule.support)
+            assert rule.scores.w_sem == brute == expected
 
     def test_gated_rules_keep_no_pair_scores(self):
         rule, table = random_rule(3, seed=2)
