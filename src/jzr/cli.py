@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import evalharness, synthlang
 from .config import SETTING_NAMES, Config, build_config, read_config_file
-from .embeddings import EmbeddingError, InvalidWordError, UnknownWordError, load_embeddings
+from .embeddings import EmbeddingError, InvalidWordError, load_embeddings
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
 from .pipeline import learn_rules
@@ -32,7 +32,6 @@ from .synthlang import AlphabetTooSmallError, SurfaceCollisionError, SynthConfig
 DATA_ERRORS = (
     EmbeddingError,
     InvalidWordError,
-    UnknownWordError,
     RuleDbError,
     CoverageError,
     PredictionFormatError,

@@ -5,28 +5,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embeddings import EmbeddingTable, validate_word
-from .rules import MorphRule, RuleDbError, RuleStore, Thresholds, vocab_fingerprint
+from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
 from .templatic import Template
 
 REACHED_TRILITERAL = "reached_triliteral"
 INFEASIBLE_STOP = "infeasible_stop"
 
-# Step kinds. Insertions (empty deleted affix) and templates are tried
-# first; replacements (both affixes non-empty) only when neither yields a
-# step. Pure deletions have no kind: inverting one only grows the word, so
-# the length constraint could never accept it.
-_INSERTION = "insertion"
-_TEMPLATE = "template"
-_REPLACEMENT = "replacement"
 
-
-def _step_kind(rule: MorphRule) -> str | None:
-    key = rule.key
-    if isinstance(key, Template):
-        return _TEMPLATE
-    if key.old == "":
-        return _INSERTION
-    return _REPLACEMENT if key.new != "" else None
+def _stage(key: RuleKey) -> int | None:
+    """0 for insertions (empty deleted affix) and templates, 1 for
+    replacements (both affixes non-empty), which are only the fallback.
+    Pure deletions have no stage: inverting one only grows the word, so the
+    length constraint could never accept it."""
+    if isinstance(key, Template) or key.old == "":
+        return 0
+    return 1 if key.new != "" else None
 
 
 @dataclass(frozen=True)
@@ -51,11 +44,14 @@ class ExtractionTrace:
 class RootExtractor:
     """Extracts roots against a frozen validated rule store.
 
-    Building one extractor indexes every support pair by its derived word,
-    with the w_sem the store holds for it, and ranks each word's candidate
-    steps once; extraction then only looks up the current word, which
-    covers the support-membership constraint for free. No vectors are read:
-    `table` only has to be the vocabulary the store was learned from.
+    Building one extractor picks each derived word's one best step, from
+    the w_sem the store holds for its support pairs: once for full
+    extraction and once for limited, which leaves templates out. A step
+    ranks by stage, then by w_sem, then by its rule's prune order (sem,
+    orth, key text), then by source word. Extraction then only looks up the
+    current word, which covers the support-membership constraint for free.
+    No vectors are read: `table` only has to be the vocabulary the store
+    was learned from.
 
     `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
     was scored; giving one that differs raises RuleDbError.
@@ -85,31 +81,35 @@ class RootExtractor:
                     f"rule DB was scored with {name}={learned!r}, not {value!r}; "
                     f"leave {name} unset or re-run `jzr learn` with it"
                 )
-        self.store = store
-        self.thresholds = thresholds or Thresholds()
+        t_w_sem = (thresholds or Thresholds()).t_w_sem
 
-        # derived word -> candidate steps (-w_sem, -sem, -orth, key text,
-        # source word, step kind), best first: maximize w_sem, then break
-        # ties by rule sem, orth and key text.
-        t_w_sem = self.thresholds.t_w_sem
-        self._steps: dict[str, list[tuple]] = {}
-        for rule in store:
-            kind = _step_kind(rule)
-            if kind is None:
-                continue
-            ks, sem, orth = rule.key.key_str, rule.scores.sem, rule.scores.orth
-            for (w1, w2), w_sem in zip(rule.support, rule.scores.w_sem):
-                # A step must shorten the word and leave at least three letters.
-                if w_sem > t_w_sem and 3 <= len(w1) < len(w2):
-                    self._steps.setdefault(w2, []).append((-w_sem, -sem, -orth, ks, w1, kind))
-        for steps in self._steps.values():
-            steps.sort()
+        def best_ranks(rules, best: dict[str, tuple]) -> dict[str, tuple]:
+            """Lower `best`, derived word -> rank (stage, -w_sem, prune order,
+            source word, key text) of its best step, by the steps of `rules`."""
+            for rule in rules:
+                stage = _stage(rule.key)
+                if stage is None:
+                    continue
+                order, key_str = _order_key(rule), rule.key.key_str
+                for (w1, w2), w_sem in zip(rule.support, rule.scores.w_sem):
+                    # A step must shorten the word and leave at least three letters.
+                    if w_sem > t_w_sem and 3 <= len(w1) < len(w2):
+                        rank = (stage, -w_sem, order, w1, key_str)
+                        if w2 not in best or rank < best[w2]:
+                            best[w2] = rank
+            return best
 
-    def _best_step(self, word: str, kinds: tuple[str, ...]) -> TraceStep | None:
-        for neg_w_sem, _, _, ks, w1, kind in self._steps.get(word, ()):
-            if kind in kinds:
-                return TraceStep(ks, w1, -neg_w_sem)
-        return None
+        def step(rank: tuple) -> TraceStep:
+            _, neg_w_sem, _, w1, key_str = rank
+            return TraceStep(key_str, w1, -neg_w_sem)
+
+        # Full mode is limited mode plus templates: where no template wins,
+        # the two modes share one TraceStep.
+        limited = best_ranks((r for r in store if not isinstance(r.key, Template)), {})
+        full = best_ranks((r for r in store if isinstance(r.key, Template)), dict(limited))
+        self._limited = {w2: step(rank) for w2, rank in limited.items()}
+        self._full = {w2: self._limited[w2] if rank is limited.get(w2) else step(rank)
+                      for w2, rank in full.items()}
 
     def extract(self, word: str, limited: bool = False) -> ExtractionTrace:
         """Invert rules until three letters remain or no step is feasible.
@@ -118,17 +118,13 @@ class RootExtractor:
         word shorter than three letters has no feasible step.
         """
         validate_word(word)
-        if len(word) < 3:
-            return ExtractionTrace(word, (), word, INFEASIBLE_STOP)
-        first = (_INSERTION,) if limited else (_INSERTION, _TEMPLATE)
+        best = self._limited if limited else self._full
         steps: list[TraceStep] = []
         current = word
-        while len(current) > 3:
-            step = self._best_step(current, first)
-            if step is None:
-                step = self._best_step(current, (_REPLACEMENT,))
-            if step is None:
-                return ExtractionTrace(word, tuple(steps), current, INFEASIBLE_STOP)
+        while len(current) > 3 and (step := best.get(current)) is not None:
             steps.append(step)
             current = step.word
-        return ExtractionTrace(word, tuple(steps), current, REACHED_TRILITERAL)
+        # Steps never land below three letters, so a shorter word is an
+        # input shorter than three letters, which has no feasible step.
+        status = REACHED_TRILITERAL if len(current) == 3 else INFEASIBLE_STOP
+        return ExtractionTrace(word, tuple(steps), current, status)

@@ -410,6 +410,8 @@ def load_rules(path) -> RuleStore:
                         current_key = parse_template(pattern)
                     else:
                         raise ValueError(f"unknown rule kind {fields[1]!r}")
+                    if sampled not in ("0", "1"):
+                        raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
                     current_scores = RuleScores(int(orth), float(sem), sampled == "1")
                 elif line.startswith("#vocab-hash "):
                     vocab_hash = line.split(" ", 1)[1]

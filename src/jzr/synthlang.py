@@ -17,6 +17,7 @@ import numpy as np
 
 from .concat import PREFIX, SUFFIX, ConcatRule
 from .embeddings import EmbeddingTable
+from .rules import write_atomic
 from .templatic import Template
 
 
@@ -207,6 +208,6 @@ def write_fixture(config: SynthConfig, out_dir) -> tuple[Path, Path]:
     _, table, gold = generate(config)
     vectors_path = out / "vectors.txt"
     gold_path = out / "gold.tsv"
-    vectors_path.write_text(format_vectors(table), encoding="utf-8")
-    gold_path.write_text(format_gold(gold), encoding="utf-8")
+    write_atomic(vectors_path, format_vectors(table))
+    write_atomic(gold_path, format_gold(gold))
     return vectors_path, gold_path

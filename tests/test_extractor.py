@@ -87,6 +87,22 @@ class TestStepKinds:
         trace = RootExtractor(store, table, Thresholds(t_w_sem=0.2)).extract(word)
         assert trace.steps[0] == TraceStep(REPLACE_A_IYN.key_str, "mudarrisa", 1.0)
 
+    def test_limited_falls_back_to_replacement_where_full_takes_template(self):
+        # The template's w_sem is 1/5 and the replacement's 1.0, but the
+        # template's stage comes first; limited mode masks it out.
+        replace_m_ma = ConcatRule("prefix", "m", "ma")
+        store, table = planted_world([
+            (PLACE, [("ktb", "maktab")], False),
+            (replace_m_ma, [("mktab", "maktab")], True),
+        ])
+        extractor = RootExtractor(store, table)
+        full = extractor.extract("maktab")
+        assert full.steps == (TraceStep(PLACE.key_str, "ktb", 0.2),)
+        assert full.status == REACHED_TRILITERAL
+        limited = extractor.extract("maktab", limited=True)
+        assert limited.steps == (TraceStep(replace_m_ma.key_str, "mktab", 1.0),)
+        assert limited.status == INFEASIBLE_STOP
+
 
 class TestStopStatus:
     def test_no_step_lands_below_three_letters(self):

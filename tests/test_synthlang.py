@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import fail_writes_halfway
 from jzr.concat import PREFIX, ConcatRule
 from jzr.embeddings import analogy_score
 from jzr.rules import MorphRule, ScoringSettings, score_rule
@@ -185,3 +186,13 @@ class TestFixtureFiles:
         v2, g2 = write_fixture(config, tmp_path / "two")
         assert v1.read_bytes() == v2.read_bytes()
         assert g1.read_bytes() == g2.read_bytes()
+
+    def test_failed_write_keeps_earlier_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "fix"
+        paths = write_fixture(SynthConfig(n_roots=12, seed=9), out)
+        before = [p.read_bytes() for p in paths]
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError):
+            write_fixture(SynthConfig(n_roots=12, seed=10), out)
+        assert [p.read_bytes() for p in paths] == before
+        assert sorted(p.name for p in out.iterdir()) == ["gold.tsv", "vectors.txt"]
