@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from pathlib import Path
@@ -144,7 +145,7 @@ def load_embeddings(path, format: str = HEADERED, top_n: int | None = None) -> E
     path = Path(path)
 
     words: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     index: dict[str, int] = {}
     duplicates = 0
     dim: int | None = None
@@ -181,18 +182,19 @@ def load_embeddings(path, format: str = HEADERED, top_n: int | None = None) -> E
                     f"line {lineno}: expected {dim} components, got {len(comps)}"
                 )
             try:
-                vec = [float(c) for c in comps]
+                vec = np.array(list(map(float, comps)))
             except ValueError:
                 raise VectorParseError(f"line {lineno}: non-numeric component") from None
-            if not all(np.isfinite(vec)):
+            if not np.isfinite(vec).all():
                 raise VectorParseError(f"line {lineno}: non-finite component")
             if word in index:
                 duplicates += 1
                 continue
-            norm = float(np.linalg.norm(vec))
+            # The norm np.linalg.norm takes of a 1-D row, without its overhead.
+            norm = math.sqrt(vec.dot(vec))
             if norm <= _NORM_EPS:
                 raise VectorParseError(f"line {lineno}: zero vector for {word!r}")
-            rows.append([v / norm for v in vec])
+            rows.append(vec / norm)
             index[word] = len(words)
             words.append(word)
 

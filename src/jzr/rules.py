@@ -350,14 +350,15 @@ def load_rules(path) -> RuleStore:
     """Read a rule DB written by save_rules, checking every record.
 
     Raises RuleDbError, with the line number, for a malformed record, a
-    support that is unsorted or repeats a pair, a pair count other than the
-    rule's orth, or a w_sem outside [0, 1].
+    repeated rule, a support that is unsorted or repeats a pair, a pair
+    count other than the rule's orth, or a w_sem outside [0, 1].
     """
     rules: list[MorphRule] = []
     vocab_hash = ""
     counts: dict[str, int] = {}
     scoring: ScoringSettings | None = None
     rule_line = 0
+    rule_lines: dict[RuleKey, int] = {}
     current_key: RuleKey | None = None
     current_scores: RuleScores | None = None
     current_pairs: list[Pair] = []
@@ -410,6 +411,10 @@ def load_rules(path) -> RuleStore:
                         current_key = parse_template(pattern)
                     else:
                         raise ValueError(f"unknown rule kind {fields[1]!r}")
+                    if current_key in rule_lines:
+                        raise ValueError(f"repeats rule {current_key.key_str} "
+                                         f"of line {rule_lines[current_key]}")
+                    rule_lines[current_key] = lineno
                     if sampled not in ("0", "1"):
                         raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
                     current_scores = RuleScores(int(orth), float(sem), sampled == "1")

@@ -100,6 +100,19 @@ class TestRank:
         assert main(["rank", "--rules", str(db), "--top", "0"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_repeated_rule_record_is_data_error(self, workspace, tmp_path, capsys):
+        # A copy of the first rule record and its pairs, appended to the DB.
+        _, _, db = workspace
+        lines = db.read_text(encoding="utf-8").splitlines(keepends=True)
+        rule_at = [i for i, line in enumerate(lines) if line.startswith("rule\t")]
+        first = lines[rule_at[0]:rule_at[1] if len(rule_at) > 1 else len(lines)]
+        doubled = tmp_path / "doubled.db"
+        doubled.write_text("".join(lines + first), encoding="utf-8")
+        assert main(["rank", "--rules", str(doubled)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}: repeats rule" in err
+        assert f"of line {rule_at[0] + 1}" in err
+
     def test_rank_negative_top_is_usage_error(self, workspace, capsys):
         _, _, db = workspace
         assert main(["rank", "--rules", str(db), "--top", "-3"]) == 1

@@ -112,6 +112,26 @@ class TestLoad:
         norms = np.linalg.norm(table.matrix, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-6
 
+    @pytest.mark.parametrize("text, error", [
+        ("a 1 2\nb 0 0\nc 3 4\nd 1 2 3\n", VectorParseError),
+        ("a 1 2\nb 1 2 3\nc 3 4\nd 0 0\n", DimensionMismatchError),
+    ])
+    def test_earlier_defective_line_wins(self, tmp_path, text, error):
+        path = write(tmp_path, text)
+        with pytest.raises(error, match="^line 2:"):
+            load_embeddings(path, format="headerless")
+
+    @given(st.integers(1, 6).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)
+        .filter(lambda row: np.linalg.norm(row) > 1e-12), min_size=1, max_size=8)))
+    def test_rows_are_each_divided_by_their_norm(self, tmp_path_factory, rows):
+        lines = [f"w{i} " + " ".join(map(repr, row)) for i, row in enumerate(rows)]
+        path = write(tmp_path_factory.mktemp("rows"), "\n".join(lines) + "\n")
+        table = load_embeddings(path, format="headerless")
+        for got, row in zip(table.matrix, rows):
+            v = np.array(row)
+            assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
     def test_matrix_is_read_only(self, tmp_path):
         path = write(tmp_path, "a 1 0\n")
         table = load_embeddings(path, format="headerless")

@@ -120,6 +120,34 @@ class TestStopStatus:
         assert (trace.steps, trace.final, trace.status) == ((), word, INFEASIBLE_STOP)
 
 
+class TestDeepChain:
+    # wa+al+maktab+at: three concatenative steps, then a template, each pair
+    # genuine; planted_world keeps every derived word's vector, so each
+    # source word lies at one offset from the word above it.
+    CHAIN = [(INSERT_WA, "almaktabat", "waalmaktabat"),
+             (ConcatRule("prefix", "", "al"), "maktabat", "almaktabat"),
+             (ConcatRule("suffix", "", "at"), "maktab", "maktabat"),
+             (PLACE, "ktb", "maktab")]
+
+    @pytest.mark.parametrize("limited, depth, final, status", [
+        (False, 4, "ktb", REACHED_TRILITERAL),
+        (True, 3, "maktab", INFEASIBLE_STOP),
+    ])
+    def test_matches_brute_extract(self, limited, depth, final, status):
+        store, table = planted_world([(key, [(w1, w2)], True)
+                                      for key, w1, w2 in self.CHAIN])
+        extractor = RootExtractor(store, table)
+        trace = extractor.extract("waalmaktabat", limited=limited)
+        assert (len(trace.steps), trace.final, trace.status) == (depth, final, status)
+        th = Thresholds()
+        for word in table.words:
+            trace = extractor.extract(word, limited=limited)
+            got = (trace.final, trace.status,
+                   [(s.rule, s.word, s.w_sem) for s in trace.steps])
+            assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem,
+                                        limited)
+
+
 class TestStoredScores:
     def world(self):
         return planted_world([(INSERT_WA, [("maktab", "wamaktab")], True)])
