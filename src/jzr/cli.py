@@ -13,7 +13,7 @@ import traceback
 from pathlib import Path
 
 from . import evalharness, synthlang
-from .config import SETTING_NAMES, Config, build_config, read_config_file
+from .config import SETTING_TYPES, Config, build_config, read_config_file
 from .embeddings import EmbeddingError, InvalidWordError, load_embeddings
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
@@ -54,18 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--t-cos-sim", type=float, dest="t_cos_sim")
-    parser.add_argument("--t-r-sem", type=float, dest="t_r_sem")
-    parser.add_argument("--t-r-orth", type=int, dest="t_r_orth")
-    parser.add_argument("--t-w-sem", type=float, dest="t_w_sem")
-    parser.add_argument("--max-affix", type=int, dest="max_affix")
-    parser.add_argument("--min-stem", type=int, dest="min_stem")
-    parser.add_argument("--max-derived-len", type=int, dest="max_derived_len")
-    parser.add_argument("--sample-cap", type=int, dest="sample_cap")
-    parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--format", choices=["headered", "headerless"],
-                        dest="vector_format")
-    parser.add_argument("--top-n", type=int, dest="top_n")
+    for name, kind in SETTING_TYPES.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def _config_from_args(args, learned: dict | None = None) -> Config:
@@ -74,7 +64,7 @@ def _config_from_args(args, learned: dict | None = None) -> Config:
     An unreadable config file is a data error; an invalid setting is a
     usage error.
     """
-    flag_values = {name: getattr(args, name) for name in SETTING_NAMES}
+    flag_values = {name: getattr(args, name) for name in SETTING_TYPES}
     try:
         file_values = read_config_file(args.config) if args.config else {}
         return build_config({**(learned or {}), **file_values}, flag_values)
@@ -112,11 +102,12 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a planted-rule fixture")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--n-roots", type=int, default=200)
-    p_synth.add_argument("--dim", type=int, default=64)
-    p_synth.add_argument("--noise-sigma", type=float, default=0.01)
-    p_synth.add_argument("--seed", type=int, default=42)
-    p_synth.add_argument("--chain-depth", type=int, default=1, choices=[1, 2])
+    # Unset flags keep SynthConfig's defaults.
+    p_synth.add_argument("--n-roots", type=int)
+    p_synth.add_argument("--dim", type=int)
+    p_synth.add_argument("--noise-sigma", type=float)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--chain-depth", type=int)
 
     p_eval = sub.add_parser("eval", help="score prediction files against gold roots")
     p_eval.add_argument("--gold", required=True, help="word TAB root TSV")
@@ -138,7 +129,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_learn(args) -> int:
     cfg = _config_from_args(args)
-    table = load_embeddings(args.vectors, format=cfg.vector_format, top_n=cfg.top_n)
+    table = load_embeddings(args.vectors, top_n=cfg.top_n)
     if len(table) == 0:
         print("warning: vocabulary is empty after the cap; writing an empty rule DB",
               file=sys.stderr)
@@ -170,7 +161,7 @@ def cmd_extract(args) -> int:
     # The DB's scoring settings are the defaults; a differing explicit one
     # makes RootExtractor refuse.
     cfg = _config_from_args(args, dataclasses.asdict(store.scoring))
-    table = load_embeddings(args.vectors, format=cfg.vector_format, top_n=cfg.top_n)
+    table = load_embeddings(args.vectors, top_n=cfg.top_n)
     extractor = RootExtractor(store, table, cfg.thresholds,
                               sample_cap=cfg.sample_cap, seed=cfg.seed)
     if args.word is not None:
@@ -184,10 +175,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    names = {f.name for f in dataclasses.fields(SynthConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
-        config = SynthConfig(n_roots=args.n_roots, dim=args.dim,
-                             noise_sigma=args.noise_sigma, seed=args.seed,
-                             chain_depth=args.chain_depth)
+        config = SynthConfig(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     vectors_path, gold_path = synthlang.write_fixture(config, args.out)
@@ -204,6 +195,8 @@ def cmd_eval(args) -> int:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise UsageError(f"--pred needs NAME=PATH, got {spec!r}")
+        if name in predictions:
+            raise UsageError(f"--pred gives {name!r} twice")
         predictions[name] = evalharness.read_predictions(path)
     report = evalharness.evaluate(predictions, gold)
     if args.as_json:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
-from .embeddings import HEADERED, HEADERLESS
 from .rules import ScoringSettings, Thresholds
 
 
@@ -17,12 +17,9 @@ class Config:
     max_derived_len: int = 12
     sample_cap: int = 100
     seed: int = 42
-    vector_format: str = HEADERED
     top_n: int | None = None
 
     def __post_init__(self):
-        if self.vector_format not in (HEADERED, HEADERLESS):
-            raise ValueError(f"unknown vector format: {self.vector_format!r}")
         for name in ("max_affix", "max_derived_len"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
@@ -39,11 +36,12 @@ class Config:
                                int(self.seed))
 
 
-# Every setting's name: a config-file key, a flag's dest, a field of
-# Thresholds or Config.
-_THRESHOLD_NAMES = tuple(f.name for f in fields(Thresholds))
-SETTING_NAMES = _THRESHOLD_NAMES + tuple(
-    f.name for f in fields(Config) if f.name != "thresholds")
+# Every setting's name, a config-file key and (with `-` for `_`) a flag, and
+# the type its values must have. `int | None` takes an int: None only means
+# "not given".
+SETTING_TYPES = {name: (get_args(hint) or (hint,))[0]
+                 for cls in (Thresholds, Config)
+                 for name, hint in get_type_hints(cls).items() if name != "thresholds"}
 
 
 def read_config_file(path) -> dict:
@@ -59,15 +57,23 @@ def build_config(file_values: dict | None = None,
                  flag_values: dict | None = None) -> Config:
     """Merge defaults, config-file values, and flags; flags win, file second.
 
-    Entries whose value is None are treated as not given.
+    Entries whose value is None are treated as not given; any other value
+    must have its setting's type in SETTING_TYPES.
     """
     merged: dict = {}
     for source in (file_values or {}), (flag_values or {}):
-        unknown = sorted(set(source) - set(SETTING_NAMES))
+        unknown = sorted(set(source) - set(SETTING_TYPES))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update((k, v) for k, v in source.items() if v is not None)
+        for name, value in source.items():
+            if value is None:
+                continue
+            kind = SETTING_TYPES[name]
+            # An integer is a valid float; a bool, though an int, is not.
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+            merged[name] = value
     thresholds = Thresholds(**{
-        k: merged.pop(k) for k in _THRESHOLD_NAMES if k in merged
+        f.name: merged.pop(f.name) for f in fields(Thresholds) if f.name in merged
     })
     return Config(thresholds=thresholds, **merged)

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
 from pathlib import Path
 
 import numpy as np
-
-HEADERED = "headered"
-HEADERLESS = "headerless"
 
 _NORM_EPS = 1e-12
 # Whitespace (str.isspace) or a control character (category Cc); equal to
@@ -110,36 +108,36 @@ class EmbeddingTable:
         except KeyError:
             raise UnknownWordError(word) from None
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
     def __len__(self) -> int:
         return len(self.words)
 
 
-def _parse_header(line: str, lineno: int) -> tuple[int, int]:
+def _header_dim(line: str, lineno: int) -> int | None:
+    """`dim` if a file's first line is a `count dim` header; None if a record.
+
+    A dimension-1 record of two integers, such as `7 3`, reads as a header.
+    """
     parts = line.split()
     if len(parts) != 2:
-        raise VectorParseError(f"line {lineno}: header must be 'count dim'")
+        return None
     try:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise VectorParseError(f"line {lineno}: non-integer header field") from None
+        return None
     if count < 0 or dim < 1:
         raise VectorParseError(f"line {lineno}: header values out of range")
-    return count, dim
+    return dim
 
 
-def load_embeddings(path, format: str = HEADERED, top_n: int | None = None) -> EmbeddingTable:
+def load_embeddings(path, top_n: int | None = None) -> EmbeddingTable:
     """Load a text vector file: one `word c1 ... cd` record per line, UTF-8.
 
-    `headered` files start with a `count dim` line. Raw vectors are
-    L2-normalized. On duplicate words the first occurrence wins and the
-    table's `duplicates_dropped` counter increments. `top_n` keeps only the
-    first `top_n` records (the file producer's frequency order).
+    A `count dim` first line, as word2vec and fastText write, is read as a
+    header; GloVe files have none. Raw vectors are L2-normalized. On
+    duplicate words the first occurrence wins and the table's
+    `duplicates_dropped` counter increments. `top_n` keeps only the first
+    `top_n` records (the file producer's frequency order).
     """
-    if format not in (HEADERED, HEADERLESS):
-        raise ValueError(f"unknown vector format: {format!r}")
     if top_n is not None and top_n < 0:
         raise ValueError("top_n must be non-negative")
     path = Path(path)
@@ -153,11 +151,12 @@ def load_embeddings(path, format: str = HEADERED, top_n: int | None = None) -> E
 
     with path.open(encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
-        if format == HEADERED:
-            for lineno, line in lines:
-                if line.strip():
-                    _, dim = _parse_header(line, lineno)
-                    break
+        for lineno, line in lines:
+            if line.split():
+                dim = _header_dim(line, lineno)
+                if dim is None:
+                    lines = itertools.chain([(lineno, line)], lines)
+                break
         for lineno, line in lines:
             parts = line.split()
             if not parts:

@@ -40,10 +40,6 @@ class Template:
     def key_str(self) -> str:
         return f"tmpl:{self.pattern}"
 
-    @property
-    def length(self) -> int:
-        return sum(len(p) for p in self.parts) + 3
-
     def render(self, root: str) -> str:
         if len(root) != 3:
             raise ValueError(f"root must have exactly 3 code points, got {root!r}")

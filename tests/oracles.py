@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: all-pairs scans, no indexing,
 no vectorization. Keep it that way; the whole point is independence from the
-implementation under test. The one piece borrowed is `support_sample`, which
-only names the seeded sample a score is taken over.
+implementation under test. Two pieces are borrowed: `support_sample`, which
+only names the seeded sample a score is taken over, and `analogy_score`, the
+cosine of a single analogy, which the brute-force scores count over.
 """
 
 from __future__ import annotations

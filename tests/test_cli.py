@@ -5,10 +5,10 @@ import pytest
 from conftest import fail_writes_halfway
 from jzr import cli
 from jzr.cli import main
-from jzr.config import SETTING_NAMES
+from jzr.config import SETTING_TYPES
 from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
-from jzr.synthlang import load_gold
+from jzr.synthlang import SynthConfig, load_gold, write_fixture
 
 
 @pytest.fixture(scope="module")
@@ -28,10 +28,17 @@ class TestSynth:
     def test_writes_loadable_fixture(self, tmp_path, capsys):
         out = tmp_path / "fix"
         assert main(["synth", "--out", str(out), "--n-roots", "5", "--seed", "3"]) == 0
-        table = load_embeddings(out / "vectors.txt", format="headered")
+        table = load_embeddings(out / "vectors.txt")
         gold = load_gold(out / "gold.tsv")
         assert len(table) == 5 * 11 == len(gold)
         assert "wrote" in capsys.readouterr().out
+
+    def test_unset_flags_take_synthconfig_defaults(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        write_fixture(SynthConfig(), tmp_path / "api")
+        for name in "vectors.txt", "gold.tsv":
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "api" / name).read_bytes())
 
 
 class TestLearn:
@@ -73,8 +80,7 @@ class TestLearn:
     def test_malformed_vectors_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("word one two\n", encoding="utf-8")
-        code = main(["learn", "--vectors", str(bad), "--out",
-                     str(tmp_path / "x.db"), "--format", "headerless"])
+        code = main(["learn", "--vectors", str(bad), "--out", str(tmp_path / "x.db")])
         assert code == 2
 
 
@@ -244,6 +250,15 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy"]["a"] == 1.0
 
+    def test_repeated_pred_name_is_usage_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("w1\tktb\n", encoding="utf-8")
+        code = main(["eval", "--gold", str(gold), "--pred", f"full={gold}",
+                     "--pred", f"full={gold}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and "usage error: --pred gives 'full' twice" in captured.err
+
     def test_bad_pred_spec_is_usage_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("w1\tktb\n", encoding="utf-8")
@@ -271,7 +286,7 @@ class TestUsageAndConfig:
         # File caps the vocabulary at 5 words; the flag restores the full
         # fixture, so the learned DB must match the no-config run.
         root, fix, db = workspace
-        n_words = len(load_embeddings(fix / "vectors.txt", format="headered"))
+        n_words = len(load_embeddings(fix / "vectors.txt"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"top_n": 5}), encoding="utf-8")
         out = tmp_path / "flagwins.db"
@@ -283,11 +298,13 @@ class TestUsageAndConfig:
     def test_config_file_applies_without_flag(self, workspace, tmp_path):
         root, fix, db = workspace
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_r_orth": 10_000}), encoding="utf-8")
+        # A JSON integer is a valid value for a float setting.
+        cfg.write_text(json.dumps({"t_r_orth": 10_000, "t_cos_sim": 0}), encoding="utf-8")
         out = tmp_path / "strict.db"
         assert main(["learn", "--vectors", str(fix / "vectors.txt"),
                      "--out", str(out), "--config", str(cfg)]) == 0
         assert len(load_rules(out)) == 0
+        assert "#scoring t_cos_sim=0.0 " in out.read_text(encoding="utf-8")
 
     def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         root, fix, _ = workspace
@@ -302,6 +319,11 @@ class TestUsageAndConfig:
         ({"sample_cap": 0}, "sample_cap must be at least 1"),
         ({"nonsense": None}, "unknown config keys: nonsense"),
         ({"group_cap": 10_000}, "unknown config keys: group_cap"),
+        ({"t_r_orth": "x"}, "t_r_orth must be int, got 'x'"),
+        ({"t_cos_sim": "0.5"}, "t_cos_sim must be float, got '0.5'"),
+        ({"seed": 1.5}, "seed must be int, got 1.5"),
+        ({"t_r_orth": True}, "t_r_orth must be int, got True"),
+        ({"vector_format": "headered"}, "unknown config keys: vector_format"),
     ])
     def test_invalid_config_file_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                       values, message):
@@ -323,7 +345,8 @@ class TestUsageAndConfig:
 
     @pytest.mark.parametrize("flag, value", [("--min-stem", "0"), ("--top-n", "-1"),
                                              ("--t-r-sem", "1.5"), ("--sample-cap", "0"),
-                                             ("--group-cap", "10000")])
+                                             ("--group-cap", "10000"),
+                                             ("--format", "headerless")])
     def test_invalid_flag_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                flag, value):
         _, fix, _ = workspace
@@ -341,10 +364,13 @@ class TestUsageAndConfig:
         # The config is read by setting name only, so a flag without a
         # setting would be parsed and then silently ignored.
         dests = set(vars(cli.build_parser().parse_args(argv)))
-        assert dests - own_dests - {"command", "config"} == set(SETTING_NAMES)
+        assert dests - own_dests - {"command", "config"} == set(SETTING_TYPES)
 
-    def test_invalid_synth_flag_is_usage_error(self, tmp_path):
+    def test_invalid_synth_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "fix"), "--n-roots", "0"]) == 1
+        # SynthConfig's own check, not a list of choices on the flag.
+        assert main(["synth", "--out", str(tmp_path / "fix"), "--chain-depth", "3"]) == 1
+        assert "chain_depth must be 1 or 2" in capsys.readouterr().err
 
     def test_internal_value_error_is_not_a_data_error(self, workspace, monkeypatch,
                                                       capsys):

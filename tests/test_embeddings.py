@@ -1,15 +1,17 @@
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import random_table
 from oracles import brute_valid_word
 from jzr.embeddings import (
     DimensionMismatchError,
+    EmbeddingError,
     EmbeddingTable,
     EmptyFileError,
     InvalidWordError,
@@ -32,20 +34,20 @@ def write(tmp_path, text, name="vecs.txt"):
 class TestLoad:
     def test_normalizes_rows(self, tmp_path):
         path = write(tmp_path, "a 3 4\nb 0 2\n")
-        table = load_embeddings(path, format="headerless")
+        table = load_embeddings(path)
         assert table.dim == 2
         assert np.allclose(table.lookup("a"), [0.6, 0.8])
         assert np.allclose(table.lookup("b"), [0.0, 1.0])
 
     def test_unit_vector_loads_as_itself(self, tmp_path):
         path = write(tmp_path, "x 1 0 0\n")
-        table = load_embeddings(path, format="headerless")
+        table = load_embeddings(path)
         assert table.dim == 3
         assert np.array_equal(table.lookup("x"), [1.0, 0.0, 0.0])
 
     def test_duplicate_first_wins(self, tmp_path):
         path = write(tmp_path, "a 1 2\na 9 9\n")
-        table = load_embeddings(path, format="headerless")
+        table = load_embeddings(path)
         assert len(table) == 1
         assert table.duplicates_dropped == 1
         expected = np.array([1.0, 2.0]) / math.sqrt(5.0)
@@ -53,52 +55,61 @@ class TestLoad:
 
     def test_headered_format(self, tmp_path):
         path = write(tmp_path, "2 3\nfoo 1 0 0\nbar 0 1 0\n")
-        table = load_embeddings(path, format="headered")
+        table = load_embeddings(path)
         assert len(table) == 2 and table.dim == 3
+        # Also the one first line a headerless dimension-1 file could start
+        # with: a record `7 1` reads as a header.
+        table = load_embeddings(write(tmp_path, "7 1\nx 0.5\n", "dim1.txt"))
+        assert table.words == ["x"] and table.dim == 1
+        # Three integers are a record: only two fields can be a header.
+        table = load_embeddings(write(tmp_path, "7 3 4\n", "int_word.txt"))
+        assert table.words == ["7"] and table.dim == 2
 
     def test_headered_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "1 4\nfoo 1 0 0\n")
         with pytest.raises(DimensionMismatchError):
-            load_embeddings(path, format="headered")
+            load_embeddings(path)
+        with pytest.raises(VectorParseError, match="^line 1: header values out of range"):
+            load_embeddings(write(tmp_path, "1 0\nfoo\n", "dim0.txt"))
 
     def test_row_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "a 1 2\nb 1 2 3\n")
         with pytest.raises(DimensionMismatchError, match="line 2"):
-            load_embeddings(path, format="headerless")
+            load_embeddings(path)
 
     def test_non_numeric_component(self, tmp_path):
         path = write(tmp_path, "a 1 x\n")
         with pytest.raises(VectorParseError):
-            load_embeddings(path, format="headerless")
+            load_embeddings(path)
 
     def test_non_finite_component(self, tmp_path):
         path = write(tmp_path, "a 1 nan\n")
         with pytest.raises(VectorParseError):
-            load_embeddings(path, format="headerless")
+            load_embeddings(path)
 
     def test_zero_vector_rejected(self, tmp_path):
         path = write(tmp_path, "a 0 0\n")
         with pytest.raises(VectorParseError):
-            load_embeddings(path, format="headerless")
+            load_embeddings(path)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
         with pytest.raises(EmptyFileError):
-            load_embeddings(path, format="headerless")
+            load_embeddings(path)
 
     def test_header_only_file(self, tmp_path):
         path = write(tmp_path, "0 4\n")
         with pytest.raises(EmptyFileError):
-            load_embeddings(path, format="headered")
+            load_embeddings(path)
 
     def test_top_n_cap(self, tmp_path):
         path = write(tmp_path, "a 1 0\nb 0 1\nc 1 1\n")
-        table = load_embeddings(path, format="headerless", top_n=2)
+        table = load_embeddings(path, top_n=2)
         assert table.words == ["a", "b"]
 
     def test_top_n_zero_gives_empty_table(self, tmp_path):
         path = write(tmp_path, "a 1 0\nb 0 1\n")
-        table = load_embeddings(path, format="headerless", top_n=0)
+        table = load_embeddings(path, top_n=0)
         assert len(table) == 0
 
     def test_unit_norms_invariant(self, tmp_path):
@@ -108,7 +119,7 @@ class TestLoad:
             for i in range(40)
         ]
         path = write(tmp_path, "\n".join(lines) + "\n")
-        table = load_embeddings(path, format="headerless")
+        table = load_embeddings(path)
         norms = np.linalg.norm(table.matrix, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-6
 
@@ -119,22 +130,51 @@ class TestLoad:
     def test_earlier_defective_line_wins(self, tmp_path, text, error):
         path = write(tmp_path, text)
         with pytest.raises(error, match="^line 2:"):
-            load_embeddings(path, format="headerless")
+            load_embeddings(path)
 
     @given(st.integers(1, 6).flatmap(lambda dim: st.lists(
         st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim)
         .filter(lambda row: np.linalg.norm(row) > 1e-12), min_size=1, max_size=8)))
     def test_rows_are_each_divided_by_their_norm(self, tmp_path_factory, rows):
         lines = [f"w{i} " + " ".join(map(repr, row)) for i, row in enumerate(rows)]
-        path = write(tmp_path_factory.mktemp("rows"), "\n".join(lines) + "\n")
-        table = load_embeddings(path, format="headerless")
-        for got, row in zip(table.matrix, rows):
-            v = np.array(row)
-            assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        for header in "", f"{len(rows)} {len(rows[0])}\n":
+            path = write(tmp_path_factory.mktemp("rows"), header + "\n".join(lines) + "\n")
+            table = load_embeddings(path)
+            assert table.words == [f"w{i}" for i in range(len(rows))]
+            for got, row in zip(table.matrix, rows):
+                v = np.array(row)
+                assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @staticmethod
+    def outcome(path, top_n, first_lineno):
+        """What loading gives, with line numbers counted from `first_lineno`."""
+        try:
+            table = load_embeddings(path, top_n=top_n)
+        except EmbeddingError as exc:
+            at = re.match(r"line (\d+):", str(exc))
+            return type(exc), at and int(at[1]) - first_lineno
+        return table.words, table.matrix.tobytes(), table.duplicates_dropped
+
+    @given(st.lists(st.sampled_from([
+        "", "w1 1 2", "w2 3 -4", "w1 5 6", "w3 0 0", "w4 1 2 3", "w5 1 x",
+        "w6 1 inf", "w7", "w8 0.5 7e-3"]), max_size=8),
+        st.none() | st.integers(0, 4))
+    def test_header_line_changes_nothing_but_line_numbers(self, tmp_path_factory,
+                                                           body, top_n):
+        # The header names the dimension of the first record, as a file's
+        # writer would, so both files describe the same table. A first
+        # record with no components has no dimension to name.
+        first = next((line.split() for line in body if line), ["w0", "1"])
+        assume(len(first) > 1)
+        text = "\n".join(body) + "\n"
+        folder = tmp_path_factory.mktemp("header")
+        bare = write(folder, text, "bare.txt")
+        headed = write(folder, f"{len(body)} {len(first) - 1}\n" + text, "headed.txt")
+        assert self.outcome(headed, top_n, 2) == self.outcome(bare, top_n, 1)
 
     def test_matrix_is_read_only(self, tmp_path):
         path = write(tmp_path, "a 1 0\n")
-        table = load_embeddings(path, format="headerless")
+        table = load_embeddings(path)
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 5.0
 

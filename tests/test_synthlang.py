@@ -174,7 +174,7 @@ class TestFixtureFiles:
 
         config = SynthConfig(n_roots=12, seed=9)
         vectors_path, gold_path = write_fixture(config, tmp_path / "fix")
-        table = load_embeddings(vectors_path, format="headered")
+        table = load_embeddings(vectors_path)
         words, expected_table, gold = generate(config)
         assert table.words == words
         assert np.allclose(table.matrix, expected_table.matrix, atol=1e-12)
