@@ -7,12 +7,7 @@ extractor over the validated rules.
 
 from .concat import PREFIX, SUFFIX, ConcatRule, enumerate_concat_rules
 from .config import Config, build_config
-from .embeddings import (
-    EmbeddingTable,
-    analogy_score,
-    cosine,
-    load_embeddings,
-)
+from .embeddings import EmbeddingTable, load_embeddings
 from .evalharness import EvalReport, evaluate
 from .pipeline import learn_rules
 from .extractor import ExtractionTrace, RootExtractor
@@ -36,8 +31,8 @@ __all__ = [
     "ConcatRule", "Config", "EmbeddingTable", "EvalReport", "ExtractionTrace",
     "GoldEntry", "MorphRule", "PREFIX", "RootExtractor", "RuleScores",
     "RuleStore", "SUFFIX", "SynthConfig", "Template", "Thresholds",
-    "analogy_score", "build_config", "cosine", "enumerate_concat_rules",
-    "enumerate_templatic_rules", "evaluate", "extract_templates", "generate",
-    "learn_rules", "load_embeddings", "load_rules", "prune_rules",
-    "rank_rules", "save_rules", "vocab_fingerprint", "write_fixture",
+    "build_config", "enumerate_concat_rules", "enumerate_templatic_rules",
+    "evaluate", "extract_templates", "generate", "learn_rules",
+    "load_embeddings", "load_rules", "prune_rules", "rank_rules", "save_rules",
+    "vocab_fingerprint", "write_fixture",
 ]

@@ -22,6 +22,7 @@ from .rules import (
     CONCATENATIVE,
     TEMPLATIC,
     RuleDbError,
+    ScoringSettings,
     load_rules,
     rank_rules,
     save_rules,
@@ -52,10 +53,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# The settings `extract` reads: those the rule DB fixes, plus two of its own.
+EXTRACT_SETTINGS = [f.name for f in dataclasses.fields(ScoringSettings)] + ["t_w_sem", "top_n"]
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names=SETTING_TYPES) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    for name, kind in SETTING_TYPES.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=kind)
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=SETTING_TYPES[name])
 
 
 def _config_from_args(args, learned: dict | None = None) -> Config:
@@ -64,7 +69,7 @@ def _config_from_args(args, learned: dict | None = None) -> Config:
     An unreadable config file is a data error; an invalid setting is a
     usage error.
     """
-    flag_values = {name: getattr(args, name) for name in SETTING_TYPES}
+    flag_values = {name: getattr(args, name, None) for name in SETTING_TYPES}
     try:
         file_values = read_config_file(args.config) if args.config else {}
         return build_config({**(learned or {}), **file_values}, flag_values)
@@ -98,7 +103,7 @@ def build_parser() -> _Parser:
     p_extract.add_argument("--limited", action="store_true",
                            help="concatenative rules only")
     p_extract.add_argument("--out", help="write trace lines here instead of stdout")
-    _add_config_flags(p_extract)
+    _add_config_flags(p_extract, EXTRACT_SETTINGS)
 
     p_synth = sub.add_parser("synth", help="generate a planted-rule fixture")
     p_synth.add_argument("--out", required=True, help="output directory")

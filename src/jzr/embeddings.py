@@ -1,11 +1,10 @@
-"""Word vector tables plus the cosine and analogy arithmetic used for scoring."""
+"""Word vector tables: loading a vector file and checking its words and vectors."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,16 +31,8 @@ class DimensionMismatchError(EmbeddingError):
     """A record's component count disagrees with the table dimension."""
 
 
-class UnknownWordError(KeyError):
-    """Lookup of a word absent from the table."""
-
-
 class InvalidWordError(ValueError):
     """A word is empty or contains whitespace or a control character."""
-
-
-class ZeroVectorWarning(UserWarning):
-    """A cosine operand had (near-)zero norm; the result was defined as 0.0."""
 
 
 def validate_word(text: str) -> str:
@@ -91,8 +82,7 @@ class EmbeddingTable:
         self.duplicates_dropped = int(duplicates_dropped)
 
     @classmethod
-    def from_vectors(cls, words, vectors, normalize: bool = True,
-                     duplicates_dropped: int = 0) -> "EmbeddingTable":
+    def from_vectors(cls, words, vectors, normalize: bool = True) -> "EmbeddingTable":
         mat = np.array(vectors, dtype=np.float64)
         if normalize:
             if mat.size:
@@ -100,13 +90,7 @@ class EmbeddingTable:
                 if (norms <= _NORM_EPS).any():
                     raise VectorParseError("cannot normalize a zero vector")
                 mat = mat / norms[:, None]
-        return cls(words, mat, duplicates_dropped=duplicates_dropped)
-
-    def lookup(self, word: str) -> np.ndarray:
-        try:
-            return self.matrix[self.index[word]]
-        except KeyError:
-            raise UnknownWordError(word) from None
+        return cls(words, mat)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -163,7 +147,10 @@ def load_embeddings(path, top_n: int | None = None) -> EmbeddingTable:
                 continue
             saw_record = True
             if top_n is not None and len(words) >= top_n:
-                if dim is None and len(parts) > 1:
+                # A headerless file's first record still gives the dimension.
+                if dim is None:
+                    if len(parts) == 1:
+                        raise VectorParseError(f"line {lineno}: no vector components")
                     dim = len(parts) - 1
                 break
             word = parts[0]
@@ -202,27 +189,3 @@ def load_embeddings(path, top_n: int | None = None) -> EmbeddingTable:
     mat = np.array(rows, dtype=np.float64).reshape(len(words), dim)
     return EmbeddingTable(words, mat, duplicates_dropped=duplicates)
 
-
-def cosine(a, b) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm operands yield 0.0 with a warning."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= _NORM_EPS or nb <= _NORM_EPS:
-        warnings.warn("zero-norm operand; cosine defined as 0.0",
-                      ZeroVectorWarning, stacklevel=2)
-        return 0.0
-    val = float(np.dot(a, b) / (na * nb))
-    return max(-1.0, min(1.0, val))
-
-
-def analogy_score(table: EmbeddingTable, w1: str, w2: str, w3: str, w4: str) -> float:
-    """cos(v_w4, v_w2 - v_w1 + v_w3): how well (w3, w4) mirrors the offset of (w1, w2)."""
-    v1 = table.lookup(w1)
-    v2 = table.lookup(w2)
-    v3 = table.lookup(w3)
-    v4 = table.lookup(w4)
-    return cosine(v4, v2 - v1 + v3)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import EmbeddingTable
+from .embeddings import _NORM_EPS, EmbeddingTable
 from .templatic import Template, parse_template
 
 CONCATENATIVE = "concatenative"
@@ -130,13 +130,15 @@ def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
                   t_cos: float) -> np.ndarray:
     """Per query pair (w1[q], w2[q]): the offsets o with cos(o + w1[q], w2[q]) > t_cos.
 
-    A target or query vector of (near-)zero norm counts as cosine 0.0.
+    A target o + w1[q] or query w2[q] whose own norm is at most `_NORM_EPS`
+    counts as cosine 0.0. This is the package's only cosine.
     """
     targets = offsets[None, :, :] + w1[:, None, :]
     dots = np.einsum("qid,qd->qi", targets, w2)
-    denom = np.linalg.norm(targets, axis=2) * np.linalg.norm(w2, axis=1)[:, None]
-    ok = denom > 1e-12
-    cos = np.where(ok, dots / np.where(ok, denom, 1.0), 0.0)
+    target_norms = np.linalg.norm(targets, axis=2)
+    query_norms = np.linalg.norm(w2, axis=1)[:, None]
+    ok = (target_norms > _NORM_EPS) & (query_norms > _NORM_EPS)
+    cos = np.divide(dots, target_norms * query_norms, out=np.zeros_like(dots), where=ok)
     return np.count_nonzero(cos > t_cos, axis=1)
 
 
@@ -202,9 +204,6 @@ class RuleStore:
 
     def __len__(self) -> int:
         return len(self._rules)
-
-    def __contains__(self, ks: str) -> bool:
-        return self.get(ks) is not None
 
     def get(self, ks: str) -> MorphRule | None:
         """The first rule whose key text is `ks`, found by a scan of the store."""

@@ -2,18 +2,19 @@
 
 Everything here favors obviousness over speed: all-pairs scans, no indexing,
 no vectorization. Keep it that way; the whole point is independence from the
-implementation under test. Two pieces are borrowed: `support_sample`, which
-only names the seeded sample a score is taken over, and `analogy_score`, the
-cosine of a single analogy, which the brute-force scores count over.
+implementation under test. One piece is borrowed: `support_sample`, which
+only names the seeded sample a score is taken over.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import unicodedata
 
+import numpy as np
+
 from jzr.concat import ConcatRule
-from jzr.embeddings import analogy_score
 from jzr.rules import support_sample
 from jzr.templatic import Template
 
@@ -92,8 +93,24 @@ def brute_templatic_rules(vocab, max_derived_len=12):
     return {t: tuple(sorted(pairs)) for t, pairs in out.items()}
 
 
+def analogy_score(table, w1: str, w2: str, w3: str, w4: str) -> float:
+    """cos(v_w4, v_w2 - v_w1 + v_w3): how well (w3, w4) mirrors the offset of (w1, w2).
+
+    Either vector with a norm of at most 1e-12 makes the cosine 0.0. A norm
+    is the square root of the summed squares; a norm taken through `dot`
+    can round one ulp apart and so land on the other side of the guard.
+    """
+    v1, v2, v3, v4 = (table.matrix[table.index[w]] for w in (w1, w2, w3, w4))
+    target = v2 - v1 + v3
+    target_norm = math.sqrt(np.sum(target * target))
+    query_norm = math.sqrt(np.sum(v4 * v4))
+    if target_norm <= 1e-12 or query_norm <= 1e-12:
+        return 0.0
+    return float(v4.dot(target) / (query_norm * target_norm))
+
+
 def brute_r_sem(table, pairs, t_cos: float) -> float:
-    """Ordered pair-of-pairs loop over the public analogy_score function."""
+    """Ordered pair-of-pairs loop over analogy_score."""
     n = len(pairs)
     count = 0
     for w1, w2 in pairs:

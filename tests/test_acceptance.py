@@ -13,6 +13,7 @@ import pytest
 
 from conftest import random_table
 from oracles import (
+    analogy_score,
     brute_concat_rules,
     brute_r_sem,
     brute_templatic_rules,
@@ -20,7 +21,6 @@ from oracles import (
 )
 from jzr.concat import ConcatRule, enumerate_concat_rules
 from jzr.config import Config
-from jzr.embeddings import analogy_score
 from jzr.evalharness import evaluate
 from jzr.pipeline import learn_rules
 from jzr.rules import (

@@ -10,6 +10,9 @@ from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
 from jzr.synthlang import SynthConfig, load_gold, write_fixture
 
+# The settings the rule DB fixes, plus the two extraction reads itself.
+EXTRACT_SETTINGS = {"t_cos_sim", "sample_cap", "seed", "t_w_sem", "top_n"}
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -58,8 +61,8 @@ class TestLearn:
     def test_validated_rules_present(self, workspace):
         _, _, db = workspace
         store = load_rules(db)
-        assert "concat:prefix:>wA" in store
-        assert "tmpl:ma<C1><C2>a<C3>u" in store
+        assert store.get("concat:prefix:>wA") is not None
+        assert store.get("tmpl:ma<C1><C2>a<C3>u") is not None
 
     def test_empty_after_cap(self, tmp_path, workspace, capsys):
         _, fix, _ = workspace
@@ -197,6 +200,26 @@ class TestExtract:
         assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
                      "--word", "abcd", "--t-cos-sim", "0.5", "--sample-cap", "100",
                      "--seed", "42"]) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-r-sem", "0.2"), ("--t-r-orth", "5"), ("--max-affix", "1"),
+        ("--min-stem", "3"), ("--max-derived-len", "10"),
+    ])
+    def test_learn_only_flag_is_usage_error(self, workspace, capsys, flag, value):
+        _, fix, db = workspace
+        code = main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
+                     "--word", "abcd", flag, value])
+        assert code == 1
+        assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_config_file_may_hold_learn_only_settings(self, workspace, tmp_path):
+        # One config file serves both commands; extract ignores what it does not read.
+        _, fix, db = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_r_orth": 5, "max_affix": 1, "t_cos_sim": 0.5}),
+                       encoding="utf-8")
+        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
+                     "--word", "abcd", "--config", str(cfg)]) == 0
 
     def test_format_1_db_is_refused(self, workspace, tmp_path, capsys):
         _, fix, _ = workspace
@@ -362,9 +385,11 @@ class TestUsageAndConfig:
     ])
     def test_config_flags_match_setting_names(self, argv, own_dests):
         # The config is read by setting name only, so a flag without a
-        # setting would be parsed and then silently ignored.
+        # setting would be parsed and then silently ignored. `learn` takes
+        # every setting; `extract` only those it reads.
         dests = set(vars(cli.build_parser().parse_args(argv)))
-        assert dests - own_dests - {"command", "config"} == set(SETTING_TYPES)
+        expected = {"learn": set(SETTING_TYPES), "extract": EXTRACT_SETTINGS}[argv[0]]
+        assert dests - own_dests - {"command", "config"} == expected
 
     def test_invalid_synth_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "fix"), "--n-roots", "0"]) == 1

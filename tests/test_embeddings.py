@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import random_table
 from oracles import brute_valid_word
+from jzr.concat import ConcatRule
 from jzr.embeddings import (
     DimensionMismatchError,
     EmbeddingError,
     EmbeddingTable,
     EmptyFileError,
     InvalidWordError,
-    UnknownWordError,
     VectorParseError,
-    ZeroVectorWarning,
-    analogy_score,
-    cosine,
     load_embeddings,
     validate_word,
 )
+from jzr.rules import MorphRule, ScoringSettings, _count_passes, score_rule
 
 
 def write(tmp_path, text, name="vecs.txt"):
@@ -36,14 +34,14 @@ class TestLoad:
         path = write(tmp_path, "a 3 4\nb 0 2\n")
         table = load_embeddings(path)
         assert table.dim == 2
-        assert np.allclose(table.lookup("a"), [0.6, 0.8])
-        assert np.allclose(table.lookup("b"), [0.0, 1.0])
+        assert np.allclose(table.matrix[table.index["a"]], [0.6, 0.8])
+        assert np.allclose(table.matrix[table.index["b"]], [0.0, 1.0])
 
     def test_unit_vector_loads_as_itself(self, tmp_path):
         path = write(tmp_path, "x 1 0 0\n")
         table = load_embeddings(path)
         assert table.dim == 3
-        assert np.array_equal(table.lookup("x"), [1.0, 0.0, 0.0])
+        assert np.array_equal(table.matrix[table.index["x"]], [1.0, 0.0, 0.0])
 
     def test_duplicate_first_wins(self, tmp_path):
         path = write(tmp_path, "a 1 2\na 9 9\n")
@@ -51,7 +49,7 @@ class TestLoad:
         assert len(table) == 1
         assert table.duplicates_dropped == 1
         expected = np.array([1.0, 2.0]) / math.sqrt(5.0)
-        assert np.allclose(table.lookup("a"), expected)
+        assert np.allclose(table.matrix[table.index["a"]], expected)
 
     def test_headered_format(self, tmp_path):
         path = write(tmp_path, "2 3\nfoo 1 0 0\nbar 0 1 0\n")
@@ -111,6 +109,15 @@ class TestLoad:
         path = write(tmp_path, "a 1 0\nb 0 1\n")
         table = load_embeddings(path, top_n=0)
         assert len(table) == 0
+
+    def test_top_n_zero_still_checks_the_dimension_of_a_headerless_file(self, tmp_path):
+        # Without a header the first record gives the dimension, so it is
+        # read even when no record is kept, and refused like any other.
+        with pytest.raises(VectorParseError, match="^line 1: no vector components"):
+            load_embeddings(write(tmp_path, "w7\nb 0 1\n"), top_n=0)
+        table = load_embeddings(write(tmp_path, "2 2\na 1 0\nb 0 1\n", "headed.txt"),
+                                top_n=0)
+        assert len(table) == 0 and table.dim == 2
 
     def test_unit_norms_invariant(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -205,25 +212,37 @@ class TestWordValidation:
             assert self.accepts(chr(code)) == brute_valid_word(chr(code)), hex(code)
 
 
+def kernel_passes(target, query, t_cos):
+    """Whether the scoring kernel counts cos(target, query) > t_cos."""
+    target, query = np.asarray(target, dtype=float), np.asarray(query, dtype=float)
+    return _count_passes(np.zeros((1, len(target))), query[None], target[None],
+                         t_cos).tolist() == [1]
+
+
+def kernel_cosine_is(target, query, expected, tol=1e-12):
+    """The kernel passes `expected - tol` and fails `expected + tol`."""
+    return (kernel_passes(target, query, expected - tol)
+            and not kernel_passes(target, query, expected + tol))
+
+
+def singleton_sem(table, w1, w2, t_cos):
+    rule = MorphRule(ConcatRule("prefix", "", "x"), ((w1, w2),))
+    return score_rule(rule, table, ScoringSettings(t_cos, 100, 42)).sem
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([2.0, -3.0, 1.0])
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert kernel_passes(v, v, 1.0 - 1e-12)
 
     def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        # Exactly 0.0: it passes any negative threshold and fails 0.0.
+        assert kernel_passes([1.0, 0.0], [0.0, 1.0], -1e-300)
+        assert not kernel_passes([1.0, 0.0], [0.0, 1.0], 0.0)
 
     def test_hand_computed(self):
         # cos((1,1),(2,0)) = 1/sqrt(2)
-        assert cosine([1.0, 1.0], [2.0, 0.0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    def test_zero_vector_flagged(self):
-        with pytest.warns(ZeroVectorWarning):
-            assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+        assert kernel_cosine_is([1.0, 1.0], [2.0, 0.0], 1 / math.sqrt(2))
 
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=8),
@@ -234,22 +253,23 @@ class TestCosine:
         w = np.arange(1.0, len(comps) + 1.0)
         if np.linalg.norm(v) < 1e-6:
             return
-        assert abs(cosine(v * scale, w) - cosine(v, w)) < 1e-9
+        expected = v.dot(w) / (np.linalg.norm(v) * np.linalg.norm(w))
+        assert kernel_cosine_is(v * scale, w, expected, tol=1e-9)
 
 
 class TestAnalogy:
+    # A singleton rule's sem is 1.0 when its pair passes against its own
+    # offset, cos(v_w2 - v_w1 + v_w1, v_w2) > t_cos, and 0.0 otherwise.
     def test_identity_pair_scores_one(self):
         table = random_table(10, 16, seed=3)
-        score = analogy_score(table, "w0", "w1", "w0", "w1")
-        assert score == pytest.approx(1.0, abs=1e-6)
+        assert singleton_sem(table, "w0", "w1", 1.0 - 1e-6) == 1.0
 
     def test_identity_pairs_random_table(self):
         table = random_table(60, 32, seed=5)
         rng = np.random.default_rng(9)
         for _ in range(200):
             i, j = rng.choice(60, size=2, replace=False)
-            got = analogy_score(table, f"w{i}", f"w{j}", f"w{i}", f"w{j}")
-            assert abs(got - 1.0) < 1e-6
+            assert singleton_sem(table, f"w{i}", f"w{j}", 1.0 - 1e-6) == 1.0
 
     def test_exact_offset_plants_score_one(self):
         # v_b = v_a + o and v_d = v_c + o exactly; no renormalization.
@@ -258,7 +278,9 @@ class TestAnalogy:
         table = EmbeddingTable.from_vectors(
             ["a", "b", "c", "d"], [a, a + o, c, c + o], normalize=False
         )
-        assert analogy_score(table, "a", "b", "c", "d") == pytest.approx(1.0, abs=1e-12)
+        rule = MorphRule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "d")))
+        scores = score_rule(rule, table, ScoringSettings(1.0 - 1e-12, 100, 42))
+        assert (scores.sem, scores.w_sem) == (1.0, (1.0, 1.0))
 
     def test_random_words_rarely_analogous(self):
         # Monte-Carlo: with 64-d Gaussian vectors the analogy cosine is
@@ -268,16 +290,11 @@ class TestAnalogy:
         trials = 10_000
         hits = 0
         for _ in range(trials):
-            i1, i2, i3, i4 = rng.choice(400, size=4, replace=False)
-            score = analogy_score(table, f"w{i1}", f"w{i2}", f"w{i3}", f"w{i4}")
-            if abs(score) >= 0.5:
+            v1, v2, v3, v4 = table.matrix[rng.choice(400, size=4, replace=False)]
+            target = v2 - v1 + v3
+            if kernel_passes(target, v4, 0.5) or not kernel_passes(target, v4, -0.5):
                 hits += 1
         assert hits / trials < 0.01
-
-    def test_unknown_word(self):
-        table = random_table(4, 8, seed=1)
-        with pytest.raises(UnknownWordError):
-            analogy_score(table, "w0", "w1", "w2", "nope")
 
 
 class TestFromVectors:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import fail_writes_halfway
+from oracles import analogy_score
 from jzr.concat import PREFIX, ConcatRule
-from jzr.embeddings import analogy_score
 from jzr.rules import MorphRule, ScoringSettings, score_rule
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
