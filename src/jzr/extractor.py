@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
-from .embeddings import EmbeddingTable, validate_word
+from .embeddings import EmbeddingTable, InvalidWordError, validate_word
 from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
 from .templatic import Template
 
@@ -41,7 +43,10 @@ class ExtractionTrace:
         return f"{self.start}\t{self.final}\t{self.status}\t{steps}"
 
 
-def _trace(word: str, steps: dict[str, TraceStep]) -> ExtractionTrace:
+_NO_STEPS: Mapping[str, TraceStep] = MappingProxyType({})
+
+
+def _trace(word: str, steps: Mapping[str, TraceStep] = _NO_STEPS) -> ExtractionTrace:
     """Follow `steps` from `word` until none is left. Every step shortens
     the word, so the walk ends."""
     chain, current = [], word
@@ -62,9 +67,13 @@ class RootExtractor:
     extraction and once for limited, which leaves templates out. A step
     ranks by stage, then by w_sem, then by its rule's prune order (sem,
     orth, key text), then by source word. Following those steps from each
-    derived word then gives its whole trace, built once per mode, so
-    `extract` is one dictionary lookup; at 7.2k words the traces take
-    about 2.5 MB. No vectors are read: `table` only has to be the
+    derived word then gives its whole trace, built once per mode. A
+    vocabulary word with no step in a mode (a root, or under `limited` a
+    word derived only by templates) gets its no-step trace then too. So
+    `extract` is one dictionary lookup for every vocabulary word and every
+    valid derived word; only an unknown word is checked with
+    `validate_word` and traced per call. At 7.2k words the traces take
+    about 2.6 MB. No vectors are read: `table` only has to be the
     vocabulary the store was learned from.
 
     `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
@@ -124,18 +133,34 @@ class RootExtractor:
         limited_steps = {w2: step(rank) for w2, rank in limited.items()}
         full_steps = {w2: limited_steps[w2] if rank is limited.get(w2) else step(rank)
                       for w2, rank in full.items()}
-        self._limited = {w2: _trace(w2, limited_steps) for w2 in limited_steps}
-        self._full = {w2: _trace(w2, full_steps) for w2 in full_steps}
+
+        def known(word: str) -> bool:
+            """Whether `word` may key a trace; the table checked its own words."""
+            try:
+                return word in table.index or validate_word(word) == word
+            except InvalidWordError:
+                return False
+
+        # Full mode has a step wherever limited mode has one.
+        self._full = {w2: _trace(w2, full_steps) for w2 in full_steps if known(w2)}
+        self._limited = {w2: _trace(w2, limited_steps) for w2 in limited_steps
+                         if w2 in self._full}
+        for word in table.words:
+            if word not in self._limited:
+                trace = _trace(word)
+                self._full.setdefault(word, trace)
+                self._limited[word] = trace
 
     def extract(self, word: str, limited: bool = False) -> ExtractionTrace:
         """The trace of inverting rules until three letters remain or no
         step is feasible, as built with the extractor.
 
         `limited` masks templates out, leaving concatenative rules only. A
-        word shorter than three letters has no feasible step.
+        word shorter than three letters has no feasible step. A word the
+        extractor does not know is checked first: an empty word or one with
+        whitespace or a control character raises InvalidWordError.
         """
-        validate_word(word)
         trace = (self._limited if limited else self._full).get(word)
-        # A word with no step is a root, an unknown word or one of at most
-        # three letters.
-        return trace if trace is not None else _trace(word, {})
+        # Every word with a built trace was checked at build time; any other
+        # has no step.
+        return trace if trace is not None else _trace(validate_word(word))

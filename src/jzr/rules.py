@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import _NORM_EPS, EmbeddingTable
+from .embeddings import _NORM_EPS, EmbeddingTable, validate_word
 from .templatic import Template, parse_template
 
 CONCATENATIVE = "concatenative"
@@ -349,8 +349,9 @@ def load_rules(path) -> RuleStore:
     """Read a rule DB written by save_rules, checking every record.
 
     Raises RuleDbError, with the line number, for a malformed record, a
-    repeated rule, a support that is unsorted or repeats a pair, a pair
-    count other than the rule's orth, or a w_sem outside [0, 1].
+    pair word that `validate_word` rejects, a repeated rule, a support that
+    is unsorted or repeats a pair, a pair count other than the rule's orth,
+    or a w_sem outside [0, 1].
     """
     rules: list[MorphRule] = []
     vocab_hash = ""
@@ -391,7 +392,7 @@ def load_rules(path) -> RuleStore:
                         raise ValueError("pair record before any rule record")
                     if len(fields) != 4:
                         raise ValueError("pair record needs two words and one w_sem")
-                    pair = (fields[1], fields[2])
+                    pair = (validate_word(fields[1]), validate_word(fields[2]))
                     if current_pairs and pair <= current_pairs[-1]:
                         problem = "repeats" if pair == current_pairs[-1] else "is unsorted at"
                         raise ValueError(f"support {problem} {pair!r}")

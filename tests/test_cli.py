@@ -163,6 +163,24 @@ class TestExtract:
                out_file.read_text(encoding="utf-8").strip().splitlines()]
         assert got == words
 
+    @pytest.mark.parametrize("flags", [[], ["--limited"]])
+    def test_repeated_words_print_their_single_word_lines(self, workspace, tmp_path,
+                                                          capsys, flags):
+        _, fix, db = workspace
+        gold = load_gold(fix / "gold.tsv")
+        derived = next(w for w, e in gold.items() if len(e.chain) == 2)
+        root = next(w for w, e in gold.items() if not e.chain)
+        words = [derived, root, derived, "notaword", derived, root, "ab"]
+        argv = ["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt")] + flags
+        single = {}
+        for word in set(words):
+            assert main(argv + ["--word", word]) == 0
+            single[word] = capsys.readouterr().out
+        words_file = tmp_path / "words.txt"
+        words_file.write_text("\n".join(words) + "\n", encoding="utf-8")
+        assert main(argv + ["--words", str(words_file)]) == 0
+        assert capsys.readouterr().out == "".join(single[w] for w in words)
+
     def test_limited_flag(self, workspace, capsys):
         _, fix, db = workspace
         gold = load_gold(fix / "gold.tsv")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_extract
+from oracles import brute_extract, brute_valid_word
 from jzr.concat import ConcatRule
-from jzr.embeddings import EmbeddingTable
+from jzr.embeddings import EmbeddingTable, InvalidWordError
 from jzr.extractor import (
     INFEASIBLE_STOP,
     REACHED_TRILITERAL,
@@ -185,6 +185,8 @@ KEYS = (ConcatRule("prefix", "", "al"), ConcatRule("prefix", "al", ""),
         ConcatRule("prefix", "al", "wa"), ConcatRule("suffix", "", "at"),
         ConcatRule("suffix", "a", "iyn"), PLACE, Template(("", "A", "i", "")))
 SAMPLE_CAP = 6
+# Whitespace and control characters, each of which makes a word invalid.
+BAD_CHARS = " \t\n\x00\x07\x7f\x85\u3000"
 
 
 @st.composite
@@ -194,7 +196,9 @@ def small_stores(draw):
     Supports ignore orthography on purpose: the extractor must follow them
     as given. Two-dimensional vectors make analogy passes, and so w_sem
     ties, common; sem and orth are drawn apart from the scored ones so that
-    the sem and orth tie-breaks often disagree.
+    the sem and orth tie-breaks often disagree. The first rule's support
+    may also hold a pair whose derived word is invalid and has no vector,
+    with w_sem 1.0, as a hand-built store can.
     """
     words = draw(st.lists(st.text("abkt", min_size=2, max_size=7),
                           min_size=2, max_size=9, unique=True))
@@ -205,31 +209,63 @@ def small_stores(draw):
                             t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
     seed = draw(st.integers(0, 3))
     scoring = ScoringSettings(thresholds.t_cos_sim, SAMPLE_CAP, seed)
+    sources = [w for w in words if len(w) >= 3]
+    invalid_pair = None
+    if sources and draw(st.booleans()):
+        source = draw(st.sampled_from(sources))
+        invalid_pair = (source, source + draw(st.sampled_from(BAD_CHARS)))
     rules = []
     for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
         support = draw(st.lists(st.sampled_from(pairs), min_size=1,
                                 max_size=3 * SAMPLE_CAP, unique=True))
+        if invalid_pair and not rules:
+            support.append(invalid_pair)
         rule = MorphRule(key, tuple(sorted(support)))
         scores = score_rule(rule, table, scoring)
-        rule.scores = replace(scores, sem=draw(st.sampled_from([0.5, 1.0])),
+        w_sem = [1.0 if pair == invalid_pair else s
+                 for pair, s in zip(rule.support, scores.w_sem)]
+        rule.scores = replace(scores, w_sem=tuple(w_sem),
+                              sem=draw(st.sampled_from([0.5, 1.0])),
                               orth=draw(st.integers(21, 23)))
         rules.append(rule)
     return RuleStore(rules, scoring=scoring), table, thresholds
 
 
+# Words outside the vocabulary: valid ones of three letters or more,
+# shorter ones, and invalid ones (empty, or with a whitespace or control
+# character).
+OTHER_WORDS = st.one_of(
+    st.text("abktz", min_size=3, max_size=8),
+    st.text("abkt", min_size=1, max_size=2),
+    st.just(""),
+    st.builds(lambda head, bad, tail: head + bad + tail, st.text("abkt", max_size=3),
+              st.sampled_from(BAD_CHARS), st.text("abkt", max_size=3)),
+)
+
+
 class TestOracle:
     @settings(max_examples=200)
-    @given(small_stores(), st.booleans())
-    def test_extract_matches_brute_extract(self, world, limited):
+    @given(small_stores(), st.lists(OTHER_WORDS, max_size=6))
+    def test_extract_matches_brute_extract(self, world, others):
+        # Vocabulary words, derived words (an invalid one among them) and
+        # other words, in both modes: an invalid word raises, any other
+        # gets the oracle's trace, which for a word with no step is
+        # `_trace(word)`.
         store, table, th = world
         sc = store.scoring
         extractor = RootExtractor(store, table, th, sample_cap=sc.sample_cap, seed=sc.seed)
-        for word in table.words + ["zzzz"]:
-            trace = extractor.extract(word, limited=limited)
-            got = (trace.final, trace.status,
-                   [(s.rule, s.word, s.w_sem) for s in trace.steps])
-            assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem,
-                                        limited, sc.sample_cap, sc.seed)
+        derived = [w2 for rule in store for _, w2 in rule.support]
+        for limited in (False, True):
+            for word in dict.fromkeys(table.words + derived + others):
+                if not brute_valid_word(word):
+                    with pytest.raises(InvalidWordError):
+                        extractor.extract(word, limited=limited)
+                    continue
+                final, status, steps = brute_extract(store, table, word, th.t_cos_sim,
+                                                     th.t_w_sem, limited, sc.sample_cap,
+                                                     sc.seed)
+                assert extractor.extract(word, limited=limited) == ExtractionTrace(
+                    word, tuple(TraceStep(*s) for s in steps), final, status)
 
 
 class TestExtraction:
@@ -338,6 +374,22 @@ class TestExtraction:
     def test_rejects_invalid_word(self, small_world):
         with pytest.raises(ValueError):
             small_world[5].extract("two words")
+
+    def test_every_vocabulary_word_is_prebuilt(self, small_world):
+        # A prebuilt trace comes back as the same object on every call.
+        config, words, table, gold, _, extractor = small_world
+        for limited in (False, True):
+            for w in table.words:
+                assert extractor.extract(w, limited=limited) is extractor.extract(
+                    w, limited=limited)
+        root = next(w for w in words if not gold[w].chain)
+        assert extractor.extract(root) is extractor.extract(root, limited=True)
+        template_keys = {t.key_str for t in config.templates}
+        template_only = next(w for w in words if gold[w].chain
+                             and all(k in template_keys for k in gold[w].chain))
+        trace = extractor.extract(template_only, limited=True)
+        assert trace.steps == ()
+        assert trace is extractor.extract(template_only, limited=True)
 
 
 class TestTraceFormat:

@@ -468,6 +468,11 @@ class TestDbRoundTrip:
         (lambda ls: ls[:5] + [ls[5][:-3] + "-0.0001"] + ls[6:], 6, "out of"),
         (lambda ls: ls[:5] + [ls[5][:-3] + "nan"] + ls[6:], 6, "out of"),
         (lambda ls: ls[:4] + [ls[5]] + ls[4:], 5, "before any rule"),
+        (lambda ls: ls[:5] + [ls[5].replace("\tjaras", "\t")] + ls[6:], 6, "non-empty"),
+        (lambda ls: ls[:5] + [ls[5].replace("\tjaras", "\tja ras")] + ls[6:], 6,
+         "whitespace or a control"),
+        (lambda ls: ls[:6] + [ls[6].replace("almaktab", "al\x07maktab")] + ls[7:], 7,
+         "whitespace or a control"),
         (lambda ls: ls[:4] + [ls[4][:-1] + "yes"] + ls[5:], 5, "sampled must be 0 or 1"),
         (lambda ls: ls[:3] + ["#scoring t_cos_sim=0.5 seed=42"] + ls[4:], 4, "#scoring"),
         (lambda ls: ls[:3] + [ls[3].replace("=0.5", "=5.0")] + ls[4:], 4, "t_cos_sim"),
