@@ -174,10 +174,8 @@ def cmd_extract(args) -> int:
     else:
         text = Path(args.words).read_text(encoding="utf-8")
         words = [line.strip() for line in text.splitlines() if line.strip()]
-    # Each distinct word is extracted and formatted once, in input order.
-    lines = {w: extractor.extract(w, limited=args.limited).format_line() + "\n"
-             for w in dict.fromkeys(words)}
-    _emit("".join(lines[w] for w in words), args.out)
+    lines = [extractor.extract(w, limited=args.limited).format_line() for w in words]
+    _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 
 

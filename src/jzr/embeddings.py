@@ -41,10 +41,6 @@ def validate_word(text: str) -> str:
     Words are non-empty and contain no whitespace or control characters.
     All lengths throughout the package are measured in code points.
     """
-    # Every whitespace or control character but the space is unprintable,
-    # so this test, cheaper than the search below, accepts only valid words.
-    if text and text.isprintable() and " " not in text:
-        return text
     if not text:
         raise InvalidWordError("word must be non-empty")
     if _INVALID_CHAR.search(text):

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .embeddings import EmbeddingTable, InvalidWordError, validate_word
 from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
@@ -43,10 +41,7 @@ class ExtractionTrace:
         return f"{self.start}\t{self.final}\t{self.status}\t{steps}"
 
 
-_NO_STEPS: Mapping[str, TraceStep] = MappingProxyType({})
-
-
-def _trace(word: str, steps: Mapping[str, TraceStep] = _NO_STEPS) -> ExtractionTrace:
+def _trace(word: str, steps: dict[str, TraceStep]) -> ExtractionTrace:
     """Follow `steps` from `word` until none is left. Every step shortens
     the word, so the walk ends."""
     chain, current = [], word
@@ -136,10 +131,13 @@ class RootExtractor:
 
         def known(word: str) -> bool:
             """Whether `word` may key a trace; the table checked its own words."""
+            if word in table.index:
+                return True
             try:
-                return word in table.index or validate_word(word) == word
+                validate_word(word)
             except InvalidWordError:
                 return False
+            return True
 
         # Full mode has a step wherever limited mode has one.
         self._full = {w2: _trace(w2, full_steps) for w2 in full_steps if known(w2)}
@@ -147,7 +145,7 @@ class RootExtractor:
                          if w2 in self._full}
         for word in table.words:
             if word not in self._limited:
-                trace = _trace(word)
+                trace = _trace(word, {})
                 self._full.setdefault(word, trace)
                 self._limited[word] = trace
 
@@ -163,4 +161,4 @@ class RootExtractor:
         trace = (self._limited if limited else self._full).get(word)
         # Every word with a built trace was checked at build time; any other
         # has no step.
-        return trace if trace is not None else _trace(validate_word(word))
+        return trace if trace is not None else _trace(validate_word(word), {})

@@ -300,6 +300,8 @@ def save_rules(store: RuleStore, path) -> None:
     """Write the rule DB: header lines, then one rule record plus its pairs.
 
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
+    A pair word that `validate_word` rejects raises InvalidWordError before
+    anything is written, as load_rules would refuse it.
     """
     sc = store.scoring
     if sc is None:
@@ -329,7 +331,7 @@ def save_rules(store: RuleStore, path) -> None:
                 f"rule\t{TEMPLATIC}\t{rule.key.pattern}\t{s.orth}\t{s.sem!r}\t{sampled}"
             )
         for (w1, w2), w_sem in zip(rule.support, s.w_sem):
-            lines.append(f"pair\t{w1}\t{w2}\t{w_sem!r}")
+            lines.append(f"pair\t{validate_word(w1)}\t{validate_word(w2)}\t{w_sem!r}")
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -363,6 +365,7 @@ def load_rules(path) -> RuleStore:
     current_scores: RuleScores | None = None
     current_pairs: list[Pair] = []
     current_w_sem: list[float] = []
+    checked: set[str] = set()
 
     def flush():
         if current_key is None:
@@ -392,7 +395,10 @@ def load_rules(path) -> RuleStore:
                         raise ValueError("pair record before any rule record")
                     if len(fields) != 4:
                         raise ValueError("pair record needs two words and one w_sem")
-                    pair = (validate_word(fields[1]), validate_word(fields[2]))
+                    pair = (fields[1], fields[2])
+                    for word in pair:
+                        if word not in checked:
+                            checked.add(validate_word(word))
                     if current_pairs and pair <= current_pairs[-1]:
                         problem = "repeats" if pair == current_pairs[-1] else "is unsorted at"
                         raise ValueError(f"support {problem} {pair!r}")

@@ -7,7 +7,7 @@ from conftest import fail_writes_halfway, random_table
 from oracles import brute_r_sem, brute_w_sem
 from jzr.concat import ConcatRule
 from jzr.config import Config
-from jzr.embeddings import EmbeddingTable
+from jzr.embeddings import EmbeddingTable, InvalidWordError
 from jzr.pipeline import learn_rules
 from jzr.rules import (
     MorphRule,
@@ -483,6 +483,17 @@ class TestDbRoundTrip:
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         with pytest.raises(RuleDbError, match=f"^line {lineno}: .*{message}"):
             load_rules(path)
+
+    @pytest.mark.parametrize("pair", [("maktab", "wa maktab"), ("", "wa"),
+                                      ("maktab", "wamak\x07tab")])
+    def test_save_refuses_a_pair_word_that_load_would_refuse(self, tmp_path, pair):
+        store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), (pair,),
+                                     RuleScores(1, 1.0, False, (1.0,)))],
+                          vocab_hash=vocab_fingerprint(["a"]), scoring=SCORING)
+        path = tmp_path / "rules.db"
+        with pytest.raises(InvalidWordError):
+            save_rules(store, path)
+        assert not path.exists()
 
     def test_missing_scoring_header(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
