@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demo on a planted fixture: mine rules, rank them, pull roots.
 
-Writes the fixture and rule DB under --workdir and prints the top rules plus
-a few extraction traces, so you can eyeball what the learner recovered.
+Writes the fixture, its vector cache and the rule DB under --workdir and
+prints the top rules plus a few extraction traces, so you can eyeball what
+the learner recovered.
 """
 
 import argparse

@@ -172,8 +172,10 @@ def cmd_extract(args) -> int:
     if args.word is not None:
         words = [args.word]
     else:
-        text = Path(args.words).read_text(encoding="utf-8")
-        words = [line.strip() for line in text.splitlines() if line.strip()]
+        # Split and strip only at characters no word holds, so that every
+        # other one reaches the word check, as a --word value does.
+        text = Path(args.words).read_bytes().decode("utf-8")
+        words = [w for w in (line.strip(" \t\r") for line in text.split("\n")) if w]
     lines = [extractor.extract(w, limited=args.limited).format_line() for w in words]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0

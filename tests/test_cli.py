@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import fail_writes_halfway
-from jzr import cli
+from jzr import cli, embeddings
 from jzr.cli import main
 from jzr.config import SETTING_TYPES
 from jzr.embeddings import load_embeddings
@@ -137,6 +137,21 @@ class TestExtract:
         assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
                      "--words", str(words)]) == 2
 
+    @pytest.mark.parametrize("line", ["ab\x85cd", "\u3000ktb", "ab\x0bcd", "ab\x1ccd",
+                                      "ab\u2028cd", "ab\rcd"])
+    def test_words_file_line_is_checked_as_its_word_flag(self, workspace, tmp_path,
+                                                         capsys, line):
+        _, fix, db = workspace
+        argv = ["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt")]
+        assert main(argv + ["--word", line]) == 2
+        word_err = capsys.readouterr().err
+        words = tmp_path / "words.txt"
+        words.write_bytes(f" {line}\t\r\n".encode("utf-8"))
+        assert main(argv + ["--words", str(words)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == word_err
+        assert "word contains whitespace or a control character" in word_err
+
     def test_single_word_trace(self, workspace, capsys):
         _, fix, db = workspace
         gold = load_gold(fix / "gold.tsv")
@@ -264,6 +279,34 @@ class TestExtract:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 4: {name}") and "usage error" not in err
+
+
+class TestVectorCache:
+    def test_outputs_are_the_same_on_a_cache_miss_and_a_hit(self, tmp_path, monkeypatch):
+        parses = []
+        real = embeddings._parse
+        monkeypatch.setattr(embeddings, "_parse",
+                            lambda *args: parses.append(args[2]) or real(*args))
+        vectors, gold = write_fixture(SynthConfig(n_roots=12, chain_depth=2, seed=5),
+                                      tmp_path / "fix")
+        cache = vectors.with_name(".vectors.txt.jzrcache.npz")
+        words = tmp_path / "words.txt"
+        gold_words = list(load_gold(gold))
+        words.write_text("".join(w + "\n" for w in gold_words), encoding="utf-8")
+        dbs, traces = [], []
+        for run in range(2):
+            dbs.append(tmp_path / f"rules{run}.db")
+            assert main(["learn", "--vectors", str(vectors), "--out", str(dbs[-1])]) == 0
+        assert parses == [vectors] and cache.exists()
+        cache.unlink()
+        for run in range(2):
+            traces.append(tmp_path / f"traces{run}.txt")
+            assert main(["extract", "--rules", str(dbs[0]), "--vectors", str(vectors),
+                         "--words", str(words), "--out", str(traces[-1])]) == 0
+        assert parses == [vectors, vectors]
+        assert dbs[0].read_bytes() == dbs[1].read_bytes()
+        assert traces[0].read_bytes() == traces[1].read_bytes()
+        assert len(traces[0].read_text(encoding="utf-8").splitlines()) == len(gold_words)
 
 
 class TestEval:

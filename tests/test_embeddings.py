@@ -1,6 +1,9 @@
 import math
+import os
 import re
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_table
 from oracles import brute_valid_word
+from jzr import embeddings
 from jzr.concat import ConcatRule
 from jzr.embeddings import (
     DimensionMismatchError,
@@ -184,6 +188,141 @@ class TestLoad:
         table = load_embeddings(path)
         with pytest.raises(ValueError):
             table.matrix[0, 0] = 5.0
+
+
+_PARSE = embeddings._parse
+
+
+def parsed(path, top_n=None):
+    """The table the text parser gives, with no cache involved."""
+    with open(path, encoding="utf-8") as fh:
+        return _PARSE(fh, top_n, path)
+
+
+def same_table(got, want):
+    return (got.words == want.words and got.dim == want.dim
+            and got.duplicates_dropped == want.duplicates_dropped
+            and got.matrix.shape == want.matrix.shape
+            and got.matrix.view(np.uint64).tobytes() == want.matrix.view(np.uint64).tobytes())
+
+
+def cache_of(path):
+    return path.with_name(f".{path.name}.jzrcache.npz")
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A list that grows by one entry per text parse."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return _PARSE(*args)
+
+    monkeypatch.setattr(embeddings, "_parse", counting)
+    return calls
+
+
+# One vector file: records of a few words (so some repeat) with non-zero rows,
+# fields split by spaces or tabs, blank lines between them, and maybe a header.
+_RECORD = st.tuples(
+    st.sampled_from(["a", "b", "ktb", "maktab", "كتب"]),
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)
+    .filter(lambda row: np.linalg.norm(row) > 1e-12),
+    st.sampled_from([" ", "\t", " \t "]),
+)
+_VECTOR_FILE = st.tuples(
+    st.booleans(),
+    st.lists(st.tuples(_RECORD, st.sampled_from(["", "\n", "  \t\n"])),
+             min_size=1, max_size=8),
+)
+
+
+def render(has_header, records):
+    lines = [f"{len(records)} 3\n"] if has_header else []
+    for (word, row, sep), blank in records:
+        lines.append(sep.join([word, *map(repr, row)]) + "\n" + blank)
+    return "".join(lines)
+
+
+class TestCache:
+    @given(_VECTOR_FILE, st.none() | st.integers(0, 6))
+    def test_warm_load_equals_the_parse(self, tmp_path_factory, vector_file, top_n):
+        path = write(tmp_path_factory.mktemp("cache"), render(*vector_file))
+        want = parsed(path, top_n)
+        cold = load_embeddings(path, top_n=top_n)
+        assert cache_of(path).exists()
+        with mock.patch.object(embeddings, "_parse", side_effect=AssertionError("parsed")):
+            warm = load_embeddings(path, top_n=top_n)
+        assert same_table(cold, want) and same_table(warm, want)
+        assert not warm.matrix.flags.writeable
+
+    def test_capped_load_of_a_long_file_is_cached(self, tmp_path, parses):
+        path = write(tmp_path, "".join(f"w{i} {i + 1} 1\n" for i in range(5000)))
+        for _ in range(2):
+            assert load_embeddings(path, top_n=2).words == ["w0", "w1"]
+        assert len(parses) == 1
+
+    def test_changed_bytes_of_the_same_size_and_mtime_are_parsed(self, tmp_path, parses):
+        path = write(tmp_path, "a 1 0\nb 0 1\n")
+        load_embeddings(path)
+        stamp = path.stat()
+        path.write_text("a 0 1\nb 1 0\n", encoding="utf-8")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        assert same_table(load_embeddings(path), parsed(path))
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("spoil", [
+        lambda cache: cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2]),
+        lambda cache: cache.write_bytes(b"a 1 0\n"),
+        lambda cache: load_embeddings(cache.with_name("vecs.txt"), top_n=1),
+    ], ids=["truncated", "not-npz", "other-top-n"])
+    def test_spoiled_cache_is_a_miss_and_is_rewritten(self, tmp_path, parses, spoil):
+        path = write(tmp_path, "a 1 0\nb 0 1\na 2 2\n")
+        load_embeddings(path)
+        spoil(cache_of(path))
+        del parses[:]
+        assert same_table(load_embeddings(path), parsed(path))
+        assert same_table(load_embeddings(path), parsed(path))
+        assert parses == [(None, path)]
+
+    @pytest.mark.parametrize("target", ["savez", "replace"])
+    def test_failed_cache_write_still_returns_the_table(self, tmp_path, monkeypatch, target):
+        def half_savez(fh, **arrays):
+            fh.write(b"PK\x03\x04")
+            raise OSError(28, "No space left on device")
+
+        def no_replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        if target == "savez":
+            monkeypatch.setattr(embeddings.np, "savez", half_savez)
+        else:
+            monkeypatch.setattr(embeddings.os, "replace", no_replace)
+        path = write(tmp_path, "a 1 0\nb 0 1\n")
+        assert same_table(load_embeddings(path), parsed(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+
+    def test_malformed_file_raises_alike_on_every_load_and_is_not_cached(self, tmp_path):
+        path = write(tmp_path, "a 1 0\nb 1\n")
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError, match="^line 2: expected 2"):
+                load_embeddings(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_and_not_cached(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("a 3 4\n",),
+                                  kwargs={"encoding": "utf-8"}, daemon=True)
+        writer.start()
+        table = load_embeddings(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert table.words == ["a"] and table.matrix.tolist() == [[0.6, 0.8]]
+        assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
 
 
 class TestWordValidation:
