@@ -17,8 +17,7 @@ def learn_rules(table: EmbeddingTable,
     rules that can clear the orthographic threshold; the rest keep sem 0.0.
     """
     cfg = config or Config()
-    # The candidate maps go straight into the store, so that they are freed
-    # once it holds their rules.
+    # The store takes the candidate maps over, so each candidate is held once.
     candidates = RuleStore.from_candidates(
         enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
                                min_stem=cfg.min_stem),

@@ -22,6 +22,10 @@ Pair = tuple[str, str]
 _DB_MAGIC = "#morphruledb 2"
 _V1_MAGIC = "#morphruledb 1"
 
+# `_count_passes` trusts an expanded |o + w1|² only above `_NORM_EPS`² plus
+# this fraction of |o|² + |w1|², which bounds its rounding many times over.
+_CANCEL = 1e-6
+
 
 class RuleDbError(ValueError):
     """Malformed rule database file."""
@@ -132,10 +136,24 @@ def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
 
     A target o + w1[q] or query w2[q] whose own norm is at most `_NORM_EPS`
     counts as cosine 0.0. This is the package's only cosine.
+
+    Most targets are never formed: (o + w1)·w2 = o·w2 + w1·w2 and
+    |o + w1|² = |o|² + 2·o·w1 + |w1|² come from two (q×d)(d×n) products.
+    The expansion rounds relative to |o|² + |w1|², so a target whose
+    expanded |o + w1|² is not clearly above `_NORM_EPS`² is formed and
+    summed directly, as the definition reads: near-cancellation (o == -w1
+    leaves a residual of either sign) and norms near the guard.
     """
-    targets = offsets[None, :, :] + w1[:, None, :]
-    dots = np.einsum("qid,qd->qi", targets, w2)
-    target_norms = np.linalg.norm(targets, axis=2)
+    oo = np.square(offsets).sum(axis=1)[None, :]
+    ww = np.square(w1).sum(axis=1)[:, None]
+    sq = oo + 2.0 * (w1 @ offsets.T) + ww
+    dots = w2 @ offsets.T + np.einsum("qd,qd->q", w1, w2)[:, None]
+    q, i = np.nonzero(sq <= _NORM_EPS * _NORM_EPS + _CANCEL * (oo + ww))
+    if len(q):
+        targets = offsets[i] + w1[q]
+        sq[q, i] = np.square(targets).sum(axis=1)
+        dots[q, i] = np.einsum("kd,kd->k", targets, w2[q])
+    target_norms = np.sqrt(sq)
     query_norms = np.linalg.norm(w2, axis=1)[:, None]
     ok = (target_norms > _NORM_EPS) & (query_norms > _NORM_EPS)
     cos = np.divide(dots, target_norms * query_norms, out=np.zeros_like(dots), where=ok)
@@ -195,9 +213,23 @@ class RuleStore:
 
     @classmethod
     def from_candidates(cls, concat_map, templatic_map, vocab_hash: str = "") -> "RuleStore":
-        rules = (MorphRule(k, v) for m in (concat_map, templatic_map) for k, v in m.items())
+        """The store of every mined candidate, concatenative rules first.
+
+        Both maps go from key to support. `concat_map` is consumed: it
+        becomes the store's own dict, each support replaced in place by its
+        MorphRule, and the templatic rules are appended to it, so no second
+        dict of the candidates is built. It must not be used afterwards.
+        """
         counts = {CONCATENATIVE: len(concat_map), TEMPLATIC: len(templatic_map)}
-        return cls(rules, vocab_hash=vocab_hash, candidate_counts=counts)
+        rules = concat_map
+        for key, support in rules.items():
+            rules[key] = MorphRule(key, support)
+        # A Template never equals a ConcatRule, so no concatenative rule is replaced.
+        for key, support in templatic_map.items():
+            rules[key] = MorphRule(key, support)
+        store = cls(vocab_hash=vocab_hash, candidate_counts=counts)
+        store._rules = rules
+        return store
 
     def __iter__(self):
         return iter(self._rules.values())

@@ -129,6 +129,21 @@ def brute_w_sem(table, pair, pairs, t_cos: float) -> float:
     return count / len(pairs)
 
 
+def tensor_count_passes(w1, w2, offsets, t_cos: float):
+    """Per query q, the offsets o with cos(o + w1[q], w2[q]) > t_cos, by the definition.
+
+    Forms every target o + w1[q] as one q×n×d tensor and takes each norm
+    from its summed squares; a norm of at most 1e-12 makes the cosine 0.0.
+    """
+    targets = offsets[None, :, :] + w1[:, None, :]
+    dots = np.einsum("qid,qd->qi", targets, w2)
+    target_norms = np.linalg.norm(targets, axis=2)
+    query_norms = np.linalg.norm(w2, axis=1)[:, None]
+    ok = (target_norms > 1e-12) & (query_norms > 1e-12)
+    cos = np.divide(dots, target_norms * query_norms, out=np.zeros_like(dots), where=ok)
+    return np.count_nonzero(cos > t_cos, axis=1)
+
+
 def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
                   limited: bool = False, sample_cap: int = 100, seed: int = 42):
     """Root extraction by plain loops over every rule's whole support.

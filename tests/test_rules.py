@@ -1,21 +1,27 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway, random_table
-from oracles import brute_r_sem, brute_w_sem
-from jzr.concat import ConcatRule
+from oracles import brute_r_sem, brute_w_sem, tensor_count_passes
+from jzr.concat import ConcatRule, enumerate_concat_rules
 from jzr.config import Config
-from jzr.embeddings import EmbeddingTable, InvalidWordError
+from jzr.embeddings import _NORM_EPS, EmbeddingTable, InvalidWordError
 from jzr.pipeline import learn_rules
 from jzr.rules import (
+    CONCATENATIVE,
+    TEMPLATIC,
     MorphRule,
     RuleDbError,
     RuleScores,
     RuleStore,
     ScoringSettings,
     Thresholds,
+    _count_passes,
     load_rules,
     prune_rules,
     rank_rules,
@@ -24,7 +30,8 @@ from jzr.rules import (
     support_sample,
     vocab_fingerprint,
 )
-from jzr.templatic import Template
+from jzr.synthlang import SynthConfig, generate
+from jzr.templatic import Template, enumerate_templatic_rules
 
 
 def offset_rule(n_pairs, dim=32, seed=0, noise=0.0, normalize=False):
@@ -395,6 +402,99 @@ class TestStoredWSem:
         assert rule.scores == RuleScores(3, 0.0, False)
         # Gated rules of one orth share one (frozen) scores object.
         assert twin.scores is rule.scores
+
+
+class TestCountPasses:
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=10_000),
+           st.integers(min_value=-14, max_value=3),
+           st.sampled_from([-0.5, 0.0, 0.3, 0.5, 0.9]),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.sampled_from([0.0, 0.5, 1.0, 2.0])), max_size=6),
+           st.lists(st.tuples(st.integers(0, 11), st.sampled_from([0.5, 1.0, 2.0])),
+                    max_size=3))
+    def test_counts_equal_the_tensor_formula(self, q, n, dim, seed, scale_exp, t_cos,
+                                             targets, queries):
+        # Each (i, j, f) of `targets` sets offset i to t - w1[j] for a random
+        # t of norm f * _NORM_EPS, putting target j, i below, at or above
+        # the guard; f = 0 sets it to -w1[j] exactly, whose zeroed first
+        # column is -0.0. Each (j, f) of `queries` rescales w2[j] likewise.
+        rng = np.random.default_rng(seed)
+        w1, w2 = rng.standard_normal((2, q, dim)) * 10.0 ** scale_exp
+        offsets = rng.standard_normal((n, dim)) * 10.0 ** scale_exp
+        w1[:, 0] = 0.0
+        for i, j, f in targets:
+            t = rng.standard_normal(dim)
+            t *= f * _NORM_EPS / np.linalg.norm(t)
+            offsets[i % n] = t - w1[j % q] if f else -w1[j % q]
+        for j, f in queries:
+            w2[j % q] *= f * _NORM_EPS / np.linalg.norm(w2[j % q])
+        got = _count_passes(w1, w2, offsets, t_cos)
+        assert got.tolist() == tensor_count_passes(w1, w2, offsets, t_cos).tolist()
+
+    def test_targets_within_ulps_of_the_guard(self):
+        # o and w1 are scaled so that the norm of o + w1 rounds to about
+        # _NORM_EPS with no cancellation; the query is twice the target, so
+        # the count is 1 exactly when the target clears the guard. Judged by
+        # the expansion's own rounding, about one draw in twelve lands on
+        # the wrong side.
+        rng = np.random.default_rng(3)
+        sides = set()
+        for _ in range(300):
+            w1, offsets = rng.standard_normal((2, 1, 8))
+            scale = _NORM_EPS / np.linalg.norm(w1 + offsets)
+            w1, offsets = w1 * scale, offsets * scale
+            w2 = 2.0 * (w1 + offsets)
+            expected = tensor_count_passes(w1, w2, offsets, 0.5).tolist()
+            assert _count_passes(w1, w2, offsets, 0.5).tolist() == expected
+            sides.add(expected[0])
+        assert sides == {0, 1}
+
+
+def old_way_store(table, cfg):
+    """The candidate store built from fresh maps, with RuleStore's own constructor."""
+    concat = enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
+                                    min_stem=cfg.min_stem)
+    templatic = enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len)
+    rules = [MorphRule(k, v) for m in (concat, templatic) for k, v in m.items()]
+    return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words),
+                     candidate_counts={CONCATENATIVE: len(concat), TEMPLATIC: len(templatic)})
+
+
+class TestFromCandidates:
+    @given(st.lists(st.text("abkt", min_size=2, max_size=6), min_size=1, max_size=40,
+                    unique=True),
+           st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=30)
+    def test_learned_store_equals_a_store_of_copies(self, words, seed, t_r_orth):
+        vectors = np.random.default_rng(seed).standard_normal((len(words), 8))
+        table = EmbeddingTable.from_vectors(words, vectors)
+        cfg = Config(thresholds=Thresholds(t_r_orth=t_r_orth))
+        candidates, _ = learn_rules(table, cfg)
+        expected = old_way_store(table, cfg)
+        expected.score_all(table, cfg.scoring, orth_gate=t_r_orth)
+        assert candidates == expected
+        assert [r.key for r in candidates] == [r.key for r in expected]
+
+    def test_adopting_the_maps_adds_only_the_rule_records(self):
+        # A second dict of the candidates would add about 40 bytes per rule
+        # on top of each MorphRule's own. Appending the templatic rules
+        # could also grow the dict's table, had the concatenative map fewer
+        # free slots than there are templates; this vocabulary's has enough.
+        _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
+        concat = enumerate_concat_rules(table.words)
+        templatic = enumerate_templatic_rules(table.words)
+        n = len(concat) + len(templatic)
+        record = sys.getsizeof(MorphRule(ConcatRule("prefix", "", "x"), ()))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = RuleStore.from_candidates(concat, templatic)
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store) == n
+        assert added < 1.25 * n * record
 
 
 SCORING = ScoringSettings(0.5, 100, 42)
