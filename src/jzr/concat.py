@@ -14,7 +14,7 @@ GROUP_CAP = 10_000
 
 
 class StemGroupOverflowWarning(UserWarning):
-    """A stem bucket exceeded GROUP_CAP and was skipped."""
+    """A stem carried more than GROUP_CAP affixes and was dropped."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -63,14 +63,15 @@ def enumerate_concat_rules(
 ) -> dict[ConcatRule, tuple[Pair, ...]]:
     """Group every stem-sharing ordered word pair under its canonical edge rule.
 
-    Words are indexed by their stripped remainders (up to `max_affix`
-    characters removed per side), so related pairs meet inside a shared stem
-    bucket instead of an all-pairs scan. Each ordered pair lands under
-    exactly one rule per side, the one whose stem is the longest shared run,
-    which keeps the rule map canonical. Both orientations are emitted; the
-    extractor's length constraint picks the direction later.
+    Each side indexes every split of a word into affix + stem (at most
+    `max_affix` characters stripped, at least `min_stem` kept) as affix ->
+    {stem: word}, and as stem -> [affixes] to name each affix's partners. A
+    canonical affix pair's support is the word pairs on the stems both
+    affixes carry; that stem is the pair's longest shared run, so each
+    ordered pair lands under one rule per side. Both orientations are
+    emitted; the extractor's length constraint picks the direction later.
 
-    Stem buckets larger than `GROUP_CAP` are skipped with a warning.
+    A stem with more than `GROUP_CAP` affixes is dropped with a warning.
     """
     if max_affix < 0:
         raise ValueError("max_affix must be non-negative")
@@ -78,40 +79,33 @@ def enumerate_concat_rules(
         raise ValueError("min_stem must be at least 1")
     words = list(dict.fromkeys(vocab))
 
-    rules: dict[ConcatRule, list[Pair]] = {}
+    rules: dict[ConcatRule, tuple[Pair, ...]] = {}
     for side in (PREFIX, SUFFIX):
-        buckets: dict[str, list[tuple[str, str]]] = {}
+        by_affix: dict[str, dict[str, str]] = {}
+        by_stem: dict[str, list[str]] = {}
         for w in words:
-            max_k = min(max_affix, len(w) - min_stem)
-            for k in range(max_k + 1):
+            for k in range(min(max_affix, len(w) - min_stem) + 1):
                 if side == PREFIX:
                     affix, stem = w[:k], w[k:]
                 else:
-                    affix = w[len(w) - k:] if k else ""
-                    stem = w[: len(w) - k] if k else w
-                buckets.setdefault(stem, []).append((affix, w))
-        for stem, entries in buckets.items():
-            if len(entries) > GROUP_CAP:
+                    affix, stem = w[len(w) - k:], w[: len(w) - k]
+                by_affix.setdefault(affix, {})[stem] = w
+                by_stem.setdefault(stem, []).append(affix)
+        for stem, affixes in by_stem.items():
+            if len(affixes) > GROUP_CAP:
                 warnings.warn(
-                    f"stem group {stem!r} has {len(entries)} entries, over the "
+                    f"stem group {stem!r} has {len(affixes)} entries, over the "
                     f"cap of {GROUP_CAP}; skipped",
                     StemGroupOverflowWarning,
                 )
-                continue
-            for a1, w1 in entries:
-                for a2, w2 in entries:
-                    if a1 == a2:
-                        continue
-                    # Non-canonical bucket for this pair: a longer shared stem exists.
-                    if a1 and a2:
-                        if side == PREFIX and a1[-1] == a2[-1]:
-                            continue
-                        if side == SUFFIX and a1[0] == a2[0]:
-                            continue
-                    rule = ConcatRule(side, a1, a2)
-                    rules.setdefault(rule, []).append((w1, w2))
-
-    # Values are replaced in place: no second map of every rule is built.
-    for rule, pairs in rules.items():
-        rules[rule] = tuple(sorted(pairs))
+                for affix in affixes:
+                    del by_affix[affix][stem]
+        edge = -1 if side == PREFIX else 0
+        for a1, stems1 in by_affix.items():
+            for a2 in dict.fromkeys(a for stem in stems1 for a in by_stem[stem]):
+                if a1 == a2 or (a1 and a2 and a1[edge] == a2[edge]):
+                    continue  # identity, or a longer shared run exists
+                stems2 = by_affix[a2]
+                rules[ConcatRule(side, a1, a2)] = tuple(sorted(
+                    (stems1[s], stems2[s]) for s in stems1.keys() & stems2.keys()))
     return rules

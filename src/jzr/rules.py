@@ -97,11 +97,7 @@ class MorphRule:
 
 def vocab_fingerprint(words) -> str:
     """Order-sensitive digest of a vocabulary, used to pin rule DBs to vectors."""
-    h = hashlib.sha256()
-    for w in words:
-        h.update(w.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    return hashlib.sha256("".join(f"{w}\n" for w in words).encode("utf-8")).hexdigest()
 
 
 def support_sample(rule: MorphRule, table: EmbeddingTable, sample_cap: int,
@@ -279,7 +275,9 @@ class RuleStore:
 
 
 def _order_key(rule: MorphRule):
-    return (-rule.scores.sem, -rule.scores.orth, rule.key.key_str)
+    # Two concatenative keys can print alike (prefix a>b -> "" and a -> b>);
+    # the key itself settles them, so the order never depends on insertion.
+    return (-rule.scores.sem, -rule.scores.orth, rule.key.key_str, rule.key)
 
 
 def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
@@ -397,7 +395,8 @@ def load_rules(path) -> RuleStore:
     current_scores: RuleScores | None = None
     current_pairs: list[Pair] = []
     current_w_sem: list[float] = []
-    checked: set[str] = set()
+    # One str per distinct pair word, each checked by validate_word once.
+    interned: dict[str, str] = {}
 
     def flush():
         if current_key is None:
@@ -427,10 +426,9 @@ def load_rules(path) -> RuleStore:
                         raise ValueError("pair record before any rule record")
                     if len(fields) != 4:
                         raise ValueError("pair record needs two words and one w_sem")
-                    pair = (fields[1], fields[2])
-                    for word in pair:
-                        if word not in checked:
-                            checked.add(validate_word(word))
+                    w1, w2 = fields[1], fields[2]
+                    pair = (interned.get(w1) or interned.setdefault(w1, validate_word(w1)),
+                            interned.get(w2) or interned.setdefault(w2, validate_word(w2)))
                     if current_pairs and pair <= current_pairs[-1]:
                         problem = "repeats" if pair == current_pairs[-1] else "is unsorted at"
                         raise ValueError(f"support {problem} {pair!r}")

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,17 @@ class TestEnumeration:
     def test_matches_brute_force_parametrized(self, vocab, max_affix, min_stem):
         got = enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
         assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
+
+    @given(small_vocab, st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60)
+    def test_group_cap_matches_brute_force(self, vocab, cap, max_affix, min_stem):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(concat, "GROUP_CAP", cap)
+            warnings.simplefilter("ignore", StemGroupOverflowWarning)
+            got = enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
+        assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem,
+                                         group_cap=cap)
 
     @given(small_vocab)
     def test_symmetry(self, vocab):

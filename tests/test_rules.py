@@ -305,6 +305,14 @@ class TestStoreAndPrune:
         assert store.get("concat:prefix:a>b>") is a
         assert store.get("concat:prefix:a>") is None
 
+    def test_prune_orders_rules_with_the_same_key_text_by_key(self):
+        a = self.scored(ConcatRule("prefix", "a>b", ""), 25, 0.5)
+        b = self.scored(ConcatRule("prefix", "a", "b>"), 25, 0.5)
+        assert a.key.key_str == b.key.key_str
+        for rules in ([a, b], [b, a]):
+            pruned = prune_rules(self.build_store(rules), Thresholds())
+            assert [r.key for r in pruned] == [b.key, a.key]
+
     def test_records_have_no_instance_dict(self):
         records = [ConcatRule("prefix", "", "x"), Template(("m", "", "", "")),
                    MorphRule(ConcatRule("prefix", "", "x"), ()), RuleScores(0, 0.0, False)]
@@ -534,6 +542,14 @@ class TestDbRoundTrip:
         save_rules(store, p1)
         save_rules(load_rules(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_holds_one_str_per_pair_word(self, tmp_path):
+        path, _ = self.saved_lines(tmp_path)
+        words = [w for rule in load_rules(path) for pair in rule.support for w in pair]
+        first: dict[str, str] = {}
+        for word in words:
+            assert first.setdefault(word, word) is word
+        assert len(first) < len(words)  # "maktab" is in two rules' support
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.db"
