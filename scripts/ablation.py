@@ -31,11 +31,12 @@ def main() -> int:
     _, validated = learn_rules(table, Config())
     print(f"vocab {len(words)} words, {len(validated)} validated rules")
 
-    extractor = RootExtractor(validated, table)
+    full = RootExtractor(validated, table)
+    limited = RootExtractor(validated, table, limited=True)
     derived = [w for w in words if gold[w].chain]
     predictions = {
-        "full": {w: extractor.extract(w).final for w in derived},
-        "limited": {w: extractor.extract(w, limited=True).final for w in derived},
+        "full": {w: full.extract(w).final for w in derived},
+        "limited": {w: limited.extract(w).final for w in derived},
     }
     gold_roots = {w: gold[w].root for w in derived}
     report = evaluate(predictions, gold_roots)

@@ -168,7 +168,8 @@ def cmd_extract(args) -> int:
     cfg = _config_from_args(args, dataclasses.asdict(store.scoring))
     table = load_embeddings(args.vectors, top_n=cfg.top_n)
     extractor = RootExtractor(store, table, cfg.thresholds,
-                              sample_cap=cfg.sample_cap, seed=cfg.seed)
+                              sample_cap=cfg.sample_cap, seed=cfg.seed,
+                              limited=args.limited)
     if args.word is not None:
         words = [args.word]
     else:
@@ -176,7 +177,7 @@ def cmd_extract(args) -> int:
         # other one reaches the word check, as a --word value does.
         text = Path(args.words).read_bytes().decode("utf-8")
         words = [w for w in (line.strip(" \t\r") for line in text.split("\n")) if w]
-    lines = [extractor.extract(w, limited=args.limited).format_line() for w in words]
+    lines = [extractor.extract(w).format_line() for w in words]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
 

@@ -58,18 +58,17 @@ class RootExtractor:
     """Extracts roots against a frozen validated rule store.
 
     Building one extractor picks each derived word's one best step, from
-    the w_sem the store holds for its support pairs: once for full
-    extraction and once for limited, which leaves templates out. A step
-    ranks by stage, then by w_sem, then by its rule's prune order (sem,
-    orth, key text), then by source word. Following those steps from each
-    derived word then gives its whole trace, built once per mode. A
-    vocabulary word with no step in a mode (a root, or under `limited` a
-    word derived only by templates) gets its no-step trace then too. So
-    `extract` is one dictionary lookup for every vocabulary word and every
-    valid derived word; only an unknown word is checked with
-    `validate_word` and traced per call. At 7.2k words the traces take
-    about 2.6 MB. No vectors are read: `table` only has to be the
-    vocabulary the store was learned from.
+    the w_sem the store holds for its support pairs; `limited` leaves
+    templates out, so an extractor serves one mode. A step ranks by stage,
+    then by w_sem, then by its rule's prune order (sem, orth, key text),
+    then by source word. Following those steps from each derived word then
+    gives its whole trace, built once. A vocabulary word with no step (a
+    root, or under `limited` a word derived only by templates) gets its
+    no-step trace then too. So `extract` is one dictionary lookup for every
+    vocabulary word and every valid derived word; only an unknown word is
+    checked with `validate_word` and traced per call. At 7.2k words the
+    traces take about 1.6 MB (1.4 MB under `limited`). No vectors are read:
+    `table` only has to be the vocabulary the store was learned from.
 
     `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
     was scored; giving one that differs raises RuleDbError.
@@ -77,7 +76,8 @@ class RootExtractor:
 
     def __init__(self, store: RuleStore, table: EmbeddingTable,
                  thresholds: Thresholds | None = None,
-                 sample_cap: int | None = None, seed: int | None = None):
+                 sample_cap: int | None = None, seed: int | None = None,
+                 limited: bool = False):
         for rule in store:
             if rule.scores is None or len(rule.scores.w_sem) != len(rule.support):
                 raise ValueError(
@@ -101,33 +101,22 @@ class RootExtractor:
                 )
         t_w_sem = (thresholds or Thresholds()).t_w_sem
 
-        def best_ranks(rules, best: dict[str, tuple]) -> dict[str, tuple]:
-            """Lower `best`, derived word -> rank (stage, -w_sem, prune order,
-            source word, key text) of its best step, by the steps of `rules`."""
-            for rule in rules:
-                stage = _stage(rule.key)
-                if stage is None:
-                    continue
-                order, key_str = _order_key(rule), rule.key.key_str
-                for (w1, w2), w_sem in zip(rule.support, rule.scores.w_sem):
-                    # A step must shorten the word and leave at least three letters.
-                    if w_sem > t_w_sem and 3 <= len(w1) < len(w2):
-                        rank = (stage, -w_sem, order, w1, key_str)
-                        if w2 not in best or rank < best[w2]:
-                            best[w2] = rank
-            return best
-
-        def step(rank: tuple) -> TraceStep:
-            _, neg_w_sem, _, w1, key_str = rank
-            return TraceStep(key_str, w1, -neg_w_sem)
-
-        # Full mode is limited mode plus templates: where no template wins,
-        # the two modes share one TraceStep.
-        limited = best_ranks((r for r in store if not isinstance(r.key, Template)), {})
-        full = best_ranks((r for r in store if isinstance(r.key, Template)), dict(limited))
-        limited_steps = {w2: step(rank) for w2, rank in limited.items()}
-        full_steps = {w2: limited_steps[w2] if rank is limited.get(w2) else step(rank)
-                      for w2, rank in full.items()}
+        # Derived word -> rank (stage, -w_sem, prune order, source word, key
+        # text) of its best step.
+        best: dict[str, tuple] = {}
+        for rule in store:
+            stage = _stage(rule.key)
+            if stage is None or (limited and isinstance(rule.key, Template)):
+                continue
+            order, key_str = _order_key(rule), rule.key.key_str
+            for (w1, w2), w_sem in zip(rule.support, rule.scores.w_sem):
+                # A step must shorten the word and leave at least three letters.
+                if w_sem > t_w_sem and 3 <= len(w1) < len(w2):
+                    rank = (stage, -w_sem, order, w1, key_str)
+                    if w2 not in best or rank < best[w2]:
+                        best[w2] = rank
+        steps = {w2: TraceStep(key_str, w1, -neg_w_sem)
+                 for w2, (_, neg_w_sem, _, w1, key_str) in best.items()}
 
         def known(word: str) -> bool:
             """Whether `word` may key a trace; the table checked its own words."""
@@ -139,26 +128,20 @@ class RootExtractor:
                 return False
             return True
 
-        # Full mode has a step wherever limited mode has one.
-        self._full = {w2: _trace(w2, full_steps) for w2 in full_steps if known(w2)}
-        self._limited = {w2: _trace(w2, limited_steps) for w2 in limited_steps
-                         if w2 in self._full}
+        self._traces = {w2: _trace(w2, steps) for w2 in steps if known(w2)}
         for word in table.words:
-            if word not in self._limited:
-                trace = _trace(word, {})
-                self._full.setdefault(word, trace)
-                self._limited[word] = trace
+            if word not in self._traces:
+                self._traces[word] = _trace(word, {})
 
-    def extract(self, word: str, limited: bool = False) -> ExtractionTrace:
+    def extract(self, word: str) -> ExtractionTrace:
         """The trace of inverting rules until three letters remain or no
         step is feasible, as built with the extractor.
 
-        `limited` masks templates out, leaving concatenative rules only. A
-        word shorter than three letters has no feasible step. A word the
+        A word shorter than three letters has no feasible step. A word the
         extractor does not know is checked first: an empty word or one with
         whitespace or a control character raises InvalidWordError.
         """
-        trace = (self._limited if limited else self._full).get(word)
+        trace = self._traces.get(word)
         # Every word with a built trace was checked at build time; any other
         # has no step.
         return trace if trace is not None else _trace(validate_word(word), {})

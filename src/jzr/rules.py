@@ -330,12 +330,16 @@ def save_rules(store: RuleStore, path) -> None:
     """Write the rule DB: header lines, then one rule record plus its pairs.
 
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
-    A pair word that `validate_word` rejects raises InvalidWordError before
-    anything is written, as load_rules would refuse it.
+    A store with no scoring settings or no vocab_hash raises ValueError,
+    and a pair word that `validate_word` rejects raises InvalidWordError,
+    before anything is written: load_rules would refuse either DB.
     """
     sc = store.scoring
     if sc is None:
         raise ValueError("store has no scoring settings; run score_all first")
+    if not store.vocab_hash:
+        raise ValueError("store has no vocab_hash; set it to vocab_fingerprint of "
+                         "the words it was learned from")
     counts = store.candidate_counts
     lines = [
         _DB_MAGIC,
@@ -383,7 +387,9 @@ def load_rules(path) -> RuleStore:
     Raises RuleDbError, with the line number, for a malformed record, a
     pair word that `validate_word` rejects, a repeated rule, a support that
     is unsorted or repeats a pair, a pair count other than the rule's orth,
-    or a w_sem outside [0, 1].
+    or a w_sem outside [0, 1]. Also raises RuleDbError for a DB with no
+    `#scoring` line, or with a missing or empty `#vocab-hash` line: such a
+    DB would extract against any vocabulary.
     """
     rules: list[MorphRule] = []
     vocab_hash = ""
@@ -467,5 +473,7 @@ def load_rules(path) -> RuleStore:
     flush()
     if scoring is None:
         raise RuleDbError("rule DB has no #scoring header line")
+    if not vocab_hash:
+        raise RuleDbError("rule DB has no #vocab-hash header line, or it is empty")
     return RuleStore(rules, vocab_hash=vocab_hash, candidate_counts=counts,
                      scoring=scoring)

@@ -68,11 +68,20 @@ def small_world():
 
 
 @pytest.fixture(scope="session")
+def small_world_limited(small_world) -> RootExtractor:
+    """The limited-mode extractor of `small_world`."""
+    _, _, table, _, validated, _ = small_world
+    return RootExtractor(validated, table, Thresholds(), limited=True)
+
+
+@pytest.fixture(scope="session")
 def depth2_predictions(depth2, depth2_extractor):
     """Final roots from full and limited extraction for every derived word."""
     derived = [w for w in depth2.words if depth2.gold[w].chain]
+    limited_extractor = RootExtractor(depth2.validated, depth2.table, Thresholds(),
+                                      limited=True)
     full = {w: depth2_extractor.extract(w).final for w in derived}
-    limited = {w: depth2_extractor.extract(w, limited=True).final for w in derived}
+    limited = {w: limited_extractor.extract(w).final for w in derived}
     gold_roots = {w: depth2.gold[w].root for w in derived}
     return derived, full, limited, gold_roots
 

@@ -263,6 +263,22 @@ class TestExtract:
         assert code == 2
         assert "re-run `jzr learn`" in capsys.readouterr().err
 
+    def test_db_without_vocab_hash_is_data_error(self, workspace, tmp_path, capsys):
+        # Without the line, the DB would extract against any vocabulary.
+        _, fix, db = workspace
+        other = tmp_path / "other"
+        assert main(["synth", "--out", str(other), "--n-roots", "4",
+                     "--seed", "99"]) == 0
+        capsys.readouterr()
+        edited = tmp_path / "edited.db"
+        lines = db.read_text(encoding="utf-8").splitlines(keepends=True)
+        edited.write_text("".join(x for x in lines if not x.startswith("#vocab-hash")),
+                          encoding="utf-8")
+        code = main(["extract", "--rules", str(edited), "--vectors",
+                     str(other / "vectors.txt"), "--word", "abcd"])
+        assert code == 2
+        assert "#vocab-hash" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new, name", [
         ("t_cos_sim=0.5", "t_cos_sim=5.0", "t_cos_sim"),
         ("sample_cap=100", "sample_cap=0", "sample_cap"),

@@ -96,14 +96,14 @@ class TestReportFormat:
 
 
 class TestOnPlantedWorld:
-    def test_three_systems_with_gold_oracle(self, small_world):
+    def test_three_systems_with_gold_oracle(self, small_world, small_world_limited):
         # full and limited extraction plus the gold map replayed as a
         # system: the oracle never loses, and limited never beats full.
         _, words, _, gold, _, extractor = small_world
         derived = [w for w in words if gold[w].chain]
         predictions = {
             "full": {w: extractor.extract(w).final for w in derived},
-            "limited": {w: extractor.extract(w, limited=True).final for w in derived},
+            "limited": {w: small_world_limited.extract(w).final for w in derived},
             "oracle": {w: gold[w].root for w in derived},
         }
         gold_roots = {w: gold[w].root for w in derived}

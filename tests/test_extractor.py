@@ -95,11 +95,10 @@ class TestStepKinds:
             (PLACE, [("ktb", "maktab")], False),
             (replace_m_ma, [("mktab", "maktab")], True),
         ])
-        extractor = RootExtractor(store, table)
-        full = extractor.extract("maktab")
+        full = RootExtractor(store, table).extract("maktab")
         assert full.steps == (TraceStep(PLACE.key_str, "ktb", 0.2),)
         assert full.status == REACHED_TRILITERAL
-        limited = extractor.extract("maktab", limited=True)
+        limited = RootExtractor(store, table, limited=True).extract("maktab")
         assert limited.steps == (TraceStep(replace_m_ma.key_str, "mktab", 1.0),)
         assert limited.status == INFEASIBLE_STOP
 
@@ -136,12 +135,12 @@ class TestDeepChain:
     def test_matches_brute_extract(self, limited, depth, final, status):
         store, table = planted_world([(key, [(w1, w2)], True)
                                       for key, w1, w2 in self.CHAIN])
-        extractor = RootExtractor(store, table)
-        trace = extractor.extract("waalmaktabat", limited=limited)
+        extractor = RootExtractor(store, table, limited=limited)
+        trace = extractor.extract("waalmaktabat")
         assert (len(trace.steps), trace.final, trace.status) == (depth, final, status)
         th = Thresholds()
         for word in table.words:
-            trace = extractor.extract(word, limited=limited)
+            trace = extractor.extract(word)
             got = (trace.final, trace.status,
                    [(s.rule, s.word, s.w_sem) for s in trace.steps])
             assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem,
@@ -253,18 +252,19 @@ class TestOracle:
         # `_trace(word)`.
         store, table, th = world
         sc = store.scoring
-        extractor = RootExtractor(store, table, th, sample_cap=sc.sample_cap, seed=sc.seed)
         derived = [w2 for rule in store for _, w2 in rule.support]
         for limited in (False, True):
+            extractor = RootExtractor(store, table, th, sample_cap=sc.sample_cap,
+                                      seed=sc.seed, limited=limited)
             for word in dict.fromkeys(table.words + derived + others):
                 if not brute_valid_word(word):
                     with pytest.raises(InvalidWordError):
-                        extractor.extract(word, limited=limited)
+                        extractor.extract(word)
                     continue
                 final, status, steps = brute_extract(store, table, word, th.t_cos_sim,
                                                      th.t_w_sem, limited, sc.sample_cap,
                                                      sc.seed)
-                assert extractor.extract(word, limited=limited) == ExtractionTrace(
+                assert extractor.extract(word) == ExtractionTrace(
                     word, tuple(TraceStep(*s) for s in steps), final, status)
 
 
@@ -286,21 +286,21 @@ class TestExtraction:
             assert trace.status == REACHED_TRILITERAL
             assert trace.final == gold[w].root
 
-    def test_limited_stops_at_template_word(self, small_world):
+    def test_limited_stops_at_template_word(self, small_world, small_world_limited):
         config, words, _, gold, _, extractor = small_world
         template_keys = {t.key_str for t in config.templates}
         w = next(w for w in words if gold[w].chain
                  and gold[w].chain[0] in template_keys and len(gold[w].chain) == 1)
-        trace = extractor.extract(w, limited=True)
+        trace = small_world_limited.extract(w)
         assert trace.status == INFEASIBLE_STOP
         assert trace.final == w
         full = extractor.extract(w)
         assert full.final == gold[w].root
 
-    def test_limited_peels_affix_then_stalls(self, small_world):
-        config, words, _, gold, _, extractor = small_world
+    def test_limited_peels_affix_then_stalls(self, small_world, small_world_limited):
+        config, words, _, gold, _, _ = small_world
         w = next(w for w in words if len(gold[w].chain) == 2)
-        trace = extractor.extract(w, limited=True)
+        trace = small_world_limited.extract(w)
         assert trace.status == INFEASIBLE_STOP
         assert len(trace.steps) == 1
         assert len(trace.final) > 3
@@ -367,29 +367,39 @@ class TestExtraction:
             [r for r in validated if isinstance(r.key, ConcatRule)],
             vocab_hash=validated.vocab_hash,
         )
-        extractor = RootExtractor(concat_only, table, Thresholds())
+        full = RootExtractor(concat_only, table, Thresholds())
+        limited = RootExtractor(concat_only, table, Thresholds(), limited=True)
         for w in [w for w in words if gold[w].chain][:50]:
-            assert extractor.extract(w) == extractor.extract(w, limited=True)
+            assert full.extract(w) == limited.extract(w)
+
+    def test_limited_matches_brute_extract(self, small_world, small_world_limited):
+        _, words, table, _, validated, _ = small_world
+        th, sc = Thresholds(), validated.scoring
+        for w in words:
+            trace = small_world_limited.extract(w)
+            got = (trace.final, trace.status,
+                   [(s.rule, s.word, s.w_sem) for s in trace.steps])
+            assert got == brute_extract(validated, table, w, th.t_cos_sim, th.t_w_sem,
+                                        True, sc.sample_cap, sc.seed)
 
     def test_rejects_invalid_word(self, small_world):
         with pytest.raises(ValueError):
             small_world[5].extract("two words")
 
-    def test_every_vocabulary_word_is_prebuilt(self, small_world):
+    def test_every_vocabulary_word_is_prebuilt(self, small_world, small_world_limited):
         # A prebuilt trace comes back as the same object on every call.
         config, words, table, gold, _, extractor = small_world
-        for limited in (False, True):
+        for mode in (extractor, small_world_limited):
             for w in table.words:
-                assert extractor.extract(w, limited=limited) is extractor.extract(
-                    w, limited=limited)
+                assert mode.extract(w) is mode.extract(w)
         root = next(w for w in words if not gold[w].chain)
-        assert extractor.extract(root) is extractor.extract(root, limited=True)
+        assert extractor.extract(root) == small_world_limited.extract(root)
         template_keys = {t.key_str for t in config.templates}
         template_only = next(w for w in words if gold[w].chain
                              and all(k in template_keys for k in gold[w].chain))
-        trace = extractor.extract(template_only, limited=True)
+        trace = small_world_limited.extract(template_only)
         assert trace.steps == ()
-        assert trace is extractor.extract(template_only, limited=True)
+        assert trace is small_world_limited.extract(template_only)
 
 
 class TestTraceFormat:

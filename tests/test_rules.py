@@ -617,6 +617,23 @@ class TestDbRoundTrip:
         with pytest.raises(RuleDbError, match="#scoring"):
             load_rules(path)
 
+    @pytest.mark.parametrize("edit", [lambda ls: ls[:1] + ls[2:],
+                                      lambda ls: ls[:1] + ["#vocab-hash "] + ls[2:]],
+                             ids=["missing", "empty"])
+    def test_db_without_vocab_hash_is_refused(self, tmp_path, edit):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(RuleDbError, match="#vocab-hash"):
+            load_rules(path)
+
+    def test_save_refuses_a_store_without_vocab_hash(self, tmp_path):
+        store = self.build()
+        store.vocab_hash = ""
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError, match="vocab_hash"):
+            save_rules(store, path)
+        assert not path.exists()
+
     def test_learned_rules_with_the_same_key_text_round_trip(self, tmp_path):
         # prefix "a>b" -> "" and prefix "a" -> "b>" both print as
         # concat:prefix:a>b>; each has two support pairs, so both validate.
@@ -634,7 +651,8 @@ class TestDbRoundTrip:
     def test_empty_affixes_survive_round_trip(self, tmp_path):
         rule = MorphRule(ConcatRule("prefix", "al", ""), (("almaktab", "maktab"),),
                          RuleScores(1, 1.0, False, (1.0,)))
-        store = RuleStore([rule], scoring=SCORING)
+        store = RuleStore([rule], vocab_hash=vocab_fingerprint(["almaktab", "maktab"]),
+                          scoring=SCORING)
         path = tmp_path / "rules.db"
         save_rules(store, path)
         loaded = load_rules(path)
