@@ -18,6 +18,7 @@ from jzr.extractor import (
 from jzr.rules import (
     MorphRule,
     RuleDbError,
+    RuleScores,
     RuleStore,
     ScoringSettings,
     Thresholds,
@@ -147,6 +148,45 @@ class TestDeepChain:
                                         limited)
 
 
+class TestHandBuiltChain:
+    # maktabat -> "maktab " -> maktab -> ktb, one pair per rule at w_sem 1.0.
+    # The second word has a space: a rule's support may name it, as a
+    # hand-built store can, but it is not a word `extract` accepts.
+    CHAIN = [(ConcatRule("suffix", " ", "at"), "maktab ", "maktabat"),
+             (ConcatRule("suffix", "", " "), "maktab", "maktab "),
+             (PLACE, "ktb", "maktab")]
+
+    def extractor(self):
+        store = RuleStore([MorphRule(key, ((w1, w2),), RuleScores(1, 1.0, False, (1.0,)))
+                           for key, w1, w2 in self.CHAIN])
+        words = ["maktabat", "maktab", "ktb"]
+        table = EmbeddingTable.from_vectors(words, np.eye(3))
+        return RootExtractor(store, table)
+
+    def test_trace_runs_through_a_word_without_a_trace(self):
+        extractor = self.extractor()
+        trace = extractor.extract("maktabat")
+        assert trace.steps == tuple(TraceStep(key.key_str, w1, 1.0)
+                                    for key, w1, _ in self.CHAIN)
+        assert (trace.final, trace.status) == ("ktb", REACHED_TRILITERAL)
+        with pytest.raises(InvalidWordError):
+            extractor.extract("maktab ")
+
+    @pytest.mark.parametrize("word", ["maktabat", "ktb"])
+    def test_trace_is_shared_and_immutable(self, word):
+        extractor = self.extractor()
+        trace = extractor.extract(word)
+        assert trace is extractor.extract(word)
+        assert type(trace) is ExtractionTrace
+        assert all(type(step) is TraceStep for step in trace.steps)
+        with pytest.raises(AttributeError):
+            trace.final = "xyz"
+        if trace.steps:
+            with pytest.raises(AttributeError):
+                trace.steps[0].w_sem = 0.0
+        assert trace == (word, trace.steps, trace.final, trace.status)
+
+
 class TestStoredScores:
     def world(self):
         return planted_world([(INSERT_WA, [("maktab", "wamaktab")], True)])
@@ -248,8 +288,8 @@ class TestOracle:
     def test_extract_matches_brute_extract(self, world, others):
         # Vocabulary words, derived words (an invalid one among them) and
         # other words, in both modes: an invalid word raises, any other
-        # gets the oracle's trace, which for a word with no step is
-        # `_trace(word)`.
+        # gets the oracle's trace, which for a word with no step is its
+        # no-step trace.
         store, table, th = world
         sc = store.scoring
         derived = [w2 for rule in store for _, w2 in rule.support]
@@ -266,6 +306,21 @@ class TestOracle:
                                                      sc.seed)
                 assert extractor.extract(word) == ExtractionTrace(
                     word, tuple(TraceStep(*s) for s in steps), final, status)
+
+
+class TestStoreOrder:
+    @settings(max_examples=100)
+    @given(small_stores())
+    def test_build_does_not_depend_on_store_order(self, world):
+        store, table, th = world
+        reverse = RuleStore(list(store)[::-1], scoring=store.scoring)
+        derived = [w2 for rule in store for _, w2 in rule.support]
+        for limited in (False, True):
+            forward_ex = RootExtractor(store, table, th, limited=limited)
+            reverse_ex = RootExtractor(reverse, table, th, limited=limited)
+            for word in dict.fromkeys(table.words + derived):
+                if brute_valid_word(word):
+                    assert forward_ex.extract(word) == reverse_ex.extract(word)
 
 
 class TestExtraction:
