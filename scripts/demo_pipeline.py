@@ -36,11 +36,12 @@ def main() -> int:
     gold = load_gold(gold_path)
     print(f"fixture: {len(table)} words  ->  {vectors_path}, {gold_path}")
 
-    candidates, validated = learn_rules(table, Config())
+    _, validated = learn_rules(table, Config())
     db_path = Path(args.workdir) / "rules.db"
     save_rules(validated, db_path)
     counts = validated.count_by_kind()
-    print(f"candidates: {len(candidates)}  validated: {len(validated)} "
+    print(f"candidates: {sum(validated.candidate_counts.values())}  "
+          f"validated: {len(validated)} "
           f"({counts[CONCATENATIVE]} concatenative, {counts[TEMPLATIC]} templatic)"
           f"  ->  {db_path}")
 

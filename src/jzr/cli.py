@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import evalharness, synthlang
 from .config import SETTING_TYPES, Config, build_config, read_config_file
-from .embeddings import EmbeddingError, InvalidWordError, load_embeddings
+from .embeddings import EmbeddingError, InvalidWordError, load_embeddings, write_atomic
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
 from .pipeline import learn_rules
@@ -26,7 +26,6 @@ from .rules import (
     load_rules,
     rank_rules,
     save_rules,
-    write_atomic,
 )
 from .synthlang import AlphabetTooSmallError, SurfaceCollisionError, SynthConfig
 
@@ -138,9 +137,9 @@ def cmd_learn(args) -> int:
     if len(table) == 0:
         print("warning: vocabulary is empty after the cap; writing an empty rule DB",
               file=sys.stderr)
-    candidates, validated = learn_rules(table, cfg)
+    _, validated = learn_rules(table, cfg)
     save_rules(validated, args.out)
-    c_counts = candidates.candidate_counts
+    c_counts = validated.candidate_counts
     v_counts = validated.count_by_kind()
     print(
         f"candidates: {CONCATENATIVE}={c_counts.get(CONCATENATIVE, 0)} "

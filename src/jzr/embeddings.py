@@ -55,9 +55,10 @@ def validate_word(text: str) -> str:
 class EmbeddingTable:
     """Immutable map from word types to fixed-dimension real vectors.
 
-    Tables built by `load_embeddings` (or `from_vectors` with normalize=True)
-    have unit-L2-norm rows. `from_vectors(normalize=False)` keeps raw vectors,
-    which test harnesses use to plant exact analogy offsets.
+    Rows are kept as given; `load_embeddings` is what normalizes them, and
+    test harnesses pass raw vectors to plant exact analogy offsets. The table
+    takes the array over without a copy: a C-contiguous float64 `matrix`
+    becomes the table's own and is made read-only for its caller too.
     """
 
     __slots__ = ("words", "matrix", "dim", "index", "duplicates_dropped")
@@ -84,17 +85,6 @@ class EmbeddingTable:
         self.dim = int(mat.shape[1])
         self.index = index
         self.duplicates_dropped = int(duplicates_dropped)
-
-    @classmethod
-    def from_vectors(cls, words, vectors, normalize: bool = True) -> "EmbeddingTable":
-        mat = np.array(vectors, dtype=np.float64)
-        if normalize:
-            if mat.size:
-                norms = np.linalg.norm(mat, axis=1)
-                if (norms <= _NORM_EPS).any():
-                    raise VectorParseError("cannot normalize a zero vector")
-                mat = mat / norms[:, None]
-        return cls(words, mat)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -149,8 +139,8 @@ def load_embeddings(path, top_n: int | None = None) -> EmbeddingTable:
         with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
             table = _parse(fh, top_n, path)
             # A `top_n` cap stops the parse early; the key covers every byte.
-            reader.drain()
-    _write_cache(cache, table, reader.sha.digest(), top_n)
+            digest = reader.drain()
+    _write_cache(cache, table, digest, top_n)
     return table
 
 
@@ -235,10 +225,12 @@ class _HashingReader(io.RawIOBase):
             self.sha.update(memoryview(buf)[:n])
         return n
 
-    def drain(self) -> None:
+    def drain(self) -> bytes:
+        """Read to the end; the sha256 digest of every byte read."""
         buf = bytearray(1 << 18)
         while self.readinto(buf):
             pass
+        return self.sha.digest()
 
 
 # Bump when what `_write_cache` stores changes; an older cache is then a miss.
@@ -252,8 +244,7 @@ def _read_cache(cache: Path, raw, top_n: int | None) -> EmbeddingTable | None:
         with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if (int(npz["format"]) != _CACHE_FORMAT
                     or npz["top_n"].item() != repr(top_n)
-                    or npz["digest"].tobytes()
-                    != hashlib.file_digest(raw, "sha256").digest()):
+                    or npz["digest"].tobytes() != _HashingReader(raw).drain()):
                 return None
             text = npz["words"].tobytes().decode("utf-8")
             return EmbeddingTable(text.split("\n") if text else [], npz["matrix"],
@@ -266,21 +257,37 @@ def _read_cache(cache: Path, raw, top_n: int | None) -> EmbeddingTable | None:
 
 def _write_cache(cache: Path, table: EmbeddingTable, digest: bytes,
                  top_n: int | None) -> None:
-    """Store `table` for the bytes hashed to `digest`, as write_atomic does.
+    """Store `table` for the bytes hashed to `digest`.
 
     Words hold no whitespace, so one newline-joined blob keeps them all.
     """
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     words = "\n".join(table.words).encode("utf-8")
+    buf = io.BytesIO()
     try:
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, format=_CACHE_FORMAT, top_n=repr(top_n),
-                         digest=np.frombuffer(digest, np.uint8),
-                         duplicates=table.duplicates_dropped,
-                         words=np.frombuffer(words, np.uint8), matrix=table.matrix)
-            os.replace(tmp, cache)
-        finally:
-            tmp.unlink(missing_ok=True)
+        np.savez(buf, format=_CACHE_FORMAT, top_n=repr(top_n),
+                 digest=np.frombuffer(digest, np.uint8),
+                 duplicates=table.duplicates_dropped,
+                 words=np.frombuffer(words, np.uint8), matrix=table.matrix)
+        write_atomic(cache, buf.getbuffer())
     except OSError:
         pass  # an unwritable cache only means the next load parses again
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write `data` to `path` through a temporary file beside it.
+
+    `data` is `str` or `bytes`; a `str` is written as UTF-8. The file
+    appears whole or not at all: a write that fails leaves any previous file
+    at `path` intact, and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

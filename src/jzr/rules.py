@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import _NORM_EPS, EmbeddingTable, validate_word
+from .embeddings import _NORM_EPS, EmbeddingTable, validate_word, write_atomic
 from .templatic import Template, parse_template
 
 CONCATENATIVE = "concatenative"
@@ -307,23 +305,6 @@ def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[Mor
             raise ValueError(f"rule {rule.key.key_str} not scored")
     rules.sort(key=_order_key)
     return rules[: max(top_k, 0)]
-
-
-def write_atomic(path, text: str) -> None:
-    """Write `text` to `path` through a temporary file beside it.
-
-    The file appears whole or not at all: a write that fails leaves any
-    previous file at `path` intact, and the temporary file is removed.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_rules(store: RuleStore, path) -> None:

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .concat import PREFIX, SUFFIX, ConcatRule
-from .embeddings import EmbeddingTable
-from .rules import write_atomic
+from .embeddings import EmbeddingTable, write_atomic
 from .templatic import Template
 
 
@@ -169,7 +168,7 @@ def generate(config: SynthConfig) -> tuple[list[str], EmbeddingTable, GoldMap]:
                     add(word, base + offsets[tk] + offsets[ak] + noise,
                         GoldEntry(root, (tk, ak)))
 
-    table = EmbeddingTable.from_vectors(words, np.array(vecs), normalize=False)
+    table = EmbeddingTable(words, np.array(vecs))
     return words, table, gold
 
 

@@ -57,8 +57,7 @@ def planted_world(rules, n_genuine=4, dim=64, seed=0):
             support.append((w1, w2))
         rules_out.append(MorphRule(key, tuple(sorted(support))))
     words = list(vecs)
-    table = EmbeddingTable.from_vectors(words, np.array([vecs[w] for w in words]),
-                                        normalize=False)
+    table = EmbeddingTable(words, np.array([vecs[w] for w in words]))
     store = RuleStore(rules_out)
     store.score_all(table, ScoringSettings(0.5, 100, 42), orth_gate=0)
     return store, table
@@ -160,7 +159,7 @@ class TestHandBuiltChain:
         store = RuleStore([MorphRule(key, ((w1, w2),), RuleScores(1, 1.0, False, (1.0,)))
                            for key, w1, w2 in self.CHAIN])
         words = ["maktabat", "maktab", "ktb"]
-        table = EmbeddingTable.from_vectors(words, np.eye(3))
+        table = EmbeddingTable(words, np.eye(3))
         return RootExtractor(store, table)
 
     def test_trace_runs_through_a_word_without_a_trace(self):
@@ -194,8 +193,7 @@ class TestStoredScores:
     def test_extraction_reads_no_vectors(self):
         store, table = self.world()
         rng = np.random.default_rng(3)
-        other = EmbeddingTable.from_vectors(table.words,
-                                            rng.standard_normal(table.matrix.shape))
+        other = EmbeddingTable(table.words, rng.standard_normal(table.matrix.shape))
         for word in table.words:
             assert (RootExtractor(store, other).extract(word)
                     == RootExtractor(store, table).extract(word))
@@ -243,7 +241,7 @@ def small_stores(draw):
                           min_size=2, max_size=9, unique=True))
     pairs = [(a, b) for a in words for b in words if a != b]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = EmbeddingTable.from_vectors(words, rng.standard_normal((len(words), 2)))
+    table = EmbeddingTable(words, rng.standard_normal((len(words), 2)))
     thresholds = Thresholds(t_cos_sim=draw(st.sampled_from([0.0, 0.3, 0.5])),
                             t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
     seed = draw(st.integers(0, 3))

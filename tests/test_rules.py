@@ -34,7 +34,7 @@ from jzr.synthlang import SynthConfig, generate
 from jzr.templatic import Template, enumerate_templatic_rules
 
 
-def offset_rule(n_pairs, dim=32, seed=0, noise=0.0, normalize=False):
+def offset_rule(n_pairs, dim=32, seed=0, noise=0.0):
     """Planted rule: every derived vector is its root vector plus one offset."""
     rng = np.random.default_rng(seed)
     offset = rng.standard_normal(dim)
@@ -46,7 +46,7 @@ def offset_rule(n_pairs, dim=32, seed=0, noise=0.0, normalize=False):
         words += [f"r{i}", f"d{i}"]
         vecs += [base, base + offset + eps]
         pairs.append((f"r{i}", f"d{i}"))
-    table = EmbeddingTable.from_vectors(words, np.array(vecs), normalize=normalize)
+    table = EmbeddingTable(words, np.array(vecs))
     rule = MorphRule(ConcatRule("prefix", "", "x"), tuple(sorted(pairs)))
     return rule, table
 
@@ -167,7 +167,7 @@ class TestScoreWSem:
         words += ["zhb", "mazhab"]
         vecs += [rng.standard_normal(dim), rng.standard_normal(dim)]
         pairs.append(("zhb", "mazhab"))
-        table = EmbeddingTable.from_vectors(words, np.array(vecs), normalize=False)
+        table = EmbeddingTable(words, np.array(vecs))
         rule = MorphRule(ConcatRule("prefix", "", "ma"), tuple(sorted(pairs)))
         assert w_sem(("r0", "d0"), rule, table) == pytest.approx(1.0, abs=1e-6)
         mis = w_sem(("zhb", "mazhab"), rule, table)
@@ -283,7 +283,7 @@ class TestStoreAndPrune:
             vecs += [rng.standard_normal(dim), rng.standard_normal(dim)]
             rules.append(MorphRule(ConcatRule("prefix", "", f"tiny{q}"),
                                    ((f"t{q}r", f"t{q}d"),)))
-        table = EmbeddingTable.from_vectors(words, np.array(vecs), normalize=False)
+        table = EmbeddingTable(words, np.array(vecs))
         store = RuleStore(rules)
         store.score_all(table, scoring(), orth_gate=0)
         survivors = prune_rules(store, Thresholds())
@@ -369,8 +369,7 @@ class TestStoredWSem:
         # w_sem comes from the blockwise out-of-sample pass. Scaled tables put
         # vector norms on both sides of the zero-norm guard.
         rule, unit = random_rule(n, dim=16, seed=seed)
-        table = EmbeddingTable.from_vectors(unit.words, unit.matrix * 10.0 ** scale_exp,
-                                            normalize=False)
+        table = EmbeddingTable(unit.words, unit.matrix * 10.0 ** scale_exp)
         store = RuleStore([rule])
         sc = ScoringSettings(t_cos, cap, seed)
         store.score_all(table, sc, orth_gate=0)
@@ -395,8 +394,7 @@ class TestStoredWSem:
         rule = MorphRule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "z")))
         for _ in range(200):
             v, u = rng.standard_normal((2, 8)) * scale
-            table = EmbeddingTable.from_vectors(["a", "b", "c", "z"],
-                                                [v, u, v, np.zeros(8)], normalize=False)
+            table = EmbeddingTable(["a", "b", "c", "z"], [v, u, v, np.zeros(8)])
             RuleStore([rule]).score_all(table, scoring(t_cos=t_cos), orth_gate=0)
             brute = tuple(brute_w_sem(table, pair, rule.support, t_cos)
                           for pair in rule.support)
@@ -476,7 +474,7 @@ class TestFromCandidates:
     @settings(max_examples=30)
     def test_learned_store_equals_a_store_of_copies(self, words, seed, t_r_orth):
         vectors = np.random.default_rng(seed).standard_normal((len(words), 8))
-        table = EmbeddingTable.from_vectors(words, vectors)
+        table = EmbeddingTable(words, vectors)
         cfg = Config(thresholds=Thresholds(t_r_orth=t_r_orth))
         candidates, _ = learn_rules(table, cfg)
         expected = old_way_store(table, cfg)
@@ -639,7 +637,7 @@ class TestDbRoundTrip:
         # concat:prefix:a>b>; each has two support pairs, so both validate.
         words = ["a>bxyz", "xyz", "axyz", "b>xyz", "a>bpqr", "pqr", "apqr", "b>pqr"]
         rng = np.random.default_rng(5)
-        table = EmbeddingTable.from_vectors(words, rng.standard_normal((len(words), 16)))
+        table = EmbeddingTable(words, rng.standard_normal((len(words), 16)))
         _, validated = learn_rules(table, Config(thresholds=Thresholds(t_r_orth=1)))
         keys = [r.key for r in validated]
         assert ConcatRule("prefix", "a>b", "") in keys

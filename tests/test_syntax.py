@@ -1,0 +1,26 @@
+"""Every package module parses at the oldest Python that pyproject.toml allows.
+
+The suite runs on whatever interpreter is at hand, which may be newer than
+that floor; this catches newer syntax before a user on the floor does.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "jzr").glob("*.py"))
+
+
+# The `requires-python = ">=X.Y"` floor, as (X, Y).
+FLOOR = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"',
+                                 (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+                                 re.M).groups()))
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
+def test_module_parses_at_the_python_floor(module):
+    ast.parse(module.read_text(encoding="utf-8"), filename=str(module),
+              feature_version=FLOOR)
