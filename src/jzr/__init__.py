@@ -6,7 +6,7 @@ extractor over the validated rules.
 """
 
 from .concat import PREFIX, SUFFIX, ConcatRule, enumerate_concat_rules
-from .config import Config, build_config
+from .config import Config
 from .embeddings import EmbeddingTable, load_embeddings
 from .evalharness import EvalReport, evaluate
 from .pipeline import learn_rules
@@ -31,8 +31,8 @@ __all__ = [
     "ConcatRule", "Config", "EmbeddingTable", "EvalReport", "ExtractionTrace",
     "GoldEntry", "MorphRule", "PREFIX", "RootExtractor", "RuleScores",
     "RuleStore", "SUFFIX", "SynthConfig", "Template", "Thresholds",
-    "build_config", "enumerate_concat_rules", "enumerate_templatic_rules",
-    "evaluate", "extract_templates", "generate", "learn_rules",
-    "load_embeddings", "load_rules", "prune_rules", "rank_rules", "save_rules",
+    "enumerate_concat_rules", "enumerate_templatic_rules", "evaluate",
+    "extract_templates", "generate", "learn_rules", "load_embeddings",
+    "load_rules", "prune_rules", "rank_rules", "save_rules",
     "vocab_fingerprint", "write_fixture",
 ]

@@ -11,9 +11,10 @@ import json
 import sys
 import traceback
 from pathlib import Path
+from typing import get_type_hints
 
 from . import evalharness, synthlang
-from .config import SETTING_TYPES, Config, build_config, read_config_file
+from .config import SETTING_TYPES, Config
 from .embeddings import EmbeddingError, InvalidWordError, load_embeddings, write_atomic
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
@@ -23,6 +24,7 @@ from .rules import (
     TEMPLATIC,
     RuleDbError,
     ScoringSettings,
+    Thresholds,
     load_rules,
     rank_rules,
     save_rules,
@@ -55,25 +57,44 @@ class _Parser(argparse.ArgumentParser):
 # The settings `extract` reads: those the rule DB fixes, plus two of its own.
 EXTRACT_SETTINGS = [f.name for f in dataclasses.fields(ScoringSettings)] + ["t_w_sem", "top_n"]
 
+# The scalar SynthConfig fields, which `synth` takes as flags.
+SYNTH_SETTINGS = {name: kind for name, kind in get_type_hints(SynthConfig).items()
+                  if kind in (int, float)}
 
-def _add_config_flags(parser: argparse.ArgumentParser, names=SETTING_TYPES) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    for name in names:
-        parser.add_argument("--" + name.replace("_", "-"), type=SETTING_TYPES[name])
+
+def _add_flags(parser: argparse.ArgumentParser, types: dict) -> None:
+    for name, kind in types.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def _config_from_args(args, learned: dict | None = None) -> Config:
-    """The run's Config; `learned` fills in what neither file nor flags set.
+    """The run's Config: defaults, then `learned`, then the config file, then flags.
 
-    An unreadable config file is a data error; an invalid setting is a
-    usage error.
+    Each source overrides the ones before it; a None value counts as not
+    given. An unreadable config file is a data error; an invalid setting is
+    a usage error.
     """
+    file_values = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     flag_values = {name: getattr(args, name, None) for name in SETTING_TYPES}
+    merged: dict = {}
     try:
-        file_values = read_config_file(args.config) if args.config else {}
-        return build_config({**(learned or {}), **file_values}, flag_values)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise
+        for source in (learned or {}), file_values, flag_values:
+            if not isinstance(source, dict):
+                raise ValueError("config file must hold a JSON object")
+            unknown = sorted(set(source) - set(SETTING_TYPES))
+            if unknown:
+                raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            for name, value in source.items():
+                if value is None:
+                    continue
+                kind = SETTING_TYPES[name]
+                # An integer is a valid float; a bool, though an int, is not.
+                if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                    raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+                merged[name] = value
+        thresholds = Thresholds(**{f.name: merged.pop(f.name)
+                                   for f in dataclasses.fields(Thresholds) if f.name in merged})
+        return Config(thresholds=thresholds, **merged)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
 
@@ -85,7 +106,8 @@ def build_parser() -> _Parser:
     p_learn = sub.add_parser("learn", help="mine and validate rules from a vector file")
     p_learn.add_argument("--vectors", required=True)
     p_learn.add_argument("--out", required=True, help="rule DB output path")
-    _add_config_flags(p_learn)
+    p_learn.add_argument("--config", help="JSON config file; flags override it")
+    _add_flags(p_learn, SETTING_TYPES)
 
     p_rank = sub.add_parser("rank", help="list top validated rules by semantic score")
     p_rank.add_argument("--rules", required=True, help="rule DB path")
@@ -102,16 +124,13 @@ def build_parser() -> _Parser:
     p_extract.add_argument("--limited", action="store_true",
                            help="concatenative rules only")
     p_extract.add_argument("--out", help="write trace lines here instead of stdout")
-    _add_config_flags(p_extract, EXTRACT_SETTINGS)
+    p_extract.add_argument("--config", help="JSON config file; flags override it")
+    _add_flags(p_extract, {name: SETTING_TYPES[name] for name in EXTRACT_SETTINGS})
 
     p_synth = sub.add_parser("synth", help="generate a planted-rule fixture")
     p_synth.add_argument("--out", required=True, help="output directory")
     # Unset flags keep SynthConfig's defaults.
-    p_synth.add_argument("--n-roots", type=int)
-    p_synth.add_argument("--dim", type=int)
-    p_synth.add_argument("--noise-sigma", type=float)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--chain-depth", type=int)
+    _add_flags(p_synth, SYNTH_SETTINGS)
 
     p_eval = sub.add_parser("eval", help="score prediction files against gold roots")
     p_eval.add_argument("--gold", required=True, help="word TAB root TSV")
@@ -182,8 +201,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    names = {f.name for f in dataclasses.fields(SynthConfig)}
-    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    given = {k: v for k, v in vars(args).items() if k in SYNTH_SETTINGS and v is not None}
     try:
         config = SynthConfig(**given)
     except ValueError as exc:

@@ -1,9 +1,8 @@
-"""Run configuration: defaults, config-file values, then flags, in that order."""
+"""Run configuration: the settings and the type each one's values must have."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import get_args, get_type_hints
 
 from .rules import ScoringSettings, Thresholds
@@ -43,37 +42,3 @@ SETTING_TYPES = {name: (get_args(hint) or (hint,))[0]
                  for cls in (Thresholds, Config)
                  for name, hint in get_type_hints(cls).items() if name != "thresholds"}
 
-
-def read_config_file(path) -> dict:
-    """Load a flat JSON config; threshold names sit beside the other fields."""
-    with open(path, encoding="utf-8") as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        raise ValueError("config file must hold a JSON object")
-    return values
-
-
-def build_config(file_values: dict | None = None,
-                 flag_values: dict | None = None) -> Config:
-    """Merge defaults, config-file values, and flags; flags win, file second.
-
-    Entries whose value is None are treated as not given; any other value
-    must have its setting's type in SETTING_TYPES.
-    """
-    merged: dict = {}
-    for source in (file_values or {}), (flag_values or {}):
-        unknown = sorted(set(source) - set(SETTING_TYPES))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for name, value in source.items():
-            if value is None:
-                continue
-            kind = SETTING_TYPES[name]
-            # An integer is a valid float; a bool, though an int, is not.
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-            merged[name] = value
-    thresholds = Thresholds(**{
-        f.name: merged.pop(f.name) for f in fields(Thresholds) if f.name in merged
-    })
-    return Config(thresholds=thresholds, **merged)

@@ -84,16 +84,22 @@ def format_report(report: EvalReport) -> str:
 
 
 def read_predictions(path) -> dict[str, str]:
-    """Read `word TAB root` records; extra columns (trace fields) are ignored."""
-    preds: dict[str, str] = {}
+    """Read `word TAB root` records; extra columns (trace fields) are ignored.
+
+    A word may repeat with its root, as `jzr extract --words` prints one line
+    per repeat; a repeat with another root is refused.
+    """
+    found: dict[str, tuple[str, int]] = {}  # word -> (root, first line)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) < 2:
                 raise PredictionFormatError(f"prediction line needs at least two fields: {line!r}")
-            preds[fields[0]] = fields[1]
-    return preds
-
+            root, first = found.setdefault(fields[0], (fields[1], lineno))
+            if root != fields[1]:
+                raise PredictionFormatError(f"{path}: line {lineno}: {fields[0]!r} has root "
+                                            f"{fields[1]!r}, but line {first} gives {root!r}")
+    return {word: root for word, (root, _) in found.items()}

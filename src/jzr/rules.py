@@ -368,9 +368,9 @@ def load_rules(path) -> RuleStore:
     Raises RuleDbError, with the line number, for a malformed record, a
     pair word that `validate_word` rejects, a repeated rule, a support that
     is unsorted or repeats a pair, a pair count other than the rule's orth,
-    or a w_sem outside [0, 1]. Also raises RuleDbError for a DB with no
-    `#scoring` line, or with a missing or empty `#vocab-hash` line: such a
-    DB would extract against any vocabulary.
+    a w_sem outside [0, 1] or a repeated header line. Also raises it for a
+    DB with no `#scoring` line, or with a missing or empty `#vocab-hash`
+    line: such a DB would extract against any vocabulary.
     """
     rules: list[MorphRule] = []
     vocab_hash = ""
@@ -378,6 +378,7 @@ def load_rules(path) -> RuleStore:
     scoring: ScoringSettings | None = None
     rule_line = 0
     rule_lines: dict[RuleKey, int] = {}
+    header_lines: dict[str, int] = {}
     current_key: RuleKey | None = None
     current_scores: RuleScores | None = None
     current_pairs: list[Pair] = []
@@ -441,12 +442,16 @@ def load_rules(path) -> RuleStore:
                     if sampled not in ("0", "1"):
                         raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
                     current_scores = RuleScores(int(orth), float(sem), sampled == "1")
-                elif line.startswith("#vocab-hash "):
-                    vocab_hash = line.split(" ", 1)[1]
-                elif line.startswith("#candidates "):
-                    counts = {k: int(v) for k, v in _parse_fields(line[12:]).items()}
-                elif line.startswith("#scoring "):
-                    scoring = _parse_scoring(line[9:])
+                elif line.startswith(("#vocab-hash ", "#candidates ", "#scoring ")):
+                    name, _, value = line.partition(" ")
+                    if header_lines.setdefault(name, lineno) != lineno:
+                        raise ValueError(f"repeats {name} of line {header_lines[name]}")
+                    if name == "#vocab-hash":
+                        vocab_hash = value
+                    elif name == "#candidates":
+                        counts = {k: int(v) for k, v in _parse_fields(value).items()}
+                    else:
+                        scoring = _parse_scoring(value)
                 elif line and not line.startswith("#"):
                     raise ValueError(f"unknown record type {record!r}")
             except (ValueError, IndexError) as exc:

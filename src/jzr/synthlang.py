@@ -68,6 +68,10 @@ class SynthConfig:
             raise ValueError("dim must be at least 2")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma cannot be negative")
+        if not self.noise_sigma < float("inf"):  # also refuses nan
+            raise ValueError("noise_sigma must be finite")
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
         if self.chain_depth not in (1, 2):
             raise ValueError("chain_depth must be 1 or 2")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
@@ -202,9 +206,10 @@ def load_gold(path) -> GoldMap:
 
 def write_fixture(config: SynthConfig, out_dir) -> tuple[Path, Path]:
     """Emit vectors.txt and gold.tsv for a config; returns the two paths."""
+    # Generate first, so that a config that cannot be generated leaves no directory.
+    _, table, gold = generate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, table, gold = generate(config)
     vectors_path = out / "vectors.txt"
     gold_path = out / "gold.tsv"
     write_atomic(vectors_path, format_vectors(table))

@@ -254,6 +254,18 @@ class TestExtract:
         assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
                      "--word", "abcd", "--config", str(cfg)]) == 0
 
+    def test_config_file_null_keeps_the_db_value(self, workspace, tmp_path):
+        # null means "not given" in every source, so it does not reset the
+        # DB's seed to the default.
+        _, fix, _ = workspace
+        db = tmp_path / "seed7.db"
+        assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db),
+                     "--seed", "7"]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None}), encoding="utf-8")
+        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
+                     "--word", "abcd", "--config", str(cfg)]) == 0
+
     def test_format_1_db_is_refused(self, workspace, tmp_path, capsys):
         _, fix, _ = workspace
         old = tmp_path / "old.db"
@@ -366,6 +378,15 @@ class TestEval:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_word_given_two_roots_is_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\tb\na\tc\n", encoding="utf-8")
+        assert main(["eval", "--gold", str(gold), "--pred", f"a={gold}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {gold}: line 2: 'a' has root 'c', "
+                                "but line 1 gives 'b'\n")
+
     def test_coverage_mismatch_is_data_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("w1\tktb\nw2\tdrs\n", encoding="utf-8")
@@ -473,6 +494,20 @@ class TestUsageAndConfig:
         # SynthConfig's own check, not a list of choices on the flag.
         assert main(["synth", "--out", str(tmp_path / "fix"), "--chain-depth", "3"]) == 1
         assert "chain_depth must be 1 or 2" in capsys.readouterr().err
+        for flag, value, message in [("--seed", "-1", "seed cannot be negative"),
+                                     ("--noise-sigma", "nan", "noise_sigma must be finite"),
+                                     ("--noise-sigma", "inf", "noise_sigma must be finite"),
+                                     ("--noise-sigma", "-0.5", "noise_sigma cannot be negative"),
+                                     ("--dim", "1", "dim must be at least 2")]:
+            assert main(["synth", "--out", str(tmp_path / "fix"), flag, value]) == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "fix").exists()
+
+    def test_failed_synth_leaves_no_out_directory(self, tmp_path, capsys):
+        # 5,000 distinct triliteral roots need more than the 16-letter alphabet gives.
+        assert main(["synth", "--out", str(tmp_path / "fix"), "--n-roots", "5000"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fix").exists()
 
     def test_internal_value_error_is_not_a_data_error(self, workspace, monkeypatch,
                                                       capsys):

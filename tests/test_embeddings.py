@@ -137,6 +137,8 @@ class TestLoad:
     @pytest.mark.parametrize("text, error", [
         ("a 1 2\nb 0 0\nc 3 4\nd 1 2 3\n", VectorParseError),
         ("a 1 2\nb 1 2 3\nc 3 4\nd 0 0\n", DimensionMismatchError),
+        ("a 1 2\nb\x01c 3 4\nc 0 0\nd 1 2 3\n", VectorParseError),
+        ("a 1 2\nb\nc 0 0\nd 1 2 3\n", VectorParseError),
     ])
     def test_earlier_defective_line_wins(self, tmp_path, text, error):
         path = write(tmp_path, text)

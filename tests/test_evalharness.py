@@ -4,6 +4,7 @@ import pytest
 
 from jzr.evalharness import (
     CoverageError,
+    PredictionFormatError,
     evaluate,
     format_report,
     read_predictions,
@@ -125,6 +126,16 @@ class TestIo:
         path = tmp_path / "gold.tsv"
         path.write_text("w1\tktb\t\nw2\tdrs\tchain;stuff\n", encoding="utf-8")
         assert read_predictions(path) == {"w1": "ktb", "w2": "drs"}
+
+    def test_read_refuses_a_word_given_two_roots(self, tmp_path):
+        # `jzr extract --words` prints one identical line per repeat of a word.
+        path = tmp_path / "preds.tsv"
+        path.write_text("a\tb\tx\nd\te\na\tb\ty\n", encoding="utf-8")
+        assert read_predictions(path) == {"a": "b", "d": "e"}
+        path.write_text("a\tb\nd\te\na\tc\n", encoding="utf-8")
+        with pytest.raises(PredictionFormatError, match="line 3: 'a' has root 'c', "
+                                                        "but line 1 gives 'b'$"):
+            read_predictions(path)
 
     def test_read_rejects_single_column(self, tmp_path):
         path = tmp_path / "bad.tsv"

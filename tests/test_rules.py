@@ -591,6 +591,14 @@ class TestDbRoundTrip:
         (lambda ls: ls[:3] + ["#scoring t_cos_sim=0.5 seed=42"] + ls[4:], 4, "#scoring"),
         (lambda ls: ls[:3] + [ls[3].replace("=0.5", "=5.0")] + ls[4:], 4, "t_cos_sim"),
         (lambda ls: ls[:3] + [ls[3].replace("=100", "=0")] + ls[4:], 4, "sample_cap"),
+        (lambda ls: ls[:4] + ["#vocab-hash " + "0" * 64] + ls[4:], 5,
+         "repeats #vocab-hash of line 2$"),
+        (lambda ls: ls[:4] + ["#scoring t_cos_sim=0.5 sample_cap=100 seed=7"] + ls[4:], 5,
+         "repeats #scoring of line 4$"),
+        (lambda ls: ls[:4] + [ls[4].replace("concatenative", "foo")] + ls[5:], 5,
+         "unknown rule kind 'foo'"),
+        (lambda ls: ls[:4] + [ls[4].replace("rule", "junk", 1)] + ls[5:], 5,
+         "unknown record type 'junk'"),
     ])
     def test_defect_is_reported_with_its_line(self, tmp_path, edit, lineno, message):
         path, lines = self.saved_lines(tmp_path)
