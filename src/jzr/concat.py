@@ -43,7 +43,9 @@ class ConcatRule:
 
     @property
     def key_str(self) -> str:
-        return f"concat:{self.side}:{self.old}>{self.new}"
+        # `\` and `>` are escaped in both affixes, so distinct rules never print alike.
+        old, new = (a.replace("\\", "\\\\").replace(">", "\\>") for a in (self.old, self.new))
+        return f"concat:{self.side}:{old}>{new}"
 
     def apply(self, word: str) -> str | None:
         """Replace `old` with `new` on this rule's side, or None if `old` is absent."""

@@ -57,15 +57,7 @@ def evaluate(predictions: dict[str, dict[str, str]], gold: dict[str, str]) -> Ev
         for name in systems
     }
     correct = {name: len(right[name]) for name in systems}
-    matrix = {
-        a: {
-            b: 0 if a == b else sum(
-                1 for w in words if w in right[a] and w not in right[b]
-            )
-            for b in systems
-        }
-        for a in systems
-    }
+    matrix = {a: {b: len(right[a] - right[b]) for b in systems} for a in systems}
     return EvalReport(systems, len(words), correct, matrix)
 
 
@@ -83,23 +75,30 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_predictions(path) -> dict[str, str]:
-    """Read `word TAB root` records; extra columns (trace fields) are ignored.
+def read_records(path, width: int) -> dict[str, list[str]]:
+    """Each word's first record of at least `width` tab-separated fields.
 
-    A word may repeat with its root, as `jzr extract --words` prints one line
-    per repeat; a repeat with another root is refused.
+    A record's fields are word, root and any extra columns. A word may
+    repeat with its root, as `jzr extract --words` prints one line per
+    repeat; a repeat with another root is refused, as is a short line.
     """
-    found: dict[str, tuple[str, int]] = {}  # word -> (root, first line)
+    found: dict[str, tuple[list[str], int]] = {}  # word -> (fields, first line)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) < 2:
-                raise PredictionFormatError(f"prediction line needs at least two fields: {line!r}")
-            root, first = found.setdefault(fields[0], (fields[1], lineno))
-            if root != fields[1]:
+            if len(fields) < width:
+                raise PredictionFormatError(f"{path}: line {lineno}: needs at least "
+                                            f"{width} tab-separated fields: {line!r}")
+            first, at = found.setdefault(fields[0], (fields, lineno))
+            if first[1] != fields[1]:
                 raise PredictionFormatError(f"{path}: line {lineno}: {fields[0]!r} has root "
-                                            f"{fields[1]!r}, but line {first} gives {root!r}")
-    return {word: root for word, (root, _) in found.items()}
+                                            f"{fields[1]!r}, but line {at} gives {first[1]!r}")
+    return {word: fields for word, (fields, _) in found.items()}
+
+
+def read_predictions(path) -> dict[str, str]:
+    """Read `word TAB root` records; extra columns (trace fields) are ignored."""
+    return {word: fields[1] for word, fields in read_records(path, 2).items()}

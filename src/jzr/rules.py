@@ -186,12 +186,7 @@ def score_rule(rule: MorphRule, table: EmbeddingTable,
 
 
 class RuleStore:
-    """Insertion-ordered collection of rules, keyed by their RuleKey.
-
-    Key text (`key.key_str`) is for display and may be ambiguous: two
-    distinct keys can print alike, e.g. prefix "a>b" -> "" and prefix
-    "a" -> "b>" are both `concat:prefix:a>b>`.
-    """
+    """Insertion-ordered collection of rules, keyed by their RuleKey."""
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
@@ -232,7 +227,7 @@ class RuleStore:
         return len(self._rules)
 
     def get(self, ks: str) -> MorphRule | None:
-        """The first rule whose key text is `ks`, found by a scan of the store."""
+        """The rule whose key text is `ks`, found by a scan of the store."""
         return next((rule for rule in self if rule.key.key_str == ks), None)
 
     def __eq__(self, other) -> bool:
@@ -273,9 +268,8 @@ class RuleStore:
 
 
 def _order_key(rule: MorphRule):
-    # Two concatenative keys can print alike (prefix a>b -> "" and a -> b>);
-    # the key itself settles them, so the order never depends on insertion.
-    return (-rule.scores.sem, -rule.scores.orth, rule.key.key_str, rule.key)
+    # Distinct keys never print alike, so the order never depends on insertion.
+    return (-rule.scores.sem, -rule.scores.orth, rule.key.key_str)
 
 
 def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
@@ -350,13 +344,20 @@ def save_rules(store: RuleStore, path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _parse_fields(text: str) -> dict[str, str]:
-    return dict(field.partition("=")[::2] for field in text.split())
+def _parse_fields(header: str, text: str, names) -> dict[str, str]:
+    """The `name=value` fields of a header line, each from `names` and named once."""
+    values: dict[str, str] = {}
+    for name, _, value in (field.partition("=") for field in text.split()):
+        if name not in names or name in values:
+            problem = "repeats" if name in values else "has unknown"
+            raise ValueError(f"{header} {problem} field {name!r}")
+        values[name] = value
+    return values
 
 
 def _parse_scoring(text: str) -> ScoringSettings:
-    values = _parse_fields(text)
-    if sorted(values) != ["sample_cap", "seed", "t_cos_sim"]:
+    values = _parse_fields("#scoring", text, ("t_cos_sim", "sample_cap", "seed"))
+    if len(values) != 3:
         raise ValueError(f"#scoring needs t_cos_sim, sample_cap and seed: {text!r}")
     return ScoringSettings(float(values["t_cos_sim"]), int(values["sample_cap"]),
                            int(values["seed"]))
@@ -368,7 +369,8 @@ def load_rules(path) -> RuleStore:
     Raises RuleDbError, with the line number, for a malformed record, a
     pair word that `validate_word` rejects, a repeated rule, a support that
     is unsorted or repeats a pair, a pair count other than the rule's orth,
-    a w_sem outside [0, 1] or a repeated header line. Also raises it for a
+    a w_sem outside [0, 1], a repeated header line, or a header field that
+    is repeated or that its line does not name. Also raises it for a
     DB with no `#scoring` line, or with a missing or empty `#vocab-hash`
     line: such a DB would extract against any vocabulary.
     """
@@ -449,7 +451,8 @@ def load_rules(path) -> RuleStore:
                     if name == "#vocab-hash":
                         vocab_hash = value
                     elif name == "#candidates":
-                        counts = {k: int(v) for k, v in _parse_fields(value).items()}
+                        given = _parse_fields(name, value, (CONCATENATIVE, TEMPLATIC))
+                        counts = {k: int(v) for k, v in given.items()}
                     else:
                         scoring = _parse_scoring(value)
                 elif line and not line.startswith("#"):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .concat import PREFIX, SUFFIX, ConcatRule
 from .embeddings import EmbeddingTable, write_atomic
+from .evalharness import read_records
 from .templatic import Template
 
 
@@ -137,7 +138,7 @@ def generate(config: SynthConfig) -> tuple[list[str], EmbeddingTable, GoldMap]:
 
     root_vecs = rng.standard_normal((config.n_roots, config.dim))
     root_vecs /= np.linalg.norm(root_vecs, axis=1)[:, None]
-    offsets = {rule.key_str: _unit(rng, config.dim) for rule in config.rules}
+    offsets = {rule: _unit(rng, config.dim) for rule in config.rules}
 
     words: list[str] = []
     vecs: list[np.ndarray] = []
@@ -155,22 +156,17 @@ def generate(config: SynthConfig) -> tuple[list[str], EmbeddingTable, GoldMap]:
     for root, base in zip(roots, root_vecs):
         add(root, base.copy(), GoldEntry(root))
 
+    # Each planted rule alone, then at depth 2 each template followed by each affix.
+    chains = [(rule,) for rule in config.rules]
+    if config.chain_depth == 2:
+        chains += [(t, a) for t in config.templates for a in config.affixes]
     for root, base in zip(roots, root_vecs):
-        for rule in config.rules:
-            rk = rule.key_str
-            word = _apply(rule, root)
+        for chain in chains:
+            word, vec = root, base
+            for rule in chain:
+                word, vec = _apply(rule, word), vec + offsets[rule]
             noise = rng.standard_normal(config.dim) * config.noise_sigma
-            add(word, base + offsets[rk] + noise, GoldEntry(root, (rk,)))
-        if config.chain_depth >= 2:
-            for template in config.templates:
-                tword = template.render(root)
-                tk = template.key_str
-                for affix in config.affixes:
-                    ak = affix.key_str
-                    word = _apply(affix, tword)
-                    noise = rng.standard_normal(config.dim) * config.noise_sigma
-                    add(word, base + offsets[tk] + offsets[ak] + noise,
-                        GoldEntry(root, (tk, ak)))
+            add(word, vec + noise, GoldEntry(root, tuple(r.key_str for r in chain)))
 
     table = EmbeddingTable(words, np.array(vecs))
     return words, table, gold
@@ -193,15 +189,9 @@ def format_gold(gold: GoldMap) -> str:
 
 
 def load_gold(path) -> GoldMap:
-    gold: GoldMap = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            word, root, chain = line.split("\t")
-            gold[word] = GoldEntry(root, tuple(chain.split(";")) if chain else ())
-    return gold
+    """Read `word TAB root TAB chain` records, as `format_gold` writes them."""
+    return {word: GoldEntry(root, tuple(chain.split(";")) if chain else ())
+            for word, (_, root, chain, *_) in read_records(path, 3).items()}
 
 
 def write_fixture(config: SynthConfig, out_dir) -> tuple[Path, Path]:

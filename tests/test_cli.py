@@ -387,6 +387,18 @@ class TestEval:
         assert captured.err == (f"error: {gold}: line 2: 'a' has root 'c', "
                                 "but line 1 gives 'b'\n")
 
+    def test_short_prediction_line_names_its_file(self, tmp_path, capsys):
+        gold = tmp_path / "g.tsv"
+        gold.write_text("w1\tktb\n", encoding="utf-8")
+        pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        pa.write_text("w1\tktb\n", encoding="utf-8")
+        pb.write_text("w1\n", encoding="utf-8")
+        assert main(["eval", "--gold", str(gold), "--pred", f"a={pa}", "--pred", f"b={pb}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {pb}: line 1: needs at least 2 "
+                                "tab-separated fields: 'w1'\n")
+
     def test_coverage_mismatch_is_data_error(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"
         gold.write_text("w1\tktb\nw2\tdrs\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import warnings
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,18 @@ class TestConcatRule:
     def test_non_canonical_suffix_rejected(self):
         with pytest.raises(ValueError):
             ConcatRule("suffix", "at", "an")
+
+    # Every rule over a drawn set of short affixes on three letters: rules
+    # whose unescaped key texts would collide are common.
+    @given(st.sets(st.text(alphabet="a\\>", max_size=3), min_size=2, max_size=12))
+    def test_distinct_rules_never_share_key_text(self, affixes):
+        rules = set()
+        for side, old, new in product(["prefix", "suffix"], affixes, affixes):
+            try:
+                rules.add(ConcatRule(side, old, new))
+            except ValueError:
+                pass  # identity or non-canonical
+        assert len({rule.key_str for rule in rules}) == len(rules)
 
     def test_apply(self):
         assert ConcatRule("prefix", "", "al").apply("maktab") == "almaktab"

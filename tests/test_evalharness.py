@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -139,6 +140,8 @@ class TestIo:
 
     def test_read_rejects_single_column(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("justoneword\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        path.write_text("w1\tktb\n\njustoneword\n", encoding="utf-8")
+        with pytest.raises(PredictionFormatError,
+                           match=f"^{re.escape(str(path))}: line 3: needs at least 2 "
+                                 "tab-separated fields: 'justoneword'$"):
             read_predictions(path)

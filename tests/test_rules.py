@@ -296,19 +296,20 @@ class TestStoreAndPrune:
         with pytest.raises(ValueError):
             RuleStore([rule, MorphRule(ConcatRule("prefix", "", "x"), ())])
 
-    def test_rules_with_the_same_key_text_are_distinct(self):
+    def test_rules_whose_affixes_hold_the_key_separator_print_apart(self):
         a = MorphRule(ConcatRule("prefix", "a>b", ""), ())
         b = MorphRule(ConcatRule("prefix", "a", "b>"), ())
-        assert a.key.key_str == b.key.key_str == "concat:prefix:a>b>"
+        assert a.key.key_str == "concat:prefix:a\\>b>"
+        assert b.key.key_str == "concat:prefix:a>b\\>"
         store = RuleStore([a, b])
         assert list(store) == [a, b]
-        assert store.get("concat:prefix:a>b>") is a
-        assert store.get("concat:prefix:a>") is None
+        assert store.get(a.key.key_str) is a and store.get(b.key.key_str) is b
+        assert store.get("concat:prefix:a>b>") is None
 
-    def test_prune_orders_rules_with_the_same_key_text_by_key(self):
+    def test_prune_orders_rules_with_tied_scores_by_escaped_key_text(self):
         a = self.scored(ConcatRule("prefix", "a>b", ""), 25, 0.5)
         b = self.scored(ConcatRule("prefix", "a", "b>"), 25, 0.5)
-        assert a.key.key_str == b.key.key_str
+        assert b.key.key_str < a.key.key_str  # ">" sorts before "\\"
         for rules in ([a, b], [b, a]):
             pruned = prune_rules(self.build_store(rules), Thresholds())
             assert [r.key for r in pruned] == [b.key, a.key]
@@ -595,6 +596,12 @@ class TestDbRoundTrip:
          "repeats #vocab-hash of line 2$"),
         (lambda ls: ls[:4] + ["#scoring t_cos_sim=0.5 sample_cap=100 seed=7"] + ls[4:], 5,
          "repeats #scoring of line 4$"),
+        (lambda ls: ls[:3] + [ls[3] + " seed=7"] + ls[4:], 4,
+         "#scoring repeats field 'seed'$"),
+        (lambda ls: ls[:2] + ["#candidates concatenative=5 concatenative=9"] + ls[3:], 3,
+         "#candidates repeats field 'concatenative'$"),
+        (lambda ls: ls[:2] + [ls[2] + " bogus=3"] + ls[3:], 3,
+         "#candidates has unknown field 'bogus'$"),
         (lambda ls: ls[:4] + [ls[4].replace("concatenative", "foo")] + ls[5:], 5,
          "unknown rule kind 'foo'"),
         (lambda ls: ls[:4] + [ls[4].replace("rule", "junk", 1)] + ls[5:], 5,
@@ -641,8 +648,8 @@ class TestDbRoundTrip:
         assert not path.exists()
 
     def test_learned_rules_with_the_same_key_text_round_trip(self, tmp_path):
-        # prefix "a>b" -> "" and prefix "a" -> "b>" both print as
-        # concat:prefix:a>b>; each has two support pairs, so both validate.
+        # prefix "a>b" -> "" and prefix "a" -> "b>" would both print as
+        # concat:prefix:a>b> unescaped; each has two support pairs, so both validate.
         words = ["a>bxyz", "xyz", "axyz", "b>xyz", "a>bpqr", "pqr", "apqr", "b>pqr"]
         rng = np.random.default_rng(5)
         table = EmbeddingTable(words, rng.standard_normal((len(words), 16)))

@@ -1,5 +1,5 @@
-"""Every package module, script and test parses at the oldest Python that
-pyproject.toml allows.
+"""Every package module, script, test and benchmark module parses at the
+oldest Python that pyproject.toml allows.
 
 The suite runs on whatever interpreter is at hand, which may be newer than
 that floor; this catches newer syntax before a user on the floor does.
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jzr"
 MODULES = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("scripts/*.py")),
-           *sorted(ROOT.glob("tests/*.py"))]
+           *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
 
 
 # The `requires-python = ">=X.Y"` floor, as (X, Y).
@@ -24,7 +24,7 @@ FLOOR = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"',
 
 
 def _id(path):
-    """A package module's bare name, or a script's or test's path from the root."""
+    """A package module's bare name, or any other module's path from the root."""
     return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
 
 

@@ -1,9 +1,13 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from conftest import fail_writes_halfway
 from oracles import analogy_score
 from jzr.concat import PREFIX, ConcatRule
+from jzr.evalharness import PredictionFormatError
 from jzr.rules import MorphRule, ScoringSettings, score_rule
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
@@ -186,6 +190,32 @@ class TestFixtureFiles:
         v2, g2 = write_fixture(config, tmp_path / "two")
         assert v1.read_bytes() == v2.read_bytes()
         assert g1.read_bytes() == g2.read_bytes()
+
+    # sha256 of vectors.txt and gold.tsv. A change meant to keep the
+    # generator's output must keep these bytes; one that moves them on purpose
+    # re-pins them and says why.
+    @pytest.mark.parametrize("config, vectors_sha256, gold_sha256", [
+        (SynthConfig(n_roots=12, seed=9),
+         "a2a68352d3ff65b9648778ab0c4f345e7b46fa1ec989aa4d90ce2278943a804e",
+         "8fddd0a5b7b3edb34f7ae80215e7688f3f84653cc9b3e4fce8351db563031738"),
+        (SynthConfig(n_roots=12, seed=9, chain_depth=2, noise_sigma=0.1),
+         "d31f404d20125a25e53549c72961aeeef3b4df67e0361b8aa6d9277387f8e916",
+         "0bf1e8e04f4eff520f8d6afa7ec30191d34529d21cd0e0f6ca2121d774c6e998"),
+    ], ids=["depth1", "depth2-noisy"])
+    def test_fixture_bytes_are_pinned(self, tmp_path, config, vectors_sha256, gold_sha256):
+        paths = write_fixture(config, tmp_path / "fix")
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == [
+            vectors_sha256, gold_sha256]
+
+    @pytest.mark.parametrize("text, message", [
+        ("w\tw\t\nwa\tw\n", r"line 2: needs at least 3 tab-separated fields: 'wa\\tw'$"),
+        ("wa\tw\tx\nwa\tv\tx\n", "line 2: 'wa' has root 'v', but line 1 gives 'w'$"),
+    ], ids=["short-line", "two-roots"])
+    def test_load_gold_names_the_file_and_line_of_a_defect(self, tmp_path, text, message):
+        path = tmp_path / "gold.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(PredictionFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            load_gold(path)
 
     def test_failed_write_keeps_earlier_files(self, tmp_path, monkeypatch):
         out = tmp_path / "fix"
