@@ -1,7 +1,14 @@
-"""Word vector tables: loading a vector file and checking its words and vectors."""
+"""Word vector tables: loading a vector file and checking its words and vectors.
+
+Also the file helpers both of the package's loaders share: a checked array
+cache beside a parsed text file, a pause of the cyclic garbage collector
+for bulk builds, and atomic writes.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -52,6 +59,23 @@ def validate_word(text: str) -> str:
     return text
 
 
+def _word_index(words: list[str]) -> dict[str, int]:
+    """Each word's position, once every word passes `validate_word` and none repeats.
+
+    One search over the joined words checks them all; only a failure walks
+    them one by one, to name the first bad or repeated word.
+    """
+    index = dict(zip(words, range(len(words))))
+    if len(index) < len(words) or "" in index or _INVALID_CHAR.search("".join(words)):
+        seen: set[str] = set()
+        for word in words:
+            validate_word(word)
+            if word in seen:
+                raise EmbeddingError(f"duplicate word entry: {word!r}")
+            seen.add(word)
+    return index
+
+
 class EmbeddingTable:
     """Immutable map from word types to fixed-dimension real vectors.
 
@@ -74,16 +98,10 @@ class EmbeddingTable:
             )
         if not np.isfinite(mat).all():
             raise EmbeddingError("vectors contain non-finite components")
-        index: dict[str, int] = {}
-        for pos, word in enumerate(self.words):
-            validate_word(word)
-            if word in index:
-                raise EmbeddingError(f"duplicate word entry: {word!r}")
-            index[word] = pos
         mat.setflags(write=False)
         self.matrix = mat
         self.dim = int(mat.shape[1])
-        self.index = index
+        self.index = _word_index(self.words)
         self.duplicates_dropped = int(duplicates_dropped)
 
     def __len__(self) -> int:
@@ -116,32 +134,23 @@ def load_embeddings(path, top_n: int | None = None) -> EmbeddingTable:
     `duplicates_dropped` counter increments. `top_n` keeps only the first
     `top_n` records (the file producer's frequency order).
 
-    The parsed table of a regular file is cached beside it, in
-    `.<name>.jzrcache.npz`, under the sha256 of the bytes parsed and
-    `top_n`. A later load of the same bytes and `top_n` reads the cache
-    instead of the text, through the same `EmbeddingTable` checks; any
-    fault reading it, or a failed write, only costs the parse. A file that
-    fails to parse is not cached.
+    The parsed table is cached by `load_cached`, keyed by `top_n` too; a
+    cached table passes the same `EmbeddingTable` checks.
     """
     if top_n is not None and top_n < 0:
         raise ValueError("top_n must be non-negative")
     path = Path(path)
-    with open(path, "rb", buffering=0) as raw:
-        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
-                return _parse(fh, top_n, path)
-        cache = path.with_name(f".{path.name}.jzrcache.npz")
-        table = _read_cache(cache, raw, top_n)
-        if table is not None:
-            return table
-        raw.seek(0)
-        reader = _HashingReader(raw)
-        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
-            table = _parse(fh, top_n, path)
-            # A `top_n` cap stops the parse early; the key covers every byte.
-            digest = reader.drain()
-    _write_cache(cache, table, digest, top_n)
-    return table
+
+    def parse(fh):
+        table = _parse(fh, top_n, path)
+        return table, lambda: {"words": _blob(table.words), "matrix": table.matrix,
+                               "duplicates": table.duplicates_dropped}
+
+    def decode(npz) -> EmbeddingTable:
+        return EmbeddingTable(_unblob(npz["words"]), npz["matrix"],
+                              duplicates_dropped=int(npz["duplicates"]))
+
+    return load_cached(path, f"vectors top_n={top_n!r}", parse, decode)
 
 
 def _parse(fh, top_n: int | None, path: Path) -> EmbeddingTable:
@@ -209,6 +218,17 @@ def _parse(fh, top_n: int | None, path: Path) -> EmbeddingTable:
     return EmbeddingTable(words, mat, duplicates_dropped=duplicates)
 
 
+def _blob(words: list[str]) -> np.ndarray:
+    """Words, which hold no whitespace, as the bytes of one newline-joined text."""
+    return np.frombuffer("\n".join(words).encode("utf-8"), np.uint8)
+
+
+def _unblob(blob: np.ndarray) -> list[str]:
+    """The words `_blob` stored."""
+    text = blob.tobytes().decode("utf-8")
+    return text.split("\n") if text else []
+
+
 class _HashingReader(io.RawIOBase):
     """A binary reader that feeds every byte it returns to a sha256."""
 
@@ -233,44 +253,71 @@ class _HashingReader(io.RawIOBase):
         return self.sha.digest()
 
 
-# Bump when what `_write_cache` stores changes; an older cache is then a miss.
-_CACHE_FORMAT = 1
+# Bump when what `load_cached` stores changes; an older cache is then a miss.
+_CACHE_FORMAT = 2
 
 
-def _read_cache(cache: Path, raw, top_n: int | None) -> EmbeddingTable | None:
-    """The table cached for the bytes of `raw` and `top_n`, or None on a miss."""
-    try:
-        # np.load leaves a path it opened open when the zip is bad.
-        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if (int(npz["format"]) != _CACHE_FORMAT
-                    or npz["top_n"].item() != repr(top_n)
-                    or npz["digest"].tobytes() != _HashingReader(raw).drain()):
-                return None
-            text = npz["words"].tobytes().decode("utf-8")
-            return EmbeddingTable(text.split("\n") if text else [], npz["matrix"],
-                                  duplicates_dropped=int(npz["duplicates"]))
-    except Exception:
-        # zipfile and numpy raise many types on a damaged file (BadZipFile,
-        # KeyError, EOFError, NotImplementedError, ...); the parse is the fallback.
-        return None
+def load_cached(path: Path, tag: str, parse, decode):
+    """What `parse` reads from the UTF-8 text file at `path`, through a cache.
 
-
-def _write_cache(cache: Path, table: EmbeddingTable, digest: bytes,
-                 top_n: int | None) -> None:
-    """Store `table` for the bytes hashed to `digest`.
-
-    Words hold no whitespace, so one newline-joined blob keeps them all.
+    `parse(fh)` gives the result and a function that encodes it as a dict
+    of arrays; `decode(npz)` gives the result back from those arrays,
+    checking them. A regular file's arrays are cached beside it, in
+    `.<name>.jzrcache.npz`, under the sha256 of its bytes and `tag`, the
+    loader and its options. A later load of the same bytes and tag decodes
+    the cache instead of parsing the text. Any fault reading the cache,
+    and any exception `decode` raises, is a miss: it only costs the parse.
+    So is a failed write. A file that fails to parse is not cached, nor
+    is a non-regular file such as a pipe.
     """
-    words = "\n".join(table.words).encode("utf-8")
+    with open(path, "rb", buffering=0) as raw:
+        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
+                return parse(fh)[0]
+        cache = path.with_name(f".{path.name}.jzrcache.npz")
+        try:
+            # np.load leaves a path it opened open when the zip is bad.
+            with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+                if (int(npz["format"]) == _CACHE_FORMAT and npz["tag"].item() == tag
+                        and npz["digest"].tobytes() == _HashingReader(raw).drain()):
+                    return decode(npz)
+        except Exception:
+            # zipfile and numpy raise many types on a damaged file (BadZipFile,
+            # KeyError, EOFError, NotImplementedError, ...), and `decode` any
+            # type on a failed check; the parse is the fallback.
+            pass
+        raw.seek(0)
+        reader = _HashingReader(raw)
+        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
+            value, encode = parse(fh)
+            # A parse may stop early (a `top_n` cap); the key covers every byte.
+            digest = reader.drain()
     buf = io.BytesIO()
     try:
-        np.savez(buf, format=_CACHE_FORMAT, top_n=repr(top_n),
-                 digest=np.frombuffer(digest, np.uint8),
-                 duplicates=table.duplicates_dropped,
-                 words=np.frombuffer(words, np.uint8), matrix=table.matrix)
+        np.savez(buf, format=_CACHE_FORMAT, tag=tag,
+                 digest=np.frombuffer(digest, np.uint8), **encode())
         write_atomic(cache, buf.getbuffer())
     except OSError:
         pass  # an unwritable cache only means the next load parses again
+    return value
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Disable the cyclic garbage collector for the body, then restore its state.
+
+    A bulk build allocates many objects that stay alive, and each automatic
+    collection during it would only re-traverse them. The collector is
+    enabled again on leaving, also when the body raises, only if it was
+    enabled on entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_atomic(path, data: str | bytes) -> None:

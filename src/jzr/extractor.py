@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embeddings import EmbeddingTable, InvalidWordError, validate_word
+from .embeddings import EmbeddingTable, InvalidWordError, collector_paused, validate_word
 from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
 from .templatic import Template
 
@@ -45,6 +45,16 @@ def _status(final: str) -> str:
     return REACHED_TRILITERAL if len(final) == 3 else INFEASIBLE_STOP
 
 
+class _Traces(dict):
+    """Word -> trace; an unknown word is checked and given its no-step trace,
+    which is not stored, so memory does not grow with the words asked."""
+
+    __slots__ = ()
+
+    def __missing__(self, word: str) -> ExtractionTrace:
+        return ExtractionTrace(validate_word(word), (), word, _status(word))
+
+
 class RootExtractor:
     """Extracts roots against a frozen validated rule store.
 
@@ -55,17 +65,25 @@ class RootExtractor:
     then by source word. Each derived word's trace, built once, is its step
     and then its source word's trace; a vocabulary word with no step (a
     root, or under `limited` a word derived only by templates) gets its
-    no-step trace then too. So `extract` is one dictionary lookup for every
-    vocabulary word and every valid derived word; only an unknown word is
-    checked with `validate_word` and traced per call. Traces and steps are
-    NamedTuples: a trace compares equal to a plain tuple. At 7.2k words the
-    traces take about 1.8 MB (1.6 MB under `limited`). No vectors are
-    read: `table` only has to be the vocabulary the store was learned from.
+    no-step trace then too. Traces and steps are NamedTuples: a trace
+    compares equal to a plain tuple. At 7.2k words the traces take about
+    1.8 MB (1.6 MB under `limited`). No vectors are read: `table` only has
+    to be the vocabulary the store was learned from. The build runs with
+    the cyclic garbage collector paused.
+
+    `extract(word)` gives the trace of inverting rules until three letters
+    remain or no step is feasible, as built with the extractor. It is the
+    `__getitem__` of a dict of the built traces, so a vocabulary word or a
+    valid derived word costs one C-level lookup. A word the extractor does
+    not know has no step, and is checked first: an empty word or one with
+    whitespace or a control character raises InvalidWordError. A word
+    shorter than three letters has no feasible step.
 
     `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
     was scored; giving one that differs raises RuleDbError.
     """
 
+    @collector_paused()
     def __init__(self, store: RuleStore, table: EmbeddingTable,
                  thresholds: Thresholds | None = None,
                  sample_cap: int | None = None, seed: int | None = None,
@@ -126,22 +144,9 @@ class RootExtractor:
             return True
 
         # Only a valid word keys a trace; the table checked its own words.
-        self._traces = {w2: trace for w2, trace in traces.items()
-                        if w2 in table.index or valid(w2)}
+        built = _Traces((w2, trace) for w2, trace in traces.items()
+                        if w2 in table.index or valid(w2))
         for word in table.words:
-            if word not in self._traces:
-                self._traces[word] = ExtractionTrace(word, (), word, _status(word))
-
-    def extract(self, word: str) -> ExtractionTrace:
-        """The trace of inverting rules until three letters remain or no
-        step is feasible, as built with the extractor.
-
-        A word shorter than three letters has no feasible step. A word the
-        extractor does not know is checked first: an empty word or one with
-        whitespace or a control character raises InvalidWordError.
-        """
-        # Every word with a built trace was checked at build time; any other
-        # has no step.
-        if (trace := self._traces.get(word)) is None:
-            trace = ExtractionTrace(validate_word(word), (), word, _status(word))
-        return trace
+            if word not in built:
+                built[word] = ExtractionTrace(word, (), word, _status(word))
+        self.extract = built.__getitem__

@@ -4,17 +4,21 @@ from __future__ import annotations
 
 from .concat import enumerate_concat_rules
 from .config import Config
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, collector_paused
 from .rules import RuleStore, prune_rules, vocab_fingerprint
 from .templatic import enumerate_templatic_rules
 
 
+@collector_paused()
 def learn_rules(table: EmbeddingTable,
                 config: Config | None = None) -> tuple[RuleStore, RuleStore]:
     """Mine candidates from the table's vocabulary and validate them.
 
     Returns (candidates, validated). The semantic score is only computed for
     rules that can clear the orthographic threshold; the rest keep sem 0.0.
+    The cyclic garbage collector is paused throughout: the candidates stay
+    alive until the end, so each automatic collection would only re-traverse
+    them.
     """
     cfg = config or Config()
     # The store takes the candidate maps over, so each candidate is held once.

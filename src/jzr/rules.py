@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import _NORM_EPS, EmbeddingTable, validate_word, write_atomic
+from .embeddings import (
+    _INVALID_CHAR,
+    _NORM_EPS,
+    EmbeddingTable,
+    _blob,
+    _unblob,
+    _word_index,
+    collector_paused,
+    load_cached,
+    validate_word,
+    write_atomic,
+)
 from .templatic import Template, parse_template
 
 CONCATENATIVE = "concatenative"
@@ -363,6 +376,67 @@ def _parse_scoring(text: str) -> ScoringSettings:
                            int(values["seed"]))
 
 
+class _DbRecords:
+    """The header and rule records of a rule DB, read one line at a time.
+
+    Loading a DB from its text and from its cache both read every line that
+    is not a pair record here, so the two check those lines alike.
+    """
+
+    def __init__(self):
+        self.rules: list[tuple[RuleKey, RuleScores]] = []
+        self.vocab_hash = ""
+        self.counts: dict[str, int] = {}
+        self.scoring: ScoringSettings | None = None
+        self._rule_lines: dict[RuleKey, int] = {}
+        self._header_lines: dict[str, int] = {}
+
+    def add(self, line: str, fields: list[str], lineno: int) -> None:
+        """Read `line`, split at tabs into `fields`; a defect raises ValueError
+        or IndexError."""
+        record = fields[0]
+        if record == "rule":
+            if fields[1] == CONCATENATIVE:
+                _, _, side, old, new, orth, sem, sampled = fields
+                key = ConcatRule(side, old, new)
+            elif fields[1] == TEMPLATIC:
+                _, _, pattern, orth, sem, sampled = fields
+                key = parse_template(pattern)
+            else:
+                raise ValueError(f"unknown rule kind {fields[1]!r}")
+            if key in self._rule_lines:
+                raise ValueError(f"repeats rule {key.key_str} of line {self._rule_lines[key]}")
+            self._rule_lines[key] = lineno
+            if sampled not in ("0", "1"):
+                raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
+            self.rules.append((key, RuleScores(int(orth), float(sem), sampled == "1")))
+        elif line.startswith(("#vocab-hash ", "#candidates ", "#scoring ")):
+            name, _, value = line.partition(" ")
+            if self._header_lines.setdefault(name, lineno) != lineno:
+                raise ValueError(f"repeats {name} of line {self._header_lines[name]}")
+            if name == "#vocab-hash":
+                self.vocab_hash = value
+            elif name == "#candidates":
+                given = _parse_fields(name, value, (CONCATENATIVE, TEMPLATIC))
+                self.counts = {k: int(v) for k, v in given.items()}
+            else:
+                self.scoring = _parse_scoring(value)
+        elif line and not line.startswith("#"):
+            raise ValueError(f"unknown record type {record!r}")
+
+    def store(self, supports, w_sems) -> RuleStore:
+        """The store of these records, given each rule's support and w_sem."""
+        if self.scoring is None:
+            raise RuleDbError("rule DB has no #scoring header line")
+        if not self.vocab_hash:
+            raise RuleDbError("rule DB has no #vocab-hash header line, or it is empty")
+        rules = [MorphRule(key, support, replace(scores, w_sem=w_sem))
+                 for (key, scores), support, w_sem in zip(self.rules, supports, w_sems)]
+        return RuleStore(rules, vocab_hash=self.vocab_hash, candidate_counts=self.counts,
+                         scoring=self.scoring)
+
+
+@collector_paused()
 def load_rules(path) -> RuleStore:
     """Read a rule DB written by save_rules, checking every record.
 
@@ -373,96 +447,150 @@ def load_rules(path) -> RuleStore:
     is repeated or that its line does not name. Also raises it for a
     DB with no `#scoring` line, or with a missing or empty `#vocab-hash`
     line: such a DB would extract against any vocabulary.
+
+    The loaded store is cached by `load_cached` as arrays: its distinct
+    pair words, each pair's two word indexes and w_sem, and the text of
+    every other line. A cache hit reads those lines as the text parse does
+    and checks every pair again, in bulk.
     """
-    rules: list[MorphRule] = []
-    vocab_hash = ""
-    counts: dict[str, int] = {}
-    scoring: ScoringSettings | None = None
+    return load_cached(Path(path), "rules", _parse_db, _decode_db)
+
+
+def _parse_db(fh):
+    """The store of the rule DB open as text in `fh`, and its cache encoder.
+
+    The lines are read first without checking each pair word as it comes,
+    and the words are checked in bulk at the end; should anything fail,
+    the lines are read again checking each word, so that the error names
+    the line of the first defect.
+    """
+    first = fh.readline().rstrip("\n")
+    if first == _V1_MAGIC:
+        raise RuleDbError("rule DB format 1 stores no per-pair w_sem; "
+                          "re-run `jzr learn` to rebuild it")
+    if first != _DB_MAGIC:
+        raise RuleDbError(f"not a rule DB (bad magic line): {first!r}")
+    lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, not a line
+    try:
+        return _parse_lines(lines, check_each_word=False)
+    except RuleDbError:
+        pass
+    return _parse_lines(lines, check_each_word=True)
+
+
+def _parse_lines(lines: list[str], check_each_word: bool):
+    """`_parse_db` on the lines after the magic line, which is line 1."""
+    db = _DbRecords()
+    others: list[str] = []  # every line that is not a pair record
+    supports: list[tuple[Pair, ...]] = []
+    w_sems: list[tuple[float, ...]] = []
+    flat: list[Pair] = []  # every pair, in file order
+    values: list[float] = []  # and its w_sem
     rule_line = 0
-    rule_lines: dict[RuleKey, int] = {}
-    header_lines: dict[str, int] = {}
-    current_key: RuleKey | None = None
-    current_scores: RuleScores | None = None
-    current_pairs: list[Pair] = []
-    current_w_sem: list[float] = []
-    # One str per distinct pair word, each checked by validate_word once.
+    pairs: list[Pair] | None = None  # those of the rule being read
+    w_sem: list[float] = []
+    # One str per distinct pair word.
     interned: dict[str, str] = {}
 
     def flush():
-        if current_key is None:
+        if pairs is None:
             return
-        if len(current_pairs) != current_scores.orth:
-            raise RuleDbError(f"line {rule_line}: rule has orth {current_scores.orth} "
-                              f"but {len(current_pairs)} pairs")
-        scores = replace(current_scores, w_sem=tuple(current_w_sem))
-        rules.append(MorphRule(current_key, tuple(current_pairs), scores))
+        orth = db.rules[-1][1].orth
+        if len(pairs) != orth:
+            raise RuleDbError(f"line {rule_line}: rule has orth {orth} "
+                              f"but {len(pairs)} pairs")
+        supports.append(tuple(pairs))
+        w_sems.append(tuple(w_sem))
+        flat.extend(pairs)
+        values.extend(w_sem)
 
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first == _V1_MAGIC:
-            raise RuleDbError("rule DB format 1 stores no per-pair w_sem; "
-                              "re-run `jzr learn` to rebuild it")
-        if first != _DB_MAGIC:
-            raise RuleDbError(f"not a rule DB (bad magic line): {first!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            fields = line.split("\t")
-            record = fields[0]
-            if record == "rule":
+    for lineno, line in enumerate(lines, start=2):
+        fields = line.split("\t")
+        try:
+            if fields[0] == "pair":
+                if pairs is None:
+                    raise ValueError("pair record before any rule record")
+                try:
+                    _, w1, w2, text = fields
+                except ValueError:
+                    raise ValueError("pair record needs two words and one w_sem") from None
+                if check_each_word:
+                    validate_word(w1)
+                    validate_word(w2)
+                pair = (interned.setdefault(w1, w1), interned.setdefault(w2, w2))
+                if pairs and pair <= pairs[-1]:
+                    problem = "repeats" if pair == pairs[-1] else "is unsorted at"
+                    raise ValueError(f"support {problem} {pair!r}")
+                value = float(text)
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"w_sem out of [0, 1]: {text!r}")
+                pairs.append(pair)
+                w_sem.append(value)
+                continue
+            if fields[0] == "rule":
                 flush()
-            try:
-                if record == "pair":
-                    if current_key is None:
-                        raise ValueError("pair record before any rule record")
-                    if len(fields) != 4:
-                        raise ValueError("pair record needs two words and one w_sem")
-                    w1, w2 = fields[1], fields[2]
-                    pair = (interned.get(w1) or interned.setdefault(w1, validate_word(w1)),
-                            interned.get(w2) or interned.setdefault(w2, validate_word(w2)))
-                    if current_pairs and pair <= current_pairs[-1]:
-                        problem = "repeats" if pair == current_pairs[-1] else "is unsorted at"
-                        raise ValueError(f"support {problem} {pair!r}")
-                    w_sem = float(fields[3])
-                    if not 0.0 <= w_sem <= 1.0:
-                        raise ValueError(f"w_sem out of [0, 1]: {fields[3]!r}")
-                    current_pairs.append(pair)
-                    current_w_sem.append(w_sem)
-                elif record == "rule":
-                    rule_line, current_pairs, current_w_sem = lineno, [], []
-                    if fields[1] == CONCATENATIVE:
-                        _, _, side, old, new, orth, sem, sampled = fields
-                        current_key = ConcatRule(side, old, new)
-                    elif fields[1] == TEMPLATIC:
-                        _, _, pattern, orth, sem, sampled = fields
-                        current_key = parse_template(pattern)
-                    else:
-                        raise ValueError(f"unknown rule kind {fields[1]!r}")
-                    if current_key in rule_lines:
-                        raise ValueError(f"repeats rule {current_key.key_str} "
-                                         f"of line {rule_lines[current_key]}")
-                    rule_lines[current_key] = lineno
-                    if sampled not in ("0", "1"):
-                        raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
-                    current_scores = RuleScores(int(orth), float(sem), sampled == "1")
-                elif line.startswith(("#vocab-hash ", "#candidates ", "#scoring ")):
-                    name, _, value = line.partition(" ")
-                    if header_lines.setdefault(name, lineno) != lineno:
-                        raise ValueError(f"repeats {name} of line {header_lines[name]}")
-                    if name == "#vocab-hash":
-                        vocab_hash = value
-                    elif name == "#candidates":
-                        given = _parse_fields(name, value, (CONCATENATIVE, TEMPLATIC))
-                        counts = {k: int(v) for k, v in given.items()}
-                    else:
-                        scoring = _parse_scoring(value)
-                elif line and not line.startswith("#"):
-                    raise ValueError(f"unknown record type {record!r}")
-            except (ValueError, IndexError) as exc:
-                raise RuleDbError(f"line {lineno}: {exc}") from None
+                rule_line, pairs, w_sem = lineno, [], []
+            others.append(line)
+            db.add(line, fields, lineno)
+        except RuleDbError:
+            raise  # flush's, which names its rule's line
+        except (ValueError, IndexError) as exc:
+            raise RuleDbError(f"line {lineno}: {exc}") from None
     flush()
-    if scoring is None:
-        raise RuleDbError("rule DB has no #scoring header line")
-    if not vocab_hash:
-        raise RuleDbError("rule DB has no #vocab-hash header line, or it is empty")
-    return RuleStore(rules, vocab_hash=vocab_hash, candidate_counts=counts,
-                     scoring=scoring)
+    # What validate_word checks, over every pair word at once.
+    if "" in interned or _INVALID_CHAR.search("".join(interned)):
+        raise RuleDbError("a pair word is empty or holds whitespace or a control character")
+    store = db.store(supports, w_sems)
+
+    def encode() -> dict:
+        # Sorted words make index order string order, which `_decode_db`'s
+        # check of each support's order relies on.
+        words = sorted(interned)
+        index = dict(zip(words, range(len(words))))
+        ids = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(flat)),
+                          np.int32, 2 * len(flat))
+        return {"lines": np.frombuffer("\n".join(others).encode("utf-8"), np.uint8),
+                "words": _blob(words), "w1": ids[0::2], "w2": ids[1::2],
+                "w_sem": np.array(values, np.float64)}
+
+    return store, encode
+
+
+def _decode_db(npz) -> RuleStore:
+    """The store `_parse_db` encoded, after the checks the parse makes on
+    every pair; ValueError if one fails."""
+    db = _DbRecords()
+    for lineno, line in enumerate(npz["lines"].tobytes().decode("utf-8").split("\n")):
+        db.add(line, line.split("\t"), lineno)
+    words = _unblob(npz["words"])
+    _word_index(words)  # every word valid, none repeated
+    if words != sorted(words):
+        raise ValueError("pair words out of order")
+    w1, w2, w_sem = npz["w1"], npz["w2"], npz["w_sem"]
+    n = len(w_sem)
+    if not (w1.dtype == w2.dtype == np.int32 and w_sem.dtype == np.float64
+            and w1.shape == w2.shape == w_sem.shape == (n,)):
+        raise ValueError("pair arrays of the wrong type or shape")
+    # Each rule's pairs are the next orth ones, so each has its orth and the
+    # sum is the pair count exactly when every pair is used.
+    ends = np.cumsum([scores.orth for _, scores in db.rules], dtype=np.int64)
+    if (ends[-1] if len(ends) else 0) != n:
+        raise ValueError("pair count differs from the rules' orth")
+    if n and not (0 <= min(w1.min(), w2.min()) and max(w1.max(), w2.max()) < len(words)):
+        raise ValueError("pair word index out of range")
+    if not ((0.0 <= w_sem) & (w_sem <= 1.0)).all():  # NaN fails both
+        raise ValueError("w_sem out of [0, 1]")
+    rising = np.diff(w1.astype(np.int64) * len(words) + w2) > 0
+    starts = ends[:-1]
+    rising[starts[(0 < starts) & (starts < n)] - 1] = True  # a new rule may start lower
+    if not rising.all():
+        raise ValueError("a support is not strictly increasing")
+    pairs = list(zip(map(words.__getitem__, w1.tolist()),
+                     map(words.__getitem__, w2.tolist())))
+    values = w_sem.tolist()
+    bounds = [0, *ends.tolist()]
+    spans = list(zip(bounds, bounds[1:]))
+    return db.store([tuple(pairs[a:b]) for a, b in spans],
+                    [tuple(values[a:b]) for a, b in spans])

@@ -85,6 +85,9 @@ class SynthConfig:
         keys = [r.key_str for r in self.templates + self.affixes]
         if len(set(keys)) != len(keys):
             raise ValueError("planted rules must have distinct keys")
+        for key in keys:
+            if ";" in key:  # the gold file's chain separator
+                raise ValueError(f"planted rule keys cannot contain ';': {key}")
 
     @property
     def rules(self) -> tuple:

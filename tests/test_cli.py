@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from conftest import fail_writes_halfway
 from jzr import cli, embeddings
 from jzr.cli import main
+from jzr.concat import ConcatRule
 from jzr.config import SETTING_TYPES
 from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
@@ -513,6 +515,16 @@ class TestUsageAndConfig:
                                      ("--dim", "1", "dim must be at least 2")]:
             assert main(["synth", "--out", str(tmp_path / "fix"), flag, value]) == 1
             assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "fix").exists()
+
+    def test_planted_key_with_a_semicolon_is_usage_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # `synth` has no flag for the planted rules; plant one through the class.
+        planted = functools.partial(SynthConfig, affixes=(ConcatRule("prefix", "", "q;c"),))
+        monkeypatch.setattr(cli, "SynthConfig", planted)
+        assert main(["synth", "--out", str(tmp_path / "fix")]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: planted rule keys cannot contain ';': concat:prefix:>q;c\n")
         assert not (tmp_path / "fix").exists()
 
     def test_failed_synth_leaves_no_out_directory(self, tmp_path, capsys):

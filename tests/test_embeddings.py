@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -21,6 +22,7 @@ from jzr.embeddings import (
     EmptyFileError,
     InvalidWordError,
     VectorParseError,
+    collector_paused,
     load_embeddings,
     validate_word,
 )
@@ -335,6 +337,53 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
 
 
+@pytest.fixture
+def collector_state():
+    """Restore the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPaused:
+    def test_restores_an_enabled_collector(self, collector_state):
+        gc.enable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self, collector_state):
+        gc.disable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_restores_the_state_when_the_body_raises(self, collector_state):
+        gc.enable()
+        with pytest.raises(KeyError):
+            with collector_paused():
+                raise KeyError("boom")
+        assert gc.isenabled()
+
+    def test_nested_pauses_restore_the_outer_state(self, collector_state):
+        gc.enable()
+        with collector_paused():
+            with collector_paused():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_pauses_a_decorated_function_on_every_call(self, collector_state):
+        gc.enable()
+
+        @collector_paused()
+        def state():
+            return gc.isenabled()
+
+        assert [state(), state()] == [False, False]
+        assert gc.isenabled()
+
+
 class TestWordValidation:
     @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\nb", "a\x00b", "\x7f"])
     def test_rejects(self, bad):
@@ -448,6 +497,37 @@ class TestFromVectors:
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(["a", "a"], [[1.0, 0.0], [0.0, 1.0]])
+
+    # The error names the first word, in table order, that is bad or repeated.
+    @pytest.mark.parametrize("words, error, message", [
+        (["a", "b", "a", "c d"], EmbeddingError, "duplicate word entry: 'a'"),
+        (["a", "c d", "a", "b"], InvalidWordError, "whitespace.*'c d'"),
+        (["a", "", "a"], InvalidWordError, "non-empty"),
+        (["a", "b\x85", "b\x85"], InvalidWordError, re.escape("character: 'b\\x85'")),
+    ])
+    def test_first_bad_word_is_named(self, words, error, message):
+        with pytest.raises(error, match=message):
+            EmbeddingTable(words, np.eye(len(words)))
+
+    @given(st.lists(st.text(max_size=3), max_size=6))
+    def test_word_check_matches_a_walk_with_validate_word(self, words):
+        def walk():
+            seen = set()
+            for word in words:
+                validate_word(word)
+                if word in seen:
+                    raise EmbeddingError(f"duplicate word entry: {word!r}")
+                seen.add(word)
+
+        def outcome(fn):
+            try:
+                fn()
+            except ValueError as exc:
+                return type(exc), str(exc)
+            return None
+
+        matrix = np.ones((len(words), 2))
+        assert outcome(lambda: EmbeddingTable(words, matrix)) == outcome(walk)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -435,6 +435,14 @@ class TestExtraction:
             assert got == brute_extract(validated, table, w, th.t_cos_sim, th.t_w_sem,
                                         True, sc.sample_cap, sc.seed)
 
+    def test_unknown_word_is_not_stored(self, small_world):
+        extractor = small_world[5]
+        traces = extractor.extract.__self__  # extract is the built traces' lookup
+        size = len(traces)
+        first, again = extractor.extract("notaword"), extractor.extract("notaword")
+        assert first == again and first is not again
+        assert len(traces) == size and "notaword" not in traces
+
     def test_rejects_invalid_word(self, small_world):
         with pytest.raises(ValueError):
             small_world[5].extract("two words")

@@ -1,5 +1,8 @@
+import gc
+import os
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway, random_table
+from jzr import rules
 from oracles import brute_r_sem, brute_w_sem, tensor_count_passes
 from jzr.concat import ConcatRule, enumerate_concat_rules
 from jzr.config import Config
@@ -684,6 +688,187 @@ class TestAtomicWrite:
             save_rules(store, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rules.db"]
+
+
+def cache_of(path):
+    return path.with_name(f".{path.name}.jzrcache.npz")
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A list that grows by one entry per text parse of a rule DB."""
+    calls = []
+    real = rules._parse_db
+
+    def counting(fh):
+        calls.append(fh)
+        return real(fh)
+
+    monkeypatch.setattr(rules, "_parse_db", counting)
+    return calls
+
+
+# Valid pair words, with code points of one to four UTF-8 bytes, so that
+# sorting by code point and sorting the bytes could disagree if mixed up.
+_WORD = st.text("abk>\\éكب𝔸", min_size=1, max_size=4)
+_KEY = st.one_of(
+    st.builds(ConcatRule, st.sampled_from(["prefix", "suffix"]), st.just(""),
+              st.text("abk>\\é", min_size=1, max_size=3)),
+    st.sampled_from([Template(("ma", "", "a", "")), Template(("i", "a", "i", "e"))]),
+)
+
+
+@st.composite
+def saved_stores(draw):
+    """A store that save_rules accepts: scored rules with sorted supports."""
+    keys = draw(st.lists(_KEY, max_size=4, unique=True))
+    rules_ = []
+    for key in keys:
+        support = sorted(draw(st.sets(st.tuples(_WORD, _WORD), max_size=6)))
+        w_sem = draw(st.lists(st.floats(0.0, 1.0), min_size=len(support),
+                              max_size=len(support)))
+        scores = RuleScores(len(support), draw(st.floats(0.0, 1.0)), draw(st.booleans()),
+                            tuple(w_sem))
+        rules_.append(MorphRule(key, tuple(support), scores))
+    counts = draw(st.fixed_dictionaries({CONCATENATIVE: st.integers(0, 10**6),
+                                         TEMPLATIC: st.integers(0, 10**6)}))
+    return RuleStore(rules_, vocab_hash=vocab_fingerprint(["a"]), candidate_counts=counts,
+                     scoring=SCORING)
+
+
+def one_str_per_word(store) -> bool:
+    first: dict[str, str] = {}
+    return all(first.setdefault(w, w) is w for rule in store for pair in rule.support
+               for w in pair)
+
+
+class TestDbCache:
+    @settings(max_examples=60, deadline=None)
+    @given(saved_stores())
+    def test_a_hit_equals_the_miss_and_the_saved_store(self, tmp_path_factory, store):
+        path = tmp_path_factory.mktemp("db") / "rules.db"
+        save_rules(store, path)
+        cold = load_rules(path)
+        assert cache_of(path).exists()
+        with mock.patch.object(rules, "_parse_db", side_effect=AssertionError("parsed")):
+            warm = load_rules(path)
+        assert cold == store and warm == store
+        assert one_str_per_word(cold) and one_str_per_word(warm)
+        assert [r.scores.w_sem for r in warm] == [r.scores.w_sem for r in store]
+
+    @staticmethod
+    def respoil(path, edit):
+        """Rewrite the cache of `path` with `edit` applied to its arrays."""
+        with np.load(cache_of(path)) as npz:
+            arrays = dict(npz)
+        edit(arrays)
+        np.savez(cache_of(path), **arrays)
+
+    @staticmethod
+    def swap_first_pairs(arrays):
+        for name in ("w1", "w2", "w_sem"):
+            arrays[name][[0, 1]] = arrays[name][[1, 0]]
+
+    @staticmethod
+    def set_word(arrays, pos, word):
+        words = arrays["words"].tobytes().decode("utf-8").split("\n")
+        words[pos] = word
+        arrays["words"] = np.frombuffer("\n".join(words).encode("utf-8"), np.uint8)
+
+    # Each edit would decode to another store if its check were missing.
+    @pytest.mark.parametrize("edit", [
+        lambda a: TestDbCache.set_word(a, 0, "aljar s"),
+        lambda a: TestDbCache.set_word(a, 0, "aljar\x07s"),
+        lambda a: TestDbCache.set_word(a, 0, ""),
+        lambda a: TestDbCache.set_word(a, 1, "zz"),
+        swap_first_pairs,
+        lambda a: a["w_sem"].__setitem__(0, 1.5),
+        lambda a: a["w_sem"].__setitem__(0, np.nan),
+        lambda a: a["w_sem"].__setitem__(0, -0.25),
+        lambda a: a["w2"].__setitem__(0, a["words"].tobytes().count(b"\n") + 1),
+        lambda a: a["w1"].__setitem__(0, -1),
+        lambda a: a.update({k: a[k][:-1] for k in ("w1", "w2", "w_sem")}),
+        lambda a: a.update(w1=a["w1"].astype(np.int64)),
+        lambda a: a.update(lines=np.frombuffer(
+            a["lines"].tobytes().replace(b"\t2\t1.0\t0", b"\t1\t1.0\t0"), np.uint8)),
+        lambda a: a["digest"].__setitem__(0, a["digest"][0] ^ 1),
+        lambda a: a.update(tag=np.array("vectors top_n=None")),
+    ], ids=["space", "control", "empty", "unsorted-words", "unsorted-pairs", "w_sem-1.5",
+            "w_sem-nan", "w_sem-negative", "index-high", "index-negative", "pair-count",
+            "dtype", "orth", "digest", "tag"])
+    def test_spoiled_cache_falls_back_to_the_parse(self, tmp_path, parses, edit):
+        store = TestDbRoundTrip().build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        load_rules(path)
+        self.respoil(path, edit)
+        del parses[:]
+        assert load_rules(path) == store
+        assert load_rules(path) == store  # the parse rewrote the cache
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("spoil", [
+        lambda cache: cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2]),
+        lambda cache: cache.write_bytes(b"not a zip"),
+    ], ids=["truncated", "not-npz"])
+    def test_unreadable_cache_falls_back_to_the_parse(self, tmp_path, parses, spoil):
+        store = TestDbRoundTrip().build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        load_rules(path)
+        spoil(cache_of(path))
+        del parses[:]
+        assert load_rules(path) == store
+        assert len(parses) == 1
+
+    def test_a_defective_db_is_refused_by_line_and_not_cached(self, tmp_path):
+        path, lines = TestDbRoundTrip().saved_lines(tmp_path)
+        load_rules(path)
+        cache_of(path).unlink()
+        bad = lines[:5] + [lines[5][:-3] + "1.5"] + lines[6:]
+        path.write_text("\n".join(bad) + "\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(RuleDbError, match="^line 6: w_sem out of"):
+                load_rules(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["rules.db"]
+
+    def test_an_edited_db_is_parsed_again(self, tmp_path):
+        path, lines = TestDbRoundTrip().saved_lines(tmp_path)
+        load_rules(path)
+        path.write_text("\n".join(lines[:6] + lines[7:]) + "\n", encoding="utf-8")
+        with pytest.raises(RuleDbError, match="^line 5: rule has orth 2 but 1 pairs"):
+            load_rules(path)
+
+    def test_read_only_directory_still_loads(self, tmp_path):
+        store = TestDbRoundTrip().build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        tmp_path.chmod(0o555)
+        try:
+            assert load_rules(path) == store
+            assert load_rules(path) == store
+            if not os.access(tmp_path, os.W_OK):  # the superuser may write anyway
+                assert [p.name for p in tmp_path.iterdir()] == ["rules.db"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    def test_an_unwritable_cache_path_still_loads(self, tmp_path, parses):
+        store = TestDbRoundTrip().build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        cache_of(path).mkdir()  # neither readable nor replaceable as a file
+        assert load_rules(path) == store
+        assert load_rules(path) == store
+        assert len(parses) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cache_of(path).name, "rules.db"]
+
+    def test_load_restores_the_collector_also_when_it_raises(self, tmp_path):
+        path = tmp_path / "junk.db"
+        path.write_text("not a db\n", encoding="utf-8")
+        assert gc.isenabled()
+        with pytest.raises(RuleDbError):
+            load_rules(path)
+        assert gc.isenabled()
 
 
 class TestVocabFingerprint:

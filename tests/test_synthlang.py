@@ -41,6 +41,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(affixes=DEFAULT_AFFIXES + (ConcatRule(PREFIX, "", "wA"),))
 
+    @pytest.mark.parametrize("rules", [
+        {"affixes": (ConcatRule(PREFIX, "", "q;c"),)},
+        {"templates": (Template(("m;a", "", "a", "u")),)},
+    ], ids=["affix", "template"])
+    def test_rejects_the_gold_chain_separator_in_a_key(self, rules):
+        # format_gold joins a chain's keys with ';', so such a key would not read back.
+        with pytest.raises(ValueError, match="cannot contain ';'"):
+            SynthConfig(**rules)
+
     def test_rejects_bad_chain_depth(self):
         with pytest.raises(ValueError):
             SynthConfig(chain_depth=3)
