@@ -15,9 +15,10 @@ from typing import get_type_hints
 
 from . import evalharness, synthlang
 from .config import SETTING_TYPES, Config
-from .embeddings import EmbeddingError, InvalidWordError, load_embeddings, write_atomic
+from .embeddings import EmbeddingError, InvalidWordError, load_embeddings
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
+from .fileio import write_atomic
 from .pipeline import learn_rules
 from .rules import (
     CONCATENATIVE,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .embeddings import EmbeddingTable, InvalidWordError, collector_paused, validate_word
+from .embeddings import EmbeddingTable, InvalidWordError, validate_word
+from .fileio import collector_paused
 from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
 from .templatic import Template
 
@@ -71,14 +72,6 @@ class RootExtractor:
     to be the vocabulary the store was learned from. The build runs with
     the cyclic garbage collector paused.
 
-    `extract(word)` gives the trace of inverting rules until three letters
-    remain or no step is feasible, as built with the extractor. It is the
-    `__getitem__` of a dict of the built traces, so a vocabulary word or a
-    valid derived word costs one C-level lookup. A word the extractor does
-    not know has no step, and is checked first: an empty word or one with
-    whitespace or a control character raises InvalidWordError. A word
-    shorter than three letters has no feasible step.
-
     `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
     was scored; giving one that differs raises RuleDbError.
     """
@@ -144,9 +137,18 @@ class RootExtractor:
             return True
 
         # Only a valid word keys a trace; the table checked its own words.
-        built = _Traces((w2, trace) for w2, trace in traces.items()
-                        if w2 in table.index or valid(w2))
+        self._traces = _Traces((w2, trace) for w2, trace in traces.items()
+                               if w2 in table.index or valid(w2))
         for word in table.words:
-            if word not in built:
-                built[word] = ExtractionTrace(word, (), word, _status(word))
-        self.extract = built.__getitem__
+            if word not in self._traces:
+                self._traces[word] = ExtractionTrace(word, (), word, _status(word))
+
+    def extract(self, word: str) -> ExtractionTrace:
+        """The trace of inverting rules until three letters remain or no
+        step is feasible, as built with the extractor.
+
+        A word shorter than three letters has no feasible step. A word the
+        extractor does not know is checked first: an empty word or one with
+        whitespace or a control character raises InvalidWordError.
+        """
+        return self._traces[word]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from .concat import enumerate_concat_rules
 from .config import Config
-from .embeddings import EmbeddingTable, collector_paused
+from .embeddings import EmbeddingTable
+from .fileio import collector_paused
 from .rules import RuleStore, prune_rules, vocab_fingerprint
 from .templatic import enumerate_templatic_rules
 

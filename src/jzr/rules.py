@@ -10,18 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import (
-    _INVALID_CHAR,
-    _NORM_EPS,
-    EmbeddingTable,
-    _blob,
-    _unblob,
-    _word_index,
-    collector_paused,
-    load_cached,
-    validate_word,
-    write_atomic,
-)
+from .embeddings import _NORM_EPS, EmbeddingTable, validate_word, word_index
+from .fileio import collector_paused, load_cached, pack_lines, unpack_lines, write_atomic
 from .templatic import Template, parse_template
 
 CONCATENATIVE = "concatenative"
@@ -457,13 +447,7 @@ def load_rules(path) -> RuleStore:
 
 
 def _parse_db(fh):
-    """The store of the rule DB open as text in `fh`, and its cache encoder.
-
-    The lines are read first without checking each pair word as it comes,
-    and the words are checked in bulk at the end; should anything fail,
-    the lines are read again checking each word, so that the error names
-    the line of the first defect.
-    """
+    """The store of the rule DB open as text in `fh`, and its cache encoder."""
     first = fh.readline().rstrip("\n")
     if first == _V1_MAGIC:
         raise RuleDbError("rule DB format 1 stores no per-pair w_sem; "
@@ -473,25 +457,14 @@ def _parse_db(fh):
     lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()  # the end of the last line, not a line
-    try:
-        return _parse_lines(lines, check_each_word=False)
-    except RuleDbError:
-        pass
-    return _parse_lines(lines, check_each_word=True)
-
-
-def _parse_lines(lines: list[str], check_each_word: bool):
-    """`_parse_db` on the lines after the magic line, which is line 1."""
     db = _DbRecords()
     others: list[str] = []  # every line that is not a pair record
     supports: list[tuple[Pair, ...]] = []
     w_sems: list[tuple[float, ...]] = []
-    flat: list[Pair] = []  # every pair, in file order
-    values: list[float] = []  # and its w_sem
     rule_line = 0
     pairs: list[Pair] | None = None  # those of the rule being read
     w_sem: list[float] = []
-    # One str per distinct pair word.
+    # One str per distinct pair word, each checked by validate_word once.
     interned: dict[str, str] = {}
 
     def flush():
@@ -503,8 +476,6 @@ def _parse_lines(lines: list[str], check_each_word: bool):
                               f"but {len(pairs)} pairs")
         supports.append(tuple(pairs))
         w_sems.append(tuple(w_sem))
-        flat.extend(pairs)
-        values.extend(w_sem)
 
     for lineno, line in enumerate(lines, start=2):
         fields = line.split("\t")
@@ -516,10 +487,8 @@ def _parse_lines(lines: list[str], check_each_word: bool):
                     _, w1, w2, text = fields
                 except ValueError:
                     raise ValueError("pair record needs two words and one w_sem") from None
-                if check_each_word:
-                    validate_word(w1)
-                    validate_word(w2)
-                pair = (interned.setdefault(w1, w1), interned.setdefault(w2, w2))
+                pair = (interned.get(w1) or interned.setdefault(w1, validate_word(w1)),
+                        interned.get(w2) or interned.setdefault(w2, validate_word(w2)))
                 if pairs and pair <= pairs[-1]:
                     problem = "repeats" if pair == pairs[-1] else "is unsorted at"
                     raise ValueError(f"support {problem} {pair!r}")
@@ -539,9 +508,6 @@ def _parse_lines(lines: list[str], check_each_word: bool):
         except (ValueError, IndexError) as exc:
             raise RuleDbError(f"line {lineno}: {exc}") from None
     flush()
-    # What validate_word checks, over every pair word at once.
-    if "" in interned or _INVALID_CHAR.search("".join(interned)):
-        raise RuleDbError("a pair word is empty or holds whitespace or a control character")
     store = db.store(supports, w_sems)
 
     def encode() -> dict:
@@ -549,11 +515,11 @@ def _parse_lines(lines: list[str], check_each_word: bool):
         # check of each support's order relies on.
         words = sorted(interned)
         index = dict(zip(words, range(len(words))))
-        ids = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(flat)),
-                          np.int32, 2 * len(flat))
-        return {"lines": np.frombuffer("\n".join(others).encode("utf-8"), np.uint8),
-                "words": _blob(words), "w1": ids[0::2], "w2": ids[1::2],
-                "w_sem": np.array(values, np.float64)}
+        chain = itertools.chain.from_iterable
+        ids = np.fromiter(map(index.__getitem__, chain(chain(supports))), np.int32)
+        return {"lines": pack_lines(others),
+                "words": pack_lines(words), "w1": ids[0::2], "w2": ids[1::2],
+                "w_sem": np.fromiter(chain(w_sems), np.float64)}
 
     return store, encode
 
@@ -562,10 +528,10 @@ def _decode_db(npz) -> RuleStore:
     """The store `_parse_db` encoded, after the checks the parse makes on
     every pair; ValueError if one fails."""
     db = _DbRecords()
-    for lineno, line in enumerate(npz["lines"].tobytes().decode("utf-8").split("\n")):
+    for lineno, line in enumerate(unpack_lines(npz["lines"])):
         db.add(line, line.split("\t"), lineno)
-    words = _unblob(npz["words"])
-    _word_index(words)  # every word valid, none repeated
+    words = unpack_lines(npz["words"])
+    word_index(words)  # every word valid, none repeated
     if words != sorted(words):
         raise ValueError("pair words out of order")
     w1, w2, w_sem = npz["w1"], npz["w2"], npz["w_sem"]

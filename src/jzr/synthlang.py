@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .concat import PREFIX, SUFFIX, ConcatRule
-from .embeddings import EmbeddingTable, write_atomic
+from .embeddings import EmbeddingTable
+from .fileio import write_atomic
 from .evalharness import read_records
 from .templatic import Template
 

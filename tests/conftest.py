@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from jzr import embeddings as embeddings_module
+from jzr import fileio
 from jzr.config import Config
 from jzr.embeddings import EmbeddingTable
 from jzr.extractor import RootExtractor
@@ -112,6 +112,6 @@ class _HalfWrittenFile:
 
 def fail_writes_halfway(monkeypatch):
     """Make every file write_atomic opens fail partway through."""
-    monkeypatch.setattr(embeddings_module, "open",
+    monkeypatch.setattr(fileio, "open",
                         lambda *args, **kwargs: _HalfWrittenFile(open(*args, **kwargs)),
                         raising=False)

@@ -1,4 +1,3 @@
-import gc
 import math
 import os
 import re
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_table
 from oracles import brute_valid_word
-from jzr import embeddings
+from jzr import embeddings, fileio
 from jzr.concat import ConcatRule
 from jzr.embeddings import (
     DimensionMismatchError,
@@ -22,7 +21,6 @@ from jzr.embeddings import (
     EmptyFileError,
     InvalidWordError,
     VectorParseError,
-    collector_paused,
     load_embeddings,
     validate_word,
 )
@@ -269,7 +267,7 @@ class TestCache:
 
     def test_cache_hits_without_hashlib_file_digest(self, tmp_path, monkeypatch, parses):
         # hashlib.file_digest is new in Python 3.11; the cache must not need it.
-        monkeypatch.delattr(embeddings.hashlib, "file_digest", raising=False)
+        monkeypatch.delattr(fileio.hashlib, "file_digest", raising=False)
         path = write(tmp_path, "a 1 0\nb 0 1\n")
         for _ in range(3):
             assert same_table(load_embeddings(path), parsed(path))
@@ -309,9 +307,9 @@ class TestCache:
             raise PermissionError(13, "Permission denied")
 
         if target == "savez":
-            monkeypatch.setattr(embeddings.np, "savez", half_savez)
+            monkeypatch.setattr(fileio.np, "savez", half_savez)
         else:
-            monkeypatch.setattr(embeddings.os, "replace", no_replace)
+            monkeypatch.setattr(fileio.os, "replace", no_replace)
         path = write(tmp_path, "a 1 0\nb 0 1\n")
         assert same_table(load_embeddings(path), parsed(path))
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
@@ -335,53 +333,6 @@ class TestCache:
         assert not writer.is_alive()
         assert table.words == ["a"] and table.matrix.tolist() == [[0.6, 0.8]]
         assert [p.name for p in tmp_path.iterdir()] == ["vecs.txt"]
-
-
-@pytest.fixture
-def collector_state():
-    """Restore the collector's state after a test that changes it."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()
-
-
-class TestCollectorPaused:
-    def test_restores_an_enabled_collector(self, collector_state):
-        gc.enable()
-        with collector_paused():
-            assert not gc.isenabled()
-        assert gc.isenabled()
-
-    def test_leaves_a_disabled_collector_disabled(self, collector_state):
-        gc.disable()
-        with collector_paused():
-            assert not gc.isenabled()
-        assert not gc.isenabled()
-
-    def test_restores_the_state_when_the_body_raises(self, collector_state):
-        gc.enable()
-        with pytest.raises(KeyError):
-            with collector_paused():
-                raise KeyError("boom")
-        assert gc.isenabled()
-
-    def test_nested_pauses_restore_the_outer_state(self, collector_state):
-        gc.enable()
-        with collector_paused():
-            with collector_paused():
-                pass
-            assert not gc.isenabled()
-        assert gc.isenabled()
-
-    def test_pauses_a_decorated_function_on_every_call(self, collector_state):
-        gc.enable()
-
-        @collector_paused()
-        def state():
-            return gc.isenabled()
-
-        assert [state(), state()] == [False, False]
-        assert gc.isenabled()
 
 
 class TestWordValidation:

@@ -437,7 +437,7 @@ class TestExtraction:
 
     def test_unknown_word_is_not_stored(self, small_world):
         extractor = small_world[5]
-        traces = extractor.extract.__self__  # extract is the built traces' lookup
+        traces = extractor._traces
         size = len(traces)
         first, again = extractor.extract("notaword"), extractor.extract("notaword")
         assert first == again and first is not again
