@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
-from .embeddings import EmbeddingTable, InvalidWordError, validate_word
+import numpy as np
+
+from .embeddings import _INVALID_CHAR, EmbeddingTable, validate_word
 from .fileio import collector_paused
 from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
 from .templatic import Template
@@ -13,14 +16,17 @@ REACHED_TRILITERAL = "reached_triliteral"
 INFEASIBLE_STOP = "infeasible_stop"
 
 
-def _stage(key: RuleKey) -> int | None:
+def _stage(key: RuleKey, limited: bool) -> int:
     """0 for insertions (empty deleted affix) and templates, 1 for
-    replacements (both affixes non-empty), which are only the fallback.
-    Pure deletions have no stage: inverting one only grows the word, so the
-    length constraint could never accept it."""
-    if isinstance(key, Template) or key.old == "":
+    replacements (both affixes non-empty), which are only the fallback,
+    and -1 for no stage. Pure deletions have none: inverting one only grows
+    the word, so the length constraint could never accept it. Nor do
+    templates under `limited`."""
+    if isinstance(key, Template):
+        return -1 if limited else 0
+    if key.old == "":
         return 0
-    return 1 if key.new != "" else None
+    return 1 if key.new != "" else -1
 
 
 class TraceStep(NamedTuple):
@@ -63,10 +69,12 @@ class RootExtractor:
     the w_sem the store holds for its support pairs; `limited` leaves
     templates out, so an extractor serves one mode. A step ranks by stage,
     then by w_sem, then by its rule's prune order (sem, orth, key text),
-    then by source word. Each derived word's trace, built once, is its step
-    and then its source word's trace; a vocabulary word with no step (a
-    root, or under `limited` a word derived only by templates) gets its
-    no-step trace then too. Traces and steps are NamedTuples: a trace
+    then by source word: one `np.lexsort` over the store's `pair_arrays`
+    ranks them all, so no Python object is made per pair, and a loaded
+    store makes no pair tuple. Each derived word's trace, built once, is
+    its step and then its source word's trace; a vocabulary word with no
+    step (a root, or under `limited` a word derived only by templates) gets
+    its no-step trace then too. Traces and steps are NamedTuples: a trace
     compares equal to a plain tuple. At 7.2k words the traces take about
     1.8 MB (1.6 MB under `limited`). No vectors are read: `table` only has
     to be the vocabulary the store was learned from. The build runs with
@@ -81,12 +89,7 @@ class RootExtractor:
                  thresholds: Thresholds | None = None,
                  sample_cap: int | None = None, seed: int | None = None,
                  limited: bool = False):
-        for rule in store:
-            if rule.scores is None or len(rule.scores.w_sem) != len(rule.support):
-                raise ValueError(
-                    f"rule {rule.key.key_str} is unscored; extract against a "
-                    "validated (scored and pruned) store"
-                )
+        arrays = store.pair_arrays()
         actual = vocab_fingerprint(table.words)
         if store.vocab_hash and store.vocab_hash != actual:
             raise RuleDbError(
@@ -104,44 +107,48 @@ class RootExtractor:
                 )
         t_w_sem = (thresholds or Thresholds()).t_w_sem
 
-        # Derived word -> rank (stage, -w_sem, prune order, source word, key
-        # text) of its best step.
-        best: dict[str, tuple] = {}
-        for rule in store:
-            stage = _stage(rule.key)
-            if stage is None or (limited and isinstance(rule.key, Template)):
-                continue
-            order, key_str = _order_key(rule), rule.key.key_str
-            for (w1, w2), w_sem in zip(rule.support, rule.scores.w_sem):
-                # A step must shorten the word and leave at least three letters.
-                if w_sem > t_w_sem and 3 <= len(w1) < len(w2):
-                    rank = (stage, -w_sem, order, w1, key_str)
-                    if w2 not in best or rank < best[w2]:
-                        best[w2] = rank
+        rules, words, w1, w2, w_sem, ends = arrays
+        # Per rule: its stage and its position in prune order.
+        stage = np.array([_stage(key, limited) for key, _ in rules], np.int64)
+        prune_order = sorted(range(len(rules)), key=lambda r: _order_key(*rules[r]))
+        position = np.empty(len(rules), np.int64)
+        position[prune_order] = np.arange(len(rules))
+        rule = np.repeat(np.arange(len(rules)), np.diff(ends, prepend=0))
+        # A step must shorten the word and leave at least three letters.
+        length = np.fromiter(map(len, words), np.int64, len(words))
+        len1 = length[w1]
+        (kept,) = np.nonzero((w_sem > t_w_sem) & (stage[rule] >= 0)
+                             & (3 <= len1) & (len1 < length[w2]))
+        # Rank each derived word's steps by stage, then w_sem, then prune
+        # order, then source word (ids are in string order); its first is best.
+        ranked = kept[np.lexsort((w1[kept], position[rule[kept]], -w_sem[kept],
+                                  stage[rule[kept]], w2[kept]))]
+        best = ranked[np.diff(w2[ranked], prepend=-1) != 0]
         # Every step shortens the word, so in order of length each derived
         # word's source word has its trace already, if it has a step at all.
+        best = best[np.argsort(length[w2[best]], kind="stable")]
+        key_strs = [key.key_str for key, _ in rules]
+        sources = list(map(words.__getitem__, w1[best].tolist()))
         # tuple.__new__ skips the NamedTuples' Python-level __new__: 3x as fast.
-        traces: dict[str, ExtractionTrace] = {}
-        for w2 in sorted(best, key=len):
-            _, neg_w_sem, _, w1, key_str = best[w2]
-            step = tuple.__new__(TraceStep, (key_str, w1, -neg_w_sem))
-            tail = traces.get(w1)
-            steps, final = ((step,), w1) if tail is None else ((step,) + tail.steps, tail.final)
-            traces[w2] = tuple.__new__(ExtractionTrace, (w2, steps, final, _status(final)))
-
-        def valid(word: str) -> bool:
-            try:
-                validate_word(word)
-            except InvalidWordError:
-                return False
-            return True
-
-        # Only a valid word keys a trace; the table checked its own words.
-        self._traces = _Traces((w2, trace) for w2, trace in traces.items()
-                               if w2 in table.index or valid(w2))
-        for word in table.words:
-            if word not in self._traces:
-                self._traces[word] = ExtractionTrace(word, (), word, _status(word))
+        steps = map(tuple.__new__, itertools.repeat(TraceStep),
+                    zip(map(key_strs.__getitem__, rule[best].tolist()), sources,
+                        w_sem[best].tolist()))
+        self._traces = traces = _Traces()
+        for word, source, step in zip(map(words.__getitem__, w2[best].tolist()),
+                                      sources, steps):
+            tail = traces.get(source)
+            if tail is None:
+                fields = (word, (step,), source, _status(source))
+            else:
+                fields = (word, (step,) + tail.steps, tail.final, tail.status)
+            traces[word] = tuple.__new__(ExtractionTrace, fields)
+        # Only a valid word keys a trace (a hand-built store may name others),
+        # and every vocabulary word does.
+        if "" in words[:1] or _INVALID_CHAR.search("".join(words)):
+            for word in [w for w in traces if not w or _INVALID_CHAR.search(w)]:
+                del traces[word]
+        for word in itertools.filterfalse(traces.__contains__, table.words):
+            traces[word] = ExtractionTrace(word, (), word, _status(word))
 
     def extract(self, word: str) -> ExtractionTrace:
         """The trace of inverting rules until three letters remain or no

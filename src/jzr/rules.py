@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import _NORM_EPS, EmbeddingTable, validate_word, word_index
+from .embeddings import _INVALID_CHAR, _NORM_EPS, EmbeddingTable, validate_word
 from .fileio import collector_paused, load_cached, pack_lines, unpack_lines, write_atomic
 from .templatic import Template, parse_template
 
@@ -96,9 +99,43 @@ class MorphRule:
     scores: RuleScores | None = None
 
 
+class PairArrays(NamedTuple):
+    """A store's rules and, rule after rule, their support pairs as arrays.
+
+    `rules` holds each rule's key and scores, in store order; the scores
+    of a loaded store carry no w_sem tuple. `words` is the sorted distinct
+    pair words, so word-id order is string order; `w1` and `w2` are each
+    pair's `int32` word ids and `w_sem` its `float64` score; rule r's pairs
+    are those from `ends[r - 1]` (0 for the first rule) up to `ends[r]`.
+    """
+
+    rules: list[tuple[RuleKey, RuleScores | None]]
+    words: list[str]
+    w1: np.ndarray
+    w2: np.ndarray
+    w_sem: np.ndarray
+    ends: np.ndarray
+
+
+def _pack(rules, ids: dict[str, int], w1, w2, w_sem, sizes) -> PairArrays:
+    """The array form of pairs given by provisional word ids.
+
+    `ids` numbers the pair words in any order, and `w1` and `w2` hold each
+    pair's two ids in it; the words are renumbered in string order. `sizes`
+    holds each rule's pair count.
+    """
+    words = sorted(ids)
+    renumber = np.empty(len(words), np.int32)
+    renumber[np.fromiter(map(ids.__getitem__, words), np.intp, len(words))] = (
+        np.arange(len(words)))
+    return PairArrays(rules, words, renumber[np.asarray(w1, np.intp)],
+                      renumber[np.asarray(w2, np.intp)], np.asarray(w_sem, np.float64),
+                      np.cumsum(sizes, dtype=np.int64))
+
+
 def vocab_fingerprint(words) -> str:
     """Order-sensitive digest of a vocabulary, used to pin rule DBs to vectors."""
-    return hashlib.sha256("".join(f"{w}\n" for w in words).encode("utf-8")).hexdigest()
+    return hashlib.sha256("\n".join([*words, ""]).encode("utf-8")).hexdigest()
 
 
 def support_sample(rule: MorphRule, table: EmbeddingTable, sample_cap: int,
@@ -189,16 +226,23 @@ def score_rule(rule: MorphRule, table: EmbeddingTable,
 
 
 class RuleStore:
-    """Insertion-ordered collection of rules, keyed by their RuleKey."""
+    """Insertion-ordered collection of rules, keyed by their RuleKey.
+
+    A store from `load_rules` holds its pairs only as `PairArrays`: each
+    rule's support and w_sem tuples are made on the first call that reads
+    the rules (iteration, `get`, `==`, `len`), once for the whole store,
+    which from then on holds them as a store built in memory does.
+    """
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
                  scoring: ScoringSettings | None = None):
-        self._rules: dict[RuleKey, MorphRule] = {}
+        self._rules: dict[RuleKey, MorphRule] | None = {}
         for rule in rules:
             if rule.key in self._rules:
                 raise ValueError(f"duplicate rule key: {rule.key.key_str}")
             self._rules[rule.key] = rule
+        self._arrays: PairArrays | None = None
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
         self.scoring = scoring
@@ -223,11 +267,39 @@ class RuleStore:
         store._rules = rules
         return store
 
+    @property
+    def _rule_map(self) -> dict[RuleKey, MorphRule]:
+        if self._rules is None:
+            self._rules = _unpack(self._arrays)
+            self._arrays = None  # the rules may now be changed in place
+        return self._rules
+
+    def pair_arrays(self) -> PairArrays:
+        """The rules and their pairs in array form, for a bulk reader.
+
+        A loaded store returns the arrays it holds; any other store packs
+        its support and w_sem tuples, and raises ValueError for a rule
+        without one w_sem per support pair.
+        """
+        if self._arrays is not None:
+            return self._arrays
+        rules = list(self)
+        for rule in rules:
+            if rule.scores is None or len(rule.scores.w_sem) != len(rule.support):
+                raise ValueError(f"rule {rule.key.key_str} is unscored: it has no w_sem "
+                                 "per support pair; score the store first")
+        ids: dict[str, int] = {}
+        w1 = [ids.setdefault(a, len(ids)) for rule in rules for a, _ in rule.support]
+        w2 = [ids.setdefault(b, len(ids)) for rule in rules for _, b in rule.support]
+        return _pack([(rule.key, rule.scores) for rule in rules], ids, w1, w2,
+                     [value for rule in rules for value in rule.scores.w_sem],
+                     [len(rule.support) for rule in rules])
+
     def __iter__(self):
-        return iter(self._rules.values())
+        return iter(self._rule_map.values())
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._rule_map)
 
     def get(self, ks: str) -> MorphRule | None:
         """The rule whose key text is `ks`, found by a scan of the store."""
@@ -236,7 +308,7 @@ class RuleStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuleStore):
             return NotImplemented
-        return (self._rules == other._rules
+        return (self._rule_map == other._rule_map
                 and self.vocab_hash == other.vocab_hash
                 and self.candidate_counts == other.candidate_counts
                 and self.scoring == other.scoring)
@@ -270,9 +342,9 @@ class RuleStore:
         self.scoring = scoring
 
 
-def _order_key(rule: MorphRule):
+def _order_key(key: RuleKey, scores: RuleScores):
     # Distinct keys never print alike, so the order never depends on insertion.
-    return (-rule.scores.sem, -rule.scores.orth, rule.key.key_str)
+    return (-scores.sem, -scores.orth, key.key_str)
 
 
 def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
@@ -287,7 +359,7 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
         rule for rule in store
         if rule.scores.sem > thresholds.t_r_sem and rule.scores.orth > thresholds.t_r_orth
     ]
-    survivors.sort(key=_order_key)
+    survivors.sort(key=lambda rule: _order_key(rule.key, rule.scores))
     return RuleStore(survivors, vocab_hash=store.vocab_hash,
                      candidate_counts=store.candidate_counts, scoring=store.scoring)
 
@@ -300,7 +372,7 @@ def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[Mor
     for rule in rules:
         if rule.scores is None:
             raise ValueError(f"rule {rule.key.key_str} not scored")
-    rules.sort(key=_order_key)
+    rules.sort(key=lambda rule: _order_key(rule.key, rule.scores))
     return rules[: max(top_k, 0)]
 
 
@@ -414,16 +486,26 @@ class _DbRecords:
         elif line and not line.startswith("#"):
             raise ValueError(f"unknown record type {record!r}")
 
-    def store(self, supports, w_sems) -> RuleStore:
-        """The store of these records, given each rule's support and w_sem."""
+    def store(self, arrays: PairArrays) -> RuleStore:
+        """The store of these records and of `arrays`, which holds their pairs."""
         if self.scoring is None:
             raise RuleDbError("rule DB has no #scoring header line")
         if not self.vocab_hash:
             raise RuleDbError("rule DB has no #vocab-hash header line, or it is empty")
-        rules = [MorphRule(key, support, replace(scores, w_sem=w_sem))
-                 for (key, scores), support, w_sem in zip(self.rules, supports, w_sems)]
-        return RuleStore(rules, vocab_hash=self.vocab_hash, candidate_counts=self.counts,
-                         scoring=self.scoring)
+        store = RuleStore(vocab_hash=self.vocab_hash, candidate_counts=self.counts,
+                          scoring=self.scoring)
+        store._rules, store._arrays = None, arrays
+        return store
+
+
+def _unpack(arrays: PairArrays) -> dict[RuleKey, MorphRule]:
+    """Each rule of `arrays`, keyed by its key, with its support and w_sem tuples."""
+    words, w1, w2, w_sem, ends = arrays[1:]
+    bounds = [0, *ends.tolist()]
+    return {key: MorphRule(key, tuple(zip(map(words.__getitem__, w1[a:b].tolist()),
+                                          map(words.__getitem__, w2[a:b].tolist()))),
+                           replace(scores, w_sem=tuple(w_sem[a:b].tolist())))
+            for (key, scores), a, b in zip(arrays.rules, bounds, bounds[1:])}
 
 
 @collector_paused()
@@ -438,10 +520,10 @@ def load_rules(path) -> RuleStore:
     DB with no `#scoring` line, or with a missing or empty `#vocab-hash`
     line: such a DB would extract against any vocabulary.
 
-    The loaded store is cached by `load_cached` as arrays: its distinct
-    pair words, each pair's two word indexes and w_sem, and the text of
-    every other line. A cache hit reads those lines as the text parse does
-    and checks every pair again, in bulk.
+    The store holds its pairs as `PairArrays`, which is also what
+    `load_cached` caches, with the text of every non-pair line: no pair
+    tuple is made until a caller reads the rules. A cache hit reads those
+    lines as the text parse does and checks every pair again, in bulk.
     """
     return load_cached(Path(path), "rules", _parse_db, _decode_db)
 
@@ -459,48 +541,47 @@ def _parse_db(fh):
         lines.pop()  # the end of the last line, not a line
     db = _DbRecords()
     others: list[str] = []  # every line that is not a pair record
-    supports: list[tuple[Pair, ...]] = []
-    w_sems: list[tuple[float, ...]] = []
+    ids: dict[str, int] = {}  # each pair word, checked once, by first sight
+    w1_ids, w2_ids, w_sems = array("i"), array("i"), array("d")
     rule_line = 0
-    pairs: list[Pair] | None = None  # those of the rule being read
-    w_sem: list[float] = []
-    # One str per distinct pair word, each checked by validate_word once.
-    interned: dict[str, str] = {}
+    start = None  # the position of the first pair of the rule being read
+    p1 = p2 = None  # the words of its last pair read
 
     def flush():
-        if pairs is None:
+        if start is None:
             return
         orth = db.rules[-1][1].orth
-        if len(pairs) != orth:
+        if len(w_sems) - start != orth:
             raise RuleDbError(f"line {rule_line}: rule has orth {orth} "
-                              f"but {len(pairs)} pairs")
-        supports.append(tuple(pairs))
-        w_sems.append(tuple(w_sem))
+                              f"but {len(w_sems) - start} pairs")
 
     for lineno, line in enumerate(lines, start=2):
         fields = line.split("\t")
         try:
             if fields[0] == "pair":
-                if pairs is None:
+                if start is None:
                     raise ValueError("pair record before any rule record")
                 try:
                     _, w1, w2, text = fields
                 except ValueError:
                     raise ValueError("pair record needs two words and one w_sem") from None
-                pair = (interned.get(w1) or interned.setdefault(w1, validate_word(w1)),
-                        interned.get(w2) or interned.setdefault(w2, validate_word(w2)))
-                if pairs and pair <= pairs[-1]:
-                    problem = "repeats" if pair == pairs[-1] else "is unsorted at"
-                    raise ValueError(f"support {problem} {pair!r}")
+                for word in (w1, w2):
+                    if word not in ids:
+                        ids[validate_word(word)] = len(ids)
+                if p1 is not None and (w1 < p1 or w1 == p1 and w2 <= p2):
+                    problem = "repeats" if w1 == p1 and w2 == p2 else "is unsorted at"
+                    raise ValueError(f"support {problem} {(w1, w2)!r}")
                 value = float(text)
                 if not 0.0 <= value <= 1.0:
                     raise ValueError(f"w_sem out of [0, 1]: {text!r}")
-                pairs.append(pair)
-                w_sem.append(value)
+                w1_ids.append(ids[w1])
+                w2_ids.append(ids[w2])
+                w_sems.append(value)
+                p1, p2 = w1, w2
                 continue
             if fields[0] == "rule":
                 flush()
-                rule_line, pairs, w_sem = lineno, [], []
+                rule_line, start, p1 = lineno, len(w_sems), None
             others.append(line)
             db.add(line, fields, lineno)
         except RuleDbError:
@@ -508,18 +589,13 @@ def _parse_db(fh):
         except (ValueError, IndexError) as exc:
             raise RuleDbError(f"line {lineno}: {exc}") from None
     flush()
-    store = db.store(supports, w_sems)
+    store = db.store(_pack(db.rules, ids, w1_ids, w2_ids, w_sems,
+                           [scores.orth for _, scores in db.rules]))
 
     def encode() -> dict:
-        # Sorted words make index order string order, which `_decode_db`'s
-        # check of each support's order relies on.
-        words = sorted(interned)
-        index = dict(zip(words, range(len(words))))
-        chain = itertools.chain.from_iterable
-        ids = np.fromiter(map(index.__getitem__, chain(chain(supports))), np.int32)
-        return {"lines": pack_lines(others),
-                "words": pack_lines(words), "w1": ids[0::2], "w2": ids[1::2],
-                "w_sem": np.fromiter(chain(w_sems), np.float64)}
+        arrays = store._arrays
+        return {"lines": pack_lines(others), "words": pack_lines(arrays.words),
+                "w1": arrays.w1, "w2": arrays.w2, "w_sem": arrays.w_sem}
 
     return store, encode
 
@@ -531,9 +607,12 @@ def _decode_db(npz) -> RuleStore:
     for lineno, line in enumerate(unpack_lines(npz["lines"])):
         db.add(line, line.split("\t"), lineno)
     words = unpack_lines(npz["words"])
-    word_index(words)  # every word valid, none repeated
-    if words != sorted(words):
+    # Strictly increasing: index order is string order, and no word repeats.
+    if not all(map(operator.lt, words, itertools.islice(words, 1, None))):
         raise ValueError("pair words out of order")
+    # Sorted, so only the first word can be empty; no word holds a newline.
+    if words and not words[0] or _INVALID_CHAR.search("".join(words)):
+        raise ValueError("a pair word is empty, or holds whitespace or a control character")
     w1, w2, w_sem = npz["w1"], npz["w2"], npz["w_sem"]
     n = len(w_sem)
     if not (w1.dtype == w2.dtype == np.int32 and w_sem.dtype == np.float64
@@ -553,10 +632,4 @@ def _decode_db(npz) -> RuleStore:
     rising[starts[(0 < starts) & (starts < n)] - 1] = True  # a new rule may start lower
     if not rising.all():
         raise ValueError("a support is not strictly increasing")
-    pairs = list(zip(map(words.__getitem__, w1.tolist()),
-                     map(words.__getitem__, w2.tolist())))
-    values = w_sem.tolist()
-    bounds = [0, *ends.tolist()]
-    spans = list(zip(bounds, bounds[1:]))
-    return db.store([tuple(pairs[a:b]) for a, b in spans],
-                    [tuple(values[a:b]) for a, b in spans])
+    return db.store(PairArrays(db.rules, words, w1, w2, w_sem, ends))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_extract, brute_valid_word
+from jzr import rules as rules_module
 from jzr.concat import ConcatRule
 from jzr.embeddings import EmbeddingTable, InvalidWordError
 from jzr.extractor import (
@@ -22,7 +24,10 @@ from jzr.rules import (
     RuleStore,
     ScoringSettings,
     Thresholds,
+    load_rules,
+    save_rules,
     score_rule,
+    vocab_fingerprint,
 )
 from jzr.templatic import Template
 
@@ -101,6 +106,73 @@ class TestStepKinds:
         limited = RootExtractor(store, table, limited=True).extract("maktab")
         assert limited.steps == (TraceStep(replace_m_ma.key_str, "mktab", 1.0),)
         assert limited.status == INFEASIBLE_STOP
+
+
+def assert_matches_brute_extract(store, table, limited, th=Thresholds()):
+    extractor = RootExtractor(store, table, th, limited=limited)
+    for word in table.words:
+        trace = extractor.extract(word)
+        got = (trace.final, trace.status, [(s.rule, s.word, s.w_sem) for s in trace.steps])
+        assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem, limited)
+    return extractor
+
+
+def with_sem(store, sems):
+    """A copy of `store` whose rules, in the order of `sems`, take the sem
+    given with their key, which moves them in prune order; supports and
+    w_sem are kept."""
+    rules = {rule.key: rule for rule in store}
+    return RuleStore([MorphRule(key, rules[key].support,
+                                replace(rules[key].scores, sem=sem)) for key, sem in sems],
+                     scoring=store.scoring)
+
+
+class TestRankTieBreaks:
+    """The build ranks every step with one sort; these pin each tie-break."""
+
+    SUFFIX_AT = ConcatRule("suffix", "", "at")
+    SUFFIX_TABAT = ConcatRule("suffix", "", "tabat")
+
+    @pytest.mark.parametrize("sem_at, sem_tabat, winner", [
+        (1.0, 0.5, "maktab"),  # the higher sem first
+        (0.5, 1.0, "mak"),
+        (0.5, 0.5, "maktab"),  # then the key text: "…>at" < "…>tabat"
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equal_w_sem_is_decided_by_prune_order(self, sem_at, sem_tabat, winner, reverse):
+        # Both genuine, so both pairs reach "maktabat" with w_sem exactly 1.0;
+        # orth is 5 for both.
+        store, table = planted_world([(self.SUFFIX_AT, [("maktab", "maktabat")], True),
+                                      (self.SUFFIX_TABAT, [("mak", "maktabat")], True)])
+        sems = [(self.SUFFIX_AT, sem_at), (self.SUFFIX_TABAT, sem_tabat)]
+        store = with_sem(store, sems[::-1] if reverse else sems)
+        extractor = assert_matches_brute_extract(store, table, limited=False)
+        assert extractor.extract("maktabat").steps[0][1:] == (winner, 1.0)
+
+    @pytest.mark.parametrize("add_key", [INSERT_IYN, Template(("", "", "", "iyn"))])
+    def test_stage_is_decided_before_w_sem_and_prune_order(self, add_key):
+        # The replacement's w_sem (1.0) and sem (1.0) are higher, but an
+        # insertion or a template whose w_sem clears t_w_sem comes first.
+        store, table = planted_world([
+            (add_key, [("mudarris", "mudarrisiyn")], False),
+            (REPLACE_A_IYN, [("mudarrisa", "mudarrisiyn")], True),
+        ])
+        store = with_sem(store, [(REPLACE_A_IYN, 1.0), (add_key, 0.5)])
+        extractor = assert_matches_brute_extract(store, table, limited=False)
+        assert extractor.extract("mudarrisiyn").steps[0] == TraceStep(add_key.key_str,
+                                                                      "mudarris", 0.2)
+
+    def test_a_template_step_is_dropped_under_limited(self):
+        # Full mode takes the template, whose w_sem (1.0) beats the
+        # insertion's (0.2); limited mode has only the insertion.
+        insert_ma = ConcatRule("prefix", "", "ma")
+        store, table = planted_world([(PLACE, [("ktb", "maktab")], True),
+                                      (insert_ma, [("ktab", "maktab")], False)])
+        full = assert_matches_brute_extract(store, table, limited=False)
+        assert full.extract("maktab").steps == (TraceStep(PLACE.key_str, "ktb", 1.0),)
+        limited = assert_matches_brute_extract(store, table, limited=True)
+        assert limited.extract("maktab").steps == (TraceStep(insert_ma.key_str, "ktab", 0.2),)
+        assert limited.extract("ktab").steps == ()
 
 
 class TestStopStatus:
@@ -319,6 +391,58 @@ class TestStoreOrder:
             for word in dict.fromkeys(table.words + derived):
                 if brute_valid_word(word):
                     assert forward_ex.extract(word) == reverse_ex.extract(word)
+
+
+def savable(store, table):
+    """`store` as save_rules takes it: its invalid pairs dropped, each orth
+    its support size, and the vocabulary hash of `table`."""
+    rules = []
+    for rule in store:
+        keep = [i for i, pair in enumerate(rule.support) if all(map(brute_valid_word, pair))]
+        rules.append(MorphRule(rule.key, tuple(rule.support[i] for i in keep), replace(
+            rule.scores, orth=len(keep), w_sem=tuple(rule.scores.w_sem[i] for i in keep))))
+    return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words), scoring=store.scoring)
+
+
+class TestLoadedStore:
+    @settings(max_examples=60, deadline=None)
+    @given(small_stores())
+    def test_a_loaded_store_extracts_as_the_store_in_memory(self, tmp_path_factory, world):
+        # The loaded stores keep their pairs as arrays; the one in memory
+        # packs its tuples. The first load parses the text, the second
+        # decodes the cache the first wrote.
+        store, table, th = world
+        store = savable(store, table)
+        path = tmp_path_factory.mktemp("db") / "rules.db"
+        save_rules(store, path)
+        parsed = load_rules(path)
+        with mock.patch.object(rules_module, "_parse_db",
+                               side_effect=AssertionError("parsed")):
+            decoded = load_rules(path)
+        words = dict.fromkeys(table.words + [w2 for rule in store for _, w2 in rule.support])
+        for limited in (False, True):
+            expected = RootExtractor(store, table, th, limited=limited)
+            for loaded in (parsed, decoded):
+                extractor = RootExtractor(loaded, table, th, limited=limited)
+                for word in words:
+                    assert extractor.extract(word) == expected.extract(word)
+
+    def test_the_set_up_makes_no_pair_tuple(self, tmp_path):
+        # Only reading a loaded store's rules unpacks its pairs into tuples,
+        # once per store; loading it and building an extractor do not.
+        store, table = planted_world([(INSERT_WA, [("maktab", "wamaktab")], True),
+                                      (PLACE, [("ktb", "maktab")], True)])
+        store.vocab_hash = vocab_fingerprint(table.words)
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        with mock.patch.object(rules_module, "_unpack", wraps=rules_module._unpack) as unpack:
+            for _ in range(2):  # a text parse, then a cache hit
+                loaded = load_rules(path)
+                for limited in (False, True):
+                    RootExtractor(loaded, table, limited=limited)
+                assert unpack.call_count == 0
+            assert list(loaded) == list(store) and len(loaded) == 2
+            assert unpack.call_count == 1
 
 
 class TestExtraction:

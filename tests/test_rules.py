@@ -775,12 +775,18 @@ class TestDbCache:
         words[pos] = word
         arrays["words"] = np.frombuffer("\n".join(words).encode("utf-8"), np.uint8)
 
+    @staticmethod
+    def repeat_first_word(arrays):
+        first = arrays["words"].tobytes().decode("utf-8").split("\n")[0]
+        TestDbCache.set_word(arrays, 1, first)
+
     # Each edit would decode to another store if its check were missing.
     @pytest.mark.parametrize("edit", [
         lambda a: TestDbCache.set_word(a, 0, "aljar s"),
         lambda a: TestDbCache.set_word(a, 0, "aljar\x07s"),
         lambda a: TestDbCache.set_word(a, 0, ""),
         lambda a: TestDbCache.set_word(a, 1, "zz"),
+        lambda a: TestDbCache.repeat_first_word(a),
         swap_first_pairs,
         lambda a: a["w_sem"].__setitem__(0, 1.5),
         lambda a: a["w_sem"].__setitem__(0, np.nan),
@@ -793,9 +799,9 @@ class TestDbCache:
             a["lines"].tobytes().replace(b"\t2\t1.0\t0", b"\t1\t1.0\t0"), np.uint8)),
         lambda a: a["digest"].__setitem__(0, a["digest"][0] ^ 1),
         lambda a: a.update(tag=np.array("vectors top_n=None")),
-    ], ids=["space", "control", "empty", "unsorted-words", "unsorted-pairs", "w_sem-1.5",
-            "w_sem-nan", "w_sem-negative", "index-high", "index-negative", "pair-count",
-            "dtype", "orth", "digest", "tag"])
+    ], ids=["space", "control", "empty", "unsorted-words", "repeated-word", "unsorted-pairs",
+            "w_sem-1.5", "w_sem-nan", "w_sem-negative", "index-high", "index-negative",
+            "pair-count", "dtype", "orth", "digest", "tag"])
     def test_spoiled_cache_falls_back_to_the_parse(self, tmp_path, parses, edit):
         store = TestDbRoundTrip().build()
         path = tmp_path / "rules.db"
