@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import _INVALID_CHAR, _NORM_EPS, EmbeddingTable, validate_word
+from .embeddings import (_INVALID_CHAR, _NORM_EPS, EmbeddingTable, InvalidWordError,
+                         validate_word)
 from .fileio import collector_paused, load_cached, pack_lines, unpack_lines, write_atomic
 from .templatic import Template, parse_template
 
@@ -133,6 +134,51 @@ def _pack(rules, ids: dict[str, int], w1, w2, w_sem, sizes) -> PairArrays:
                       np.cumsum(sizes, dtype=np.int64))
 
 
+def _check_pairs(arrays: PairArrays, where) -> None:
+    """Check a rule DB's pairs, as loading and saving both do. A failing rule
+    or pair raises ValueError (InvalidWordError for a bad word) whose text
+    starts with `where(rule, pair)`, given their positions (pair None for a
+    rule's own defect); arrays that `_pack` never makes raise one without."""
+    rules, words, w1, w2, w_sem, ends = arrays
+    n = len(w_sem)
+    if not (w1.dtype == w2.dtype == np.int32 and w_sem.dtype == np.float64
+            and w1.shape == w2.shape == w_sem.shape == (n,)
+            and (ends[-1] if len(ends) else 0) == n):
+        raise ValueError("pair arrays of the wrong type or shape, or not orth pairs in all")
+    sizes = np.diff(ends, prepend=0).tolist()  # Python ints: an orth may be huge
+    for r, ((_, scores), size) in enumerate(zip(rules, sizes)):
+        if size != scores.orth:
+            raise ValueError(f"{where(r, None)}: rule has orth {scores.orth} but {size} pairs")
+    # Strictly increasing: id order is string order, and no word repeats.
+    if not all(map(operator.lt, words, itertools.islice(words, 1, None))):
+        raise ValueError("pair words out of order")
+    if n and not (0 <= min(w1.min(), w2.min()) and max(w1.max(), w2.max()) < len(words)):
+        raise ValueError("pair word index out of range")
+
+    def at(p: int) -> str:  # the text that names pair p
+        return where(int(np.searchsorted(ends, p, "right")), p)
+    # Sorted, so only the first word can be empty.
+    if words and not words[0] or _INVALID_CHAR.search("".join(words)):
+        for p, pair in enumerate(zip(w1.tolist(), w2.tolist())):
+            try:
+                for k in pair:
+                    validate_word(words[k])
+            except InvalidWordError as exc:
+                raise InvalidWordError(f"{at(p)}: {exc}") from None
+        raise ValueError("a word that no pair uses is not a valid word")
+    out = ~((0.0 <= w_sem) & (w_sem <= 1.0))  # NaN fails both
+    if out.any():
+        p = int(out.argmax())
+        raise ValueError(f"{at(p)}: w_sem out of [0, 1]: {float(w_sem[p])!r}")
+    rising = np.diff(w1.astype(np.int64) * len(words) + w2) > 0
+    starts = ends[:-1]
+    rising[starts[(0 < starts) & (starts < n)] - 1] = True  # a new rule may start lower
+    if not rising.all():
+        p = int(rising.argmin()) + 1
+        problem = "repeats" if w1[p] == w1[p - 1] and w2[p] == w2[p - 1] else "is unsorted at"
+        raise ValueError(f"{at(p)}: support {problem} {(words[w1[p]], words[w2[p]])!r}")
+
+
 def vocab_fingerprint(words) -> str:
     """Order-sensitive digest of a vocabulary, used to pin rule DBs to vectors."""
     return hashlib.sha256("\n".join([*words, ""]).encode("utf-8")).hexdigest()
@@ -230,8 +276,9 @@ class RuleStore:
 
     A store from `load_rules` holds its pairs only as `PairArrays`: each
     rule's support and w_sem tuples are made on the first call that reads
-    the rules (iteration, `get`, `==`, `len`), once for the whole store,
-    which from then on holds them as a store built in memory does.
+    the rules (iteration, `==`, `len`), once for the whole store, which
+    from then on holds them as a store built in memory does; `get` makes
+    only those of the rule it returns.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
@@ -302,8 +349,9 @@ class RuleStore:
         return len(self._rule_map)
 
     def get(self, ks: str) -> MorphRule | None:
-        """The rule whose key text is `ks`, found by a scan of the store."""
-        return next((rule for rule in self if rule.key.key_str == ks), None)
+        """The rule whose key text is `ks`; a loaded store unpacks only that rule."""
+        rules = _unpack(self._arrays, ks) if self._rules is None else self._rules
+        return next((rule for rule in rules.values() if rule.key.key_str == ks), None)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuleStore):
@@ -380,9 +428,9 @@ def save_rules(store: RuleStore, path) -> None:
     """Write the rule DB: header lines, then one rule record plus its pairs.
 
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
-    A store with no scoring settings or no vocab_hash raises ValueError,
-    and a pair word that `validate_word` rejects raises InvalidWordError,
-    before anything is written: load_rules would refuse either DB.
+    A store with no scoring settings or no vocab_hash, or whose pairs fail
+    load_rules' checks, raises ValueError (InvalidWordError for a bad pair
+    word) before anything is written. A loaded store is not unpacked.
     """
     sc = store.scoring
     if sc is None:
@@ -390,6 +438,8 @@ def save_rules(store: RuleStore, path) -> None:
     if not store.vocab_hash:
         raise ValueError("store has no vocab_hash; set it to vocab_fingerprint of "
                          "the words it was learned from")
+    arrays = store.pair_arrays()
+    _check_pairs(arrays, lambda r, p: f"rule {arrays.rules[r][0].key_str}")
     counts = store.candidate_counts
     lines = [
         _DB_MAGIC,
@@ -399,23 +449,15 @@ def save_rules(store: RuleStore, path) -> None:
         f"{TEMPLATIC}={counts.get(TEMPLATIC, 0)}",
         f"#scoring t_cos_sim={sc.t_cos_sim!r} sample_cap={sc.sample_cap} seed={sc.seed}",
     ]
-    for rule in store:
-        s = rule.scores
-        if s is None or len(s.w_sem) != len(rule.support):
-            raise ValueError(f"rule {rule.key.key_str} has no per-pair scores; cannot save")
-        sampled = "1" if s.sampled else "0"
-        if isinstance(rule.key, ConcatRule):
-            k = rule.key
-            lines.append(
-                f"rule\t{CONCATENATIVE}\t{k.side}\t{k.old}\t{k.new}"
-                f"\t{s.orth}\t{s.sem!r}\t{sampled}"
-            )
+    words, bounds = arrays.words, [0, *arrays.ends.tolist()]
+    for (key, s), a, b in zip(arrays.rules, bounds, bounds[1:]):
+        if isinstance(key, ConcatRule):
+            fields = f"{CONCATENATIVE}\t{key.side}\t{key.old}\t{key.new}"
         else:
-            lines.append(
-                f"rule\t{TEMPLATIC}\t{rule.key.pattern}\t{s.orth}\t{s.sem!r}\t{sampled}"
-            )
-        for (w1, w2), w_sem in zip(rule.support, s.w_sem):
-            lines.append(f"pair\t{validate_word(w1)}\t{validate_word(w2)}\t{w_sem!r}")
+            fields = f"{TEMPLATIC}\t{key.pattern}"
+        lines.append(f"rule\t{fields}\t{s.orth}\t{s.sem!r}\t{'1' if s.sampled else '0'}")
+        lines += [f"pair\t{words[i]}\t{words[j]}\t{w_sem!r}" for i, j, w_sem in zip(
+            arrays.w1[a:b].tolist(), arrays.w2[a:b].tolist(), arrays.w_sem[a:b].tolist())]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -450,7 +492,7 @@ class _DbRecords:
         self.vocab_hash = ""
         self.counts: dict[str, int] = {}
         self.scoring: ScoringSettings | None = None
-        self._rule_lines: dict[RuleKey, int] = {}
+        self.rule_lines: dict[RuleKey, int] = {}  # each rule's line, in order
         self._header_lines: dict[str, int] = {}
 
     def add(self, line: str, fields: list[str], lineno: int) -> None:
@@ -466,9 +508,9 @@ class _DbRecords:
                 key = parse_template(pattern)
             else:
                 raise ValueError(f"unknown rule kind {fields[1]!r}")
-            if key in self._rule_lines:
-                raise ValueError(f"repeats rule {key.key_str} of line {self._rule_lines[key]}")
-            self._rule_lines[key] = lineno
+            if key in self.rule_lines:
+                raise ValueError(f"repeats rule {key.key_str} of line {self.rule_lines[key]}")
+            self.rule_lines[key] = lineno
             if sampled not in ("0", "1"):
                 raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
             self.rules.append((key, RuleScores(int(orth), float(sem), sampled == "1")))
@@ -481,6 +523,8 @@ class _DbRecords:
             elif name == "#candidates":
                 given = _parse_fields(name, value, (CONCATENATIVE, TEMPLATIC))
                 self.counts = {k: int(v) for k, v in given.items()}
+                if min(self.counts.values(), default=0) < 0:
+                    raise ValueError(f"#candidates count is negative: {value!r}")
             else:
                 self.scoring = _parse_scoring(value)
         elif line and not line.startswith("#"):
@@ -498,14 +542,15 @@ class _DbRecords:
         return store
 
 
-def _unpack(arrays: PairArrays) -> dict[RuleKey, MorphRule]:
-    """Each rule of `arrays`, keyed by its key, with its support and w_sem tuples."""
+def _unpack(arrays: PairArrays, ks: str | None = None) -> dict[RuleKey, MorphRule]:
+    """Each rule of `arrays`, or the one whose key text is `ks`, with its tuples, by key."""
     words, w1, w2, w_sem, ends = arrays[1:]
     bounds = [0, *ends.tolist()]
     return {key: MorphRule(key, tuple(zip(map(words.__getitem__, w1[a:b].tolist()),
                                           map(words.__getitem__, w2[a:b].tolist()))),
                            replace(scores, w_sem=tuple(w_sem[a:b].tolist())))
-            for (key, scores), a, b in zip(arrays.rules, bounds, bounds[1:])}
+            for (key, scores), a, b in zip(arrays.rules, bounds, bounds[1:])
+            if ks is None or key.key_str == ks}
 
 
 @collector_paused()
@@ -513,17 +558,16 @@ def load_rules(path) -> RuleStore:
     """Read a rule DB written by save_rules, checking every record.
 
     Raises RuleDbError, with the line number, for a malformed record, a
-    pair word that `validate_word` rejects, a repeated rule, a support that
-    is unsorted or repeats a pair, a pair count other than the rule's orth,
-    a w_sem outside [0, 1], a repeated header line, or a header field that
-    is repeated or that its line does not name. Also raises it for a
-    DB with no `#scoring` line, or with a missing or empty `#vocab-hash`
-    line: such a DB would extract against any vocabulary.
+    repeated rule or header line, a header field that is repeated or that
+    its line does not name, a negative `#candidates` count, and then for
+    pairs that fail the checks save_rules makes too (`_check_pairs`). Also
+    raises it for a DB with no `#scoring` line, or with a missing or empty
+    `#vocab-hash` line: such a DB would extract against any vocabulary.
 
     The store holds its pairs as `PairArrays`, which is also what
     `load_cached` caches, with the text of every non-pair line: no pair
     tuple is made until a caller reads the rules. A cache hit reads those
-    lines as the text parse does and checks every pair again, in bulk.
+    lines as the text parse does and makes the same pair checks.
     """
     return load_cached(Path(path), "rules", _parse_db, _decode_db)
 
@@ -541,59 +585,39 @@ def _parse_db(fh):
         lines.pop()  # the end of the last line, not a line
     db = _DbRecords()
     others: list[str] = []  # every line that is not a pair record
-    ids: dict[str, int] = {}  # each pair word, checked once, by first sight
-    w1_ids, w2_ids, w_sems = array("i"), array("i"), array("d")
-    rule_line = 0
-    start = None  # the position of the first pair of the rule being read
-    p1 = p2 = None  # the words of its last pair read
-
-    def flush():
-        if start is None:
-            return
-        orth = db.rules[-1][1].orth
-        if len(w_sems) - start != orth:
-            raise RuleDbError(f"line {rule_line}: rule has orth {orth} "
-                              f"but {len(w_sems) - start} pairs")
-
+    ids: dict[str, int] = {}  # each pair word, by first sight
+    w1_ids, w2_ids, w_sems, pair_lines = array("i"), array("i"), array("d"), array("i")
     for lineno, line in enumerate(lines, start=2):
         fields = line.split("\t")
         try:
             if fields[0] == "pair":
-                if start is None:
+                if not db.rules:
                     raise ValueError("pair record before any rule record")
                 try:
                     _, w1, w2, text = fields
                 except ValueError:
                     raise ValueError("pair record needs two words and one w_sem") from None
-                for word in (w1, w2):
-                    if word not in ids:
-                        ids[validate_word(word)] = len(ids)
-                if p1 is not None and (w1 < p1 or w1 == p1 and w2 <= p2):
-                    problem = "repeats" if w1 == p1 and w2 == p2 else "is unsorted at"
-                    raise ValueError(f"support {problem} {(w1, w2)!r}")
-                value = float(text)
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"w_sem out of [0, 1]: {text!r}")
-                w1_ids.append(ids[w1])
-                w2_ids.append(ids[w2])
-                w_sems.append(value)
-                p1, p2 = w1, w2
+                w_sems.append(float(text))
+                w1_ids.append(ids.setdefault(w1, len(ids)))
+                w2_ids.append(ids.setdefault(w2, len(ids)))
+                pair_lines.append(lineno)
                 continue
-            if fields[0] == "rule":
-                flush()
-                rule_line, start, p1 = lineno, len(w_sems), None
-            others.append(line)
             db.add(line, fields, lineno)
-        except RuleDbError:
-            raise  # flush's, which names its rule's line
+            others.append(line)
         except (ValueError, IndexError) as exc:
             raise RuleDbError(f"line {lineno}: {exc}") from None
-    flush()
-    store = db.store(_pack(db.rules, ids, w1_ids, w2_ids, w_sems,
-                           [scores.orth for _, scores in db.rules]))
+    # A rule's pairs are the pair lines from its own line to the next rule's.
+    rule_lines = list(db.rule_lines.values())
+    starts = np.searchsorted(pair_lines, rule_lines)
+    arrays = _pack(db.rules, ids, w1_ids, w2_ids, w_sems, np.diff(starts, append=len(w_sems)))
+    store = db.store(arrays)
+    try:
+        _check_pairs(arrays, lambda r, p: (
+            f"line {rule_lines[r] if p is None else pair_lines[p]}"))
+    except ValueError as exc:
+        raise RuleDbError(str(exc)) from None
 
     def encode() -> dict:
-        arrays = store._arrays
         return {"lines": pack_lines(others), "words": pack_lines(arrays.words),
                 "w1": arrays.w1, "w2": arrays.w2, "w_sem": arrays.w_sem}
 
@@ -601,35 +625,14 @@ def _parse_db(fh):
 
 
 def _decode_db(npz) -> RuleStore:
-    """The store `_parse_db` encoded, after the checks the parse makes on
-    every pair; ValueError if one fails."""
+    """The store `_parse_db` encoded, after the same pair checks as the text
+    parse and `save_rules` make; ValueError if one fails."""
     db = _DbRecords()
     for lineno, line in enumerate(unpack_lines(npz["lines"])):
         db.add(line, line.split("\t"), lineno)
-    words = unpack_lines(npz["words"])
-    # Strictly increasing: index order is string order, and no word repeats.
-    if not all(map(operator.lt, words, itertools.islice(words, 1, None))):
-        raise ValueError("pair words out of order")
-    # Sorted, so only the first word can be empty; no word holds a newline.
-    if words and not words[0] or _INVALID_CHAR.search("".join(words)):
-        raise ValueError("a pair word is empty, or holds whitespace or a control character")
-    w1, w2, w_sem = npz["w1"], npz["w2"], npz["w_sem"]
-    n = len(w_sem)
-    if not (w1.dtype == w2.dtype == np.int32 and w_sem.dtype == np.float64
-            and w1.shape == w2.shape == w_sem.shape == (n,)):
-        raise ValueError("pair arrays of the wrong type or shape")
-    # Each rule's pairs are the next orth ones, so each has its orth and the
-    # sum is the pair count exactly when every pair is used.
+    # Rule r's pairs are the next orth ones; the check finds any left over.
     ends = np.cumsum([scores.orth for _, scores in db.rules], dtype=np.int64)
-    if (ends[-1] if len(ends) else 0) != n:
-        raise ValueError("pair count differs from the rules' orth")
-    if n and not (0 <= min(w1.min(), w2.min()) and max(w1.max(), w2.max()) < len(words)):
-        raise ValueError("pair word index out of range")
-    if not ((0.0 <= w_sem) & (w_sem <= 1.0)).all():  # NaN fails both
-        raise ValueError("w_sem out of [0, 1]")
-    rising = np.diff(w1.astype(np.int64) * len(words) + w2) > 0
-    starts = ends[:-1]
-    rising[starts[(0 < starts) & (starts < n)] - 1] = True  # a new rule may start lower
-    if not rising.all():
-        raise ValueError("a support is not strictly increasing")
-    return db.store(PairArrays(db.rules, words, w1, w2, w_sem, ends))
+    arrays = PairArrays(db.rules, unpack_lines(npz["words"]), npz["w1"], npz["w2"],
+                        npz["w_sem"], ends)
+    _check_pairs(arrays, lambda r, p: f"rule {r}, pair {p}")
+    return db.store(arrays)

@@ -1,7 +1,9 @@
 import gc
+import math
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -576,7 +578,8 @@ class TestDbRoundTrip:
                               "pair\tmaktab\talmaktab\t0.5"]
 
     # Each edit of the saved DB, and the line the error must name. Lines 5-7
-    # are the "al" rule and its two pairs.
+    # are the "al" rule and its two pairs, lines 8-9 the "at" -> "u" rule and
+    # its pair, and lines 10-11 the template and its pair.
     @pytest.mark.parametrize("edit, lineno, message", [
         (lambda ls: ls[:5] + [ls[6], ls[5]] + ls[7:], 7, "unsorted"),
         (lambda ls: ls[:6] + [ls[5]] + ls[7:], 7, "repeats"),
@@ -610,6 +613,14 @@ class TestDbRoundTrip:
          "unknown rule kind 'foo'"),
         (lambda ls: ls[:4] + [ls[4].replace("rule", "junk", 1)] + ls[5:], 5,
          "unknown record type 'junk'"),
+        (lambda ls: ls[:2] + [ls[2].replace("=10", "=-7")] + ls[3:], 3,
+         "#candidates count is negative"),
+        (lambda ls: ls[:7] + [ls[7].replace("\t1\t", "\t2\t")] + ls[8:], 8,
+         "orth 2 but 1 pairs"),
+        (lambda ls: ls[:7] + [ls[7].replace("\t1\t", "\t2\t"), ls[8],
+                              "pair\taktbat\taktbu\t0.5"] + ls[9:], 10, "unsorted"),
+        (lambda ls: ls[:8] + [line.replace("ktb", "k tb") for line in ls[8:]], 9,
+         "whitespace or a control"),
     ])
     def test_defect_is_reported_with_its_line(self, tmp_path, edit, lineno, message):
         path, lines = self.saved_lines(tmp_path)
@@ -627,6 +638,46 @@ class TestDbRoundTrip:
         with pytest.raises(InvalidWordError):
             save_rules(store, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("support, scores, message", [
+        ((("b", "wab"), ("a", "waa")), RuleScores(2, 1.0, False, (1.0, 1.0)),
+         "support is unsorted at \\('a', 'waa'\\)"),
+        ((("a", "waa"), ("a", "waa")), RuleScores(2, 1.0, False, (1.0, 1.0)),
+         "support repeats"),
+        ((("a", "waa"),), RuleScores(5, 1.0, False, (1.0,)), "rule has orth 5 but 1 pairs"),
+        ((("a", "waa"),), RuleScores(1, 1.0, False, (1.5,)), "w_sem out of"),
+        ((("a", "waa"),), RuleScores(1, 1.0, False, (math.nan,)), "w_sem out of"),
+    ], ids=["unsorted", "repeated", "orth", "w_sem-1.5", "w_sem-nan"])
+    def test_save_refuses_pairs_that_load_would_refuse(self, tmp_path, support, scores,
+                                                       message):
+        store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), support, scores)],
+                          vocab_hash=vocab_fingerprint(["a"]), scoring=SCORING)
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError, match=f"^rule concat:prefix:>wa: {message}"):
+            save_rules(store, path)
+        assert not path.exists()
+
+    def test_get_on_a_loaded_store_unpacks_only_that_rule(self, tmp_path):
+        store = self.build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        real, unpacked = rules._unpack, []  # the keys of each call's rules
+
+        def unpack(*args):
+            found = real(*args)
+            unpacked.append(list(found))
+            return found
+
+        with mock.patch.object(rules, "_unpack", side_effect=unpack):
+            for _ in range(2):  # a text parse, then a cache hit
+                unpacked.clear()
+                loaded = load_rules(path)
+                for rule in store:
+                    assert loaded.get(rule.key.key_str) == rule
+                assert loaded.get("concat:prefix:>zz") is None
+                assert unpacked == [[rule.key] for rule in store] + [[]]
+                assert list(loaded) == list(store)
+                assert unpacked[-1] == [rule.key for rule in store]
 
     def test_missing_scoring_header(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
@@ -734,6 +785,49 @@ def saved_stores(draw):
                                          TEMPLATIC: st.integers(0, 10**6)}))
     return RuleStore(rules_, vocab_hash=vocab_fingerprint(["a"]), candidate_counts=counts,
                      scoring=SCORING)
+
+
+@st.composite
+def defective_stores(draw):
+    """A store from `saved_stores` with one defect put into one of its rules,
+    where the rule has room for it: an unsorted or repeated support pair, an
+    orth other than the pair count, a w_sem outside [0, 1] or a bad word."""
+    store = draw(saved_stores())
+    rules_ = list(store)
+    if not rules_:
+        return store
+    i = draw(st.integers(0, len(rules_) - 1))
+    key, support, scores = rules_[i].key, list(rules_[i].support), rules_[i].scores
+    w_sem, orth = list(scores.w_sem), scores.orth
+    defect = draw(st.sampled_from(["unsorted", "repeated", "orth", "w_sem", "word"]))
+    j = draw(st.integers(0, max(len(support) - 1, 0)))
+    if defect == "orth" or not support:
+        orth += draw(st.integers(1, 3))
+    elif defect == "unsorted":
+        support.reverse()  # no defect for a single pair
+    elif defect == "repeated":
+        support.insert(j, support[j])
+        w_sem.insert(j, w_sem[j])
+        orth += 1
+    elif defect == "w_sem":
+        w_sem[j] = draw(st.sampled_from([1.5, -0.25, math.nan, math.inf]))
+    else:
+        support[j] = (draw(st.sampled_from(["", "a b", "a\x07b", "\x85"])), support[j][1])
+    rules_[i] = MorphRule(key, tuple(support), replace(scores, orth=orth, w_sem=tuple(w_sem)))
+    return RuleStore(rules_, vocab_hash=store.vocab_hash,
+                     candidate_counts=store.candidate_counts, scoring=store.scoring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(defective_stores())
+def test_save_writes_only_what_load_reads_back(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("db") / "rules.db"
+    try:
+        save_rules(store, path)
+    except ValueError:
+        assert not path.exists()
+    else:
+        assert load_rules(path) == store
 
 
 def one_str_per_word(store) -> bool:
