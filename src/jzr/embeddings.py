@@ -37,15 +37,24 @@ class InvalidWordError(ValueError):
     """A word is empty or contains whitespace or a control character."""
 
 
+def words_valid(words) -> bool:
+    """Whether `validate_word` accepts every word, from one scan of the joined
+    text. No printable character but the space is invalid, so the regex runs
+    only on text with a non-printable one, such as ZWNJ (U+200C), a valid one."""
+    text = "".join(words)
+    return all(words) and (text.isprintable() and " " not in text
+                           or not _INVALID_CHAR.search(text))
+
+
 def validate_word(text: str) -> str:
     """Check that `text` is a usable vocabulary word and return it.
 
-    Words are non-empty and contain no whitespace or control characters.
-    All lengths throughout the package are measured in code points.
+    Words are non-empty and contain no whitespace or control characters:
+    the rule `words_valid` applies. Lengths are counted in code points.
     """
     if not text:
         raise InvalidWordError("word must be non-empty")
-    if _INVALID_CHAR.search(text):
+    if not words_valid((text,)):
         raise InvalidWordError(f"word contains whitespace or a control character: {text!r}")
     return text
 
@@ -53,11 +62,11 @@ def validate_word(text: str) -> str:
 def word_index(words: list[str]) -> dict[str, int]:
     """Each word's position, once every word passes `validate_word` and none repeats.
 
-    One search over the joined words checks them all; only a failure walks
-    them one by one, to name the first bad or repeated word.
+    `words_valid` checks them all in one scan; only a failure walks them
+    one by one, to name the first bad or repeated word.
     """
     index = dict(zip(words, range(len(words))))
-    if len(index) < len(words) or "" in index or _INVALID_CHAR.search("".join(words)):
+    if len(index) < len(words) or not words_valid(words):
         seen: set[str] = set()
         for word in words:
             validate_word(word)

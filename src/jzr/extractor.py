@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import _INVALID_CHAR, EmbeddingTable, validate_word
+from .embeddings import EmbeddingTable, validate_word, words_valid
 from .fileio import collector_paused
 from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
 from .templatic import Template
@@ -72,13 +72,14 @@ class RootExtractor:
     then by source word: one `np.lexsort` over the store's `pair_arrays`
     ranks them all, so no Python object is made per pair, and a loaded
     store makes no pair tuple. Each derived word's trace, built once, is
-    its step and then its source word's trace; a vocabulary word with no
-    step (a root, or under `limited` a word derived only by templates) gets
-    its no-step trace then too. Traces and steps are NamedTuples: a trace
-    compares equal to a plain tuple. At 7.2k words the traces take about
-    1.8 MB (1.6 MB under `limited`). No vectors are read: `table` only has
-    to be the vocabulary the store was learned from. The build runs with
-    the cyclic garbage collector paused.
+    its step and then its source word's trace; a pair word with no step (a
+    root, or under `limited` a word derived only by templates) gets its
+    no-step trace then too, any other word when asked for, and a pair word
+    that `words_valid` refuses none. Traces and steps are NamedTuples: a
+    trace compares equal to a plain tuple. At 7.2k words the traces take
+    about 1.8 MB (1.6 MB under `limited`). `table` is read only for its
+    words' `vocab_fingerprint`, the vocabulary the store was learned
+    from. The build runs with the cyclic garbage collector paused.
 
     `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
     was scored; giving one that differs raises RuleDbError.
@@ -142,13 +143,11 @@ class RootExtractor:
             else:
                 fields = (word, (step,) + tail.steps, tail.final, tail.status)
             traces[word] = tuple.__new__(ExtractionTrace, fields)
-        # Only a valid word keys a trace (a hand-built store may name others),
-        # and every vocabulary word does.
-        if "" in words[:1] or _INVALID_CHAR.search("".join(words)):
-            for word in [w for w in traces if not w or _INVALID_CHAR.search(w)]:
-                del traces[word]
-        for word in itertools.filterfalse(traces.__contains__, table.words):
+        for word in itertools.filterfalse(traces.__contains__, words):
             traces[word] = ExtractionTrace(word, (), word, _status(word))
+        if not words_valid(words):  # a hand-built store may name invalid words
+            for word in [w for w in traces if not words_valid((w,))]:
+                del traces[word]
 
     def extract(self, word: str) -> ExtractionTrace:
         """The trace of inverting rules until three letters remain or no

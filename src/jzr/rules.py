@@ -13,8 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .concat import ConcatRule
-from .embeddings import (_INVALID_CHAR, _NORM_EPS, EmbeddingTable, InvalidWordError,
-                         validate_word)
+from .embeddings import (_NORM_EPS, EmbeddingTable, InvalidWordError, validate_word,
+                         words_valid)
 from .fileio import collector_paused, load_cached, pack_lines, unpack_lines, write_atomic
 from .templatic import Template, parse_template
 
@@ -136,9 +136,9 @@ def _pack(rules, ids: dict[str, int], w1, w2, w_sem, sizes) -> PairArrays:
 
 def _check_pairs(arrays: PairArrays, where) -> None:
     """Check a rule DB's pairs, as loading and saving both do. A failing rule
-    or pair raises ValueError (InvalidWordError for a bad word) whose text
-    starts with `where(rule, pair)`, given their positions (pair None for a
-    rule's own defect); arrays that `_pack` never makes raise one without."""
+    or pair raises ValueError (InvalidWordError for a word `words_valid`
+    refuses) starting with `where(rule, pair)`, given their positions (pair
+    None for a rule's own defect); arrays `_pack` never makes raise one bare."""
     rules, words, w1, w2, w_sem, ends = arrays
     n = len(w_sem)
     if not (w1.dtype == w2.dtype == np.int32 and w_sem.dtype == np.float64
@@ -157,8 +157,7 @@ def _check_pairs(arrays: PairArrays, where) -> None:
 
     def at(p: int) -> str:  # the text that names pair p
         return where(int(np.searchsorted(ends, p, "right")), p)
-    # Sorted, so only the first word can be empty.
-    if words and not words[0] or _INVALID_CHAR.search("".join(words)):
+    if not words_valid(words):
         for p, pair in enumerate(zip(w1.tolist(), w2.tolist())):
             try:
                 for k in pair:
@@ -523,8 +522,8 @@ class _DbRecords:
             elif name == "#candidates":
                 given = _parse_fields(name, value, (CONCATENATIVE, TEMPLATIC))
                 self.counts = {k: int(v) for k, v in given.items()}
-                if min(self.counts.values(), default=0) < 0:
-                    raise ValueError(f"#candidates count is negative: {value!r}")
+                if len(given) != 2 or min(self.counts.values()) < 0:
+                    raise ValueError(f"#candidates count is negative or missing: {value!r}")
             else:
                 self.scoring = _parse_scoring(value)
         elif line and not line.startswith("#"):
@@ -536,6 +535,8 @@ class _DbRecords:
             raise RuleDbError("rule DB has no #scoring header line")
         if not self.vocab_hash:
             raise RuleDbError("rule DB has no #vocab-hash header line, or it is empty")
+        if not self.counts:
+            raise RuleDbError("rule DB has no #candidates header line")
         store = RuleStore(vocab_hash=self.vocab_hash, candidate_counts=self.counts,
                           scoring=self.scoring)
         store._rules, store._arrays = None, arrays
@@ -559,10 +560,10 @@ def load_rules(path) -> RuleStore:
 
     Raises RuleDbError, with the line number, for a malformed record, a
     repeated rule or header line, a header field that is repeated or that
-    its line does not name, a negative `#candidates` count, and then for
-    pairs that fail the checks save_rules makes too (`_check_pairs`). Also
-    raises it for a DB with no `#scoring` line, or with a missing or empty
-    `#vocab-hash` line: such a DB would extract against any vocabulary.
+    its line does not name, a `#candidates` count that is negative or
+    missing, and then for pairs failing save_rules' checks too
+    (`_check_pairs`); also for a DB with no `#scoring` or `#candidates`
+    line, or a missing or empty `#vocab-hash` line.
 
     The store holds its pairs as `PairArrays`, which is also what
     `load_cached` caches, with the text of every non-pair line: no pair

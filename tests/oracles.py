@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 import unicodedata
 
 import numpy as np
@@ -139,6 +140,40 @@ def brute_w_sem(table, pair, pairs, t_cos: float) -> float:
     return count / len(pairs)
 
 
+def brute_learn(table, config):
+    """The validated rules `learn_rules` must return, and the candidate counts.
+
+    Mines the vocabulary with the brute enumerators; scores every rule
+    whose support is larger than `t_r_orth` over its seeded sample, sem
+    with `brute_r_sem` and each support pair's w_sem with `brute_w_sem`
+    (0.0 for a pair without vectors); keeps those whose sem is above
+    `t_r_sem` too, ordered by descending sem, then descending orth, then
+    key text. Each rule is (key, support, orth, sem, sampled, w_sem).
+    """
+    th = config.thresholds
+    words = list(table.words)
+    mined = (brute_concat_rules(words, config.max_affix, config.min_stem),
+             brute_templatic_rules(words, config.max_derived_len))
+    rules = []
+    for key, support in itertools.chain(*(m.items() for m in mined)):
+        orth = len(support)
+        if orth <= th.t_r_orth:
+            continue
+        embedded, sample = support_sample(types.SimpleNamespace(key=key, support=support),
+                                          table, config.sample_cap, config.seed)
+        sample_pairs = [support[i] for i in sample]
+        if not sample_pairs:
+            continue  # sem 0.0
+        sem = brute_r_sem(table, sample_pairs, th.t_cos_sim)
+        if sem <= th.t_r_sem:
+            continue
+        w_sem = tuple(brute_w_sem(table, pair, sample_pairs, th.t_cos_sim)
+                      if i in embedded else 0.0 for i, pair in enumerate(support))
+        rules.append((key, support, orth, sem, len(sample) < len(embedded), w_sem))
+    rules.sort(key=lambda rule: (-rule[3], -rule[2], rule[0].key_str))
+    return rules, {"concatenative": len(mined[0]), "templatic": len(mined[1])}
+
+
 def tensor_count_passes(w1, w2, offsets, t_cos: float):
     """Per query q, the offsets o with cos(o + w1[q], w2[q]) > t_cos, by the definition.
 
@@ -172,20 +207,23 @@ def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
 
     if len(word) < 3:
         return word, "infeasible_stop", []
+    kinds = [(kind(rule.key), rule) for rule in store]
     steps = []
     current = word
     while len(current) > 3:
         chosen = None
         for stage in ("add", "rep"):
             best = None
-            for rule in store:
-                if kind(rule.key) != stage:
+            for rule_kind, rule in kinds:
+                if rule_kind != stage:
                     continue
-                _, sample = support_sample(rule, table, sample_cap, seed)
-                sample_pairs = [rule.support[i] for i in sample]
+                sample_pairs = None  # drawn at the rule's first candidate pair
                 for w1, w2 in rule.support:
                     if w2 != current or not 3 <= len(w1) < len(current):
                         continue
+                    if sample_pairs is None:
+                        _, sample = support_sample(rule, table, sample_cap, seed)
+                        sample_pairs = [rule.support[i] for i in sample]
                     w_sem = brute_w_sem(table, (w1, w2), sample_pairs, t_cos)
                     if w_sem <= t_w_sem:
                         continue

@@ -124,6 +124,22 @@ class TestRank:
         assert f"line {len(lines) + 1}: repeats rule" in err
         assert f"of line {rule_at[0] + 1}" in err
 
+    @pytest.mark.parametrize("replacement, message", [
+        ([], "rule DB has no #candidates header line"),
+        (["#candidates templatic=5"], "line 3: #candidates count is negative or missing"),
+    ], ids=["missing", "one-count"])
+    def test_db_without_both_candidate_counts_is_data_error(self, workspace, tmp_path,
+                                                            capsys, replacement, message):
+        _, _, db = workspace
+        lines = db.read_text(encoding="utf-8").splitlines()
+        assert lines[2].startswith("#candidates ")
+        edited = tmp_path / "edited.db"
+        edited.write_text("\n".join(lines[:2] + replacement + lines[3:]) + "\n",
+                          encoding="utf-8")
+        assert main(["rank", "--rules", str(edited)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_rank_negative_top_is_usage_error(self, workspace, capsys):
         _, _, db = workspace
         assert main(["rank", "--rules", str(db), "--top", "-3"]) == 1

@@ -23,6 +23,7 @@ from jzr.embeddings import (
     VectorParseError,
     load_embeddings,
     validate_word,
+    words_valid,
 )
 from jzr.rules import MorphRule, ScoringSettings, _count_passes, score_rule
 
@@ -360,6 +361,23 @@ class TestWordValidation:
         for code in range(sys.maxunicode + 1):
             assert self.accepts(chr(code)) == brute_valid_word(chr(code)), hex(code)
 
+    def test_no_printable_character_but_the_space_is_invalid(self):
+        # The premise of words_valid's fast path: printable text with no
+        # space never needs the regex.
+        printable = "".join(ch for ch in map(chr, range(sys.maxunicode + 1))
+                            if ch.isprintable() and ch != " ")
+        assert not embeddings._INVALID_CHAR.search(printable)
+
+    # ASCII and Arabic letters, then characters that are not printable:
+    # whitespace and controls (C0, C1, NEL, NBSP, LINE SEPARATOR,
+    # IDEOGRAPHIC SPACE), and ZWNJ, which is a valid word character.
+    WORD_CHARS = ("abkt" + "كتب" + " \t\n\x00\x1f\x7f\x80\x85\x9f"
+                  "\xa0\u2028\u3000\u200c")
+
+    @given(st.lists(st.text(WORD_CHARS, max_size=4), max_size=5))
+    def test_words_valid_agrees_with_validate_word_on_each_word(self, words):
+        assert words_valid(words) == all(map(self.accepts, words))
+
 
 def kernel_passes(target, query, t_cos):
     """Whether the scoring kernel counts cos(target, query) > t_cos."""
@@ -455,10 +473,16 @@ class TestFromVectors:
         (["a", "c d", "a", "b"], InvalidWordError, "whitespace.*'c d'"),
         (["a", "", "a"], InvalidWordError, "non-empty"),
         (["a", "b\x85", "b\x85"], InvalidWordError, re.escape("character: 'b\\x85'")),
+        (["a", "b\u3000c", "b\u3000c"], InvalidWordError,
+         re.escape("character: 'b\\u3000c'")),
     ])
     def test_first_bad_word_is_named(self, words, error, message):
         with pytest.raises(error, match=message):
             EmbeddingTable(words, np.eye(len(words)))
+
+    def test_a_word_with_zwnj_is_indexed(self):
+        words = ["a", "b\u200cc", "bc"]
+        assert EmbeddingTable(words, np.eye(3)).index == {"a": 0, "b\u200cc": 1, "bc": 2}
 
     @given(st.lists(st.text(max_size=3), max_size=6))
     def test_word_check_matches_a_walk_with_validate_word(self, words):

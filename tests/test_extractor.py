@@ -227,12 +227,38 @@ class TestHandBuiltChain:
              (ConcatRule("suffix", "", " "), "maktab", "maktab "),
              (PLACE, "ktb", "maktab")]
 
-    def extractor(self):
+    def extractor(self, chain=CHAIN, words=("maktabat", "maktab", "ktb")):
         store = RuleStore([MorphRule(key, ((w1, w2),), RuleScores(1, 1.0, False, (1.0,)))
-                           for key, w1, w2 in self.CHAIN])
-        words = ["maktabat", "maktab", "ktb"]
-        table = EmbeddingTable(words, np.eye(3))
+                           for key, w1, w2 in chain])
+        table = EmbeddingTable(words, np.eye(len(words)))
         return RootExtractor(store, table)
+
+    @pytest.mark.parametrize("char", ["\u3000", "\u200c"],
+                             ids=["ideographic-space", "zwnj"])
+    def test_a_non_ascii_pair_word_keys_a_trace_only_if_valid(self, char):
+        # U+3000 is whitespace, so its word is dropped as the space's is;
+        # ZWNJ is neither, so its word keeps the trace it was built with.
+        middle = f"maktab{char}"
+        chain = [(ConcatRule("suffix", char, "at"), middle, "maktabat"),
+                 (ConcatRule("suffix", "", char), "maktab", middle), self.CHAIN[2]]
+        extractor = self.extractor(chain)
+        trace = extractor.extract("maktabat")
+        assert [step.word for step in trace.steps] == [middle, "maktab", "ktb"]
+        if char == "\u3000":
+            with pytest.raises(InvalidWordError):
+                extractor.extract(middle)
+        else:
+            assert extractor.extract(middle) is extractor._traces[middle]
+            assert extractor.extract(middle).steps == trace.steps[1:]
+
+    def test_pair_words_are_prebuilt_and_other_words_are_not(self):
+        # "ktb" has no step but is a pair word; "zzz" is in the vocabulary
+        # but in no pair, and gets the same no-step trace when asked.
+        extractor = self.extractor(words=("maktabat", "maktab", "ktb", "zzz"))
+        assert extractor.extract("ktb") is extractor._traces["ktb"]
+        assert "zzz" not in extractor._traces
+        assert extractor.extract("zzz") == ExtractionTrace("zzz", (), "zzz",
+                                                           REACHED_TRILITERAL)
 
     def test_trace_runs_through_a_word_without_a_trace(self):
         extractor = self.extractor()

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -595,6 +596,8 @@ class TestDbRoundTrip:
          "whitespace or a control"),
         (lambda ls: ls[:6] + [ls[6].replace("almaktab", "al\x07maktab")] + ls[7:], 7,
          "whitespace or a control"),
+        (lambda ls: ls[:5] + [ls[5].replace("\tjaras", "\tja\u3000ras")] + ls[6:], 6,
+         re.escape("character: 'ja\\u3000ras'")),
         (lambda ls: ls[:4] + [ls[4][:-1] + "yes"] + ls[5:], 5, "sampled must be 0 or 1"),
         (lambda ls: ls[:3] + ["#scoring t_cos_sim=0.5 seed=42"] + ls[4:], 4, "#scoring"),
         (lambda ls: ls[:3] + [ls[3].replace("=0.5", "=5.0")] + ls[4:], 4, "t_cos_sim"),
@@ -615,6 +618,9 @@ class TestDbRoundTrip:
          "unknown record type 'junk'"),
         (lambda ls: ls[:2] + [ls[2].replace("=10", "=-7")] + ls[3:], 3,
          "#candidates count is negative"),
+        (lambda ls: ls[:2] + ["#candidates concatenative=10"] + ls[3:], 3,
+         "#candidates count is negative or missing: 'concatenative=10'$"),
+        (lambda ls: ls[:2] + ["#candidates "] + ls[3:], 3, "#candidates count is .* missing"),
         (lambda ls: ls[:7] + [ls[7].replace("\t1\t", "\t2\t")] + ls[8:], 8,
          "orth 2 but 1 pairs"),
         (lambda ls: ls[:7] + [ls[7].replace("\t1\t", "\t2\t"), ls[8],
@@ -628,8 +634,26 @@ class TestDbRoundTrip:
         with pytest.raises(RuleDbError, match=f"^line {lineno}: .*{message}"):
             load_rules(path)
 
+    def test_db_without_candidates_is_refused(self, tmp_path):
+        # Saving always writes the line, so a DB without it has lost it;
+        # loaded, it would resave with both counts 0.
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n", encoding="utf-8")
+        with pytest.raises(RuleDbError, match="^rule DB has no #candidates header line$"):
+            load_rules(path)
+
+    def test_a_pair_word_with_zwnj_round_trips(self, tmp_path):
+        # ZWNJ (U+200C) is not printable, but neither whitespace nor a control.
+        store = self.build()
+        rule = next(iter(store))
+        rule.support = (("ja\u200cras", "aljaras"),) + rule.support[1:]
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        for _ in range(2):  # a text parse, then a cache hit
+            assert load_rules(path) == store
+
     @pytest.mark.parametrize("pair", [("maktab", "wa maktab"), ("", "wa"),
-                                      ("maktab", "wamak\x07tab")])
+                                      ("maktab", "wamak\x07tab"), ("maktab", "wa\u3000maktab")])
     def test_save_refuses_a_pair_word_that_load_would_refuse(self, tmp_path, pair):
         store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), (pair,),
                                      RuleScores(1, 1.0, False, (1.0,)))],
