@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 PREFIX = "prefix"
@@ -14,7 +15,8 @@ GROUP_CAP = 10_000
 
 
 class StemGroupOverflowWarning(UserWarning):
-    """A stem carried more than GROUP_CAP affixes and was dropped."""
+    """A stem carried more than GROUP_CAP affixes and was dropped; raised when
+    iteration of `enumerate_concat_rules` reaches that stem's side."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -62,8 +64,8 @@ def enumerate_concat_rules(
     vocab,
     max_affix: int = 6,
     min_stem: int = 2,
-) -> dict[ConcatRule, tuple[Pair, ...]]:
-    """Group every stem-sharing ordered word pair under its canonical edge rule.
+) -> Iterator[tuple[ConcatRule, tuple[Pair, ...]]]:
+    """Yield every canonical edge rule once, with its stem-sharing word pairs.
 
     Each side indexes every split of a word into affix + stem (at most
     `max_affix` characters stripped, at least `min_stem` kept) as affix ->
@@ -71,43 +73,48 @@ def enumerate_concat_rules(
     canonical affix pair's support is the word pairs on the stems both
     affixes carry; that stem is the pair's longest shared run, so each
     ordered pair lands under one rule per side. Both orientations are
-    emitted; the extractor's length constraint picks the direction later.
+    yielded; the extractor's length constraint picks the direction later.
+    No rule is yielded twice; prefix rules come first, and only one side's
+    index is alive at a time.
 
-    A stem with more than `GROUP_CAP` affixes is dropped with a warning.
+    Bad settings raise ValueError at the call. A stem with more than
+    `GROUP_CAP` affixes is dropped, with a warning during iteration.
     """
     if max_affix < 0:
         raise ValueError("max_affix must be non-negative")
     if min_stem < 1:
         raise ValueError("min_stem must be at least 1")
     words = list(dict.fromkeys(vocab))
+    return (rule for side in (PREFIX, SUFFIX)
+            for rule in _side_rules(words, side, max_affix, min_stem))
 
-    rules: dict[ConcatRule, tuple[Pair, ...]] = {}
-    for side in (PREFIX, SUFFIX):
-        by_affix: dict[str, dict[str, str]] = {}
-        by_stem: dict[str, list[str]] = {}
-        for w in words:
-            for k in range(min(max_affix, len(w) - min_stem) + 1):
-                if side == PREFIX:
-                    affix, stem = w[:k], w[k:]
-                else:
-                    affix, stem = w[len(w) - k:], w[: len(w) - k]
-                by_affix.setdefault(affix, {})[stem] = w
-                by_stem.setdefault(stem, []).append(affix)
-        for stem, affixes in by_stem.items():
-            if len(affixes) > GROUP_CAP:
-                warnings.warn(
-                    f"stem group {stem!r} has {len(affixes)} entries, over the "
-                    f"cap of {GROUP_CAP}; skipped",
-                    StemGroupOverflowWarning,
-                )
-                for affix in affixes:
-                    del by_affix[affix][stem]
-        edge = -1 if side == PREFIX else 0
-        for a1, stems1 in by_affix.items():
-            for a2 in dict.fromkeys(a for stem in stems1 for a in by_stem[stem]):
-                if a1 == a2 or (a1 and a2 and a1[edge] == a2[edge]):
-                    continue  # identity, or a longer shared run exists
-                stems2 = by_affix[a2]
-                rules[ConcatRule(side, a1, a2)] = tuple(sorted(
-                    (stems1[s], stems2[s]) for s in stems1.keys() & stems2.keys()))
-    return rules
+
+def _side_rules(words: list[str], side: str, max_affix: int, min_stem: int):
+    """`enumerate_concat_rules` on one side."""
+    by_affix: dict[str, dict[str, str]] = {}
+    by_stem: dict[str, list[str]] = {}
+    for w in words:
+        for k in range(min(max_affix, len(w) - min_stem) + 1):
+            if side == PREFIX:
+                affix, stem = w[:k], w[k:]
+            else:
+                affix, stem = w[len(w) - k:], w[: len(w) - k]
+            by_affix.setdefault(affix, {})[stem] = w
+            by_stem.setdefault(stem, []).append(affix)
+    for stem, affixes in by_stem.items():
+        if len(affixes) > GROUP_CAP:
+            warnings.warn(
+                f"stem group {stem!r} has {len(affixes)} entries, over the "
+                f"cap of {GROUP_CAP}; skipped",
+                StemGroupOverflowWarning,
+            )
+            for affix in affixes:
+                del by_affix[affix][stem]
+    edge = -1 if side == PREFIX else 0
+    for a1, stems1 in by_affix.items():
+        for a2 in dict.fromkeys(a for stem in stems1 for a in by_stem[stem]):
+            if a1 == a2 or (a1 and a2 and a1[edge] == a2[edge]):
+                continue  # identity, or a longer shared run exists
+            stems2 = by_affix[a2]
+            yield ConcatRule(side, a1, a2), tuple(sorted(
+                (stems1[s], stems2[s]) for s in stems1.keys() & stems2.keys()))

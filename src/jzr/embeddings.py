@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -154,9 +155,10 @@ def load_embeddings(path, top_n: int | None = None) -> EmbeddingTable:
 
 
 def _parse(fh, top_n: int | None, path: Path) -> EmbeddingTable:
-    """The table of the vector file open as text in `fh`."""
+    """The table of the vector file open as text in `fh`; its matrix views
+    one buffer of the normalized rows' bytes, so no row is kept on its own."""
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    flat = array("d")
     index: dict[str, int] = {}
     duplicates = 0
     dim: int | None = None
@@ -208,11 +210,11 @@ def _parse(fh, top_n: int | None, path: Path) -> EmbeddingTable:
         norm = math.sqrt(vec.dot(vec))
         if norm <= _NORM_EPS:
             raise VectorParseError(f"line {lineno}: zero vector for {word!r}")
-        rows.append(vec / norm)
+        flat.frombytes((vec / norm).tobytes())
         index[word] = len(words)
         words.append(word)
 
     if not saw_record or dim is None:
         raise EmptyFileError(f"no vector records in {path}")
-    mat = np.array(rows, dtype=np.float64).reshape(len(words), dim)
+    mat = np.frombuffer(flat, dtype=np.float64).reshape(len(words), dim)
     return EmbeddingTable(words, mat, duplicates_dropped=duplicates)

@@ -19,10 +19,10 @@ def learn_rules(table: EmbeddingTable,
     rules that can clear the orthographic threshold; the rest keep sem 0.0.
     The cyclic garbage collector is paused throughout: the candidates stay
     alive until the end, so each automatic collection would only re-traverse
-    them.
+    them. Concatenative mining streams into the candidate store's list, so
+    no map of the candidates is built.
     """
     cfg = config or Config()
-    # The store takes the candidate maps over, so each candidate is held once.
     candidates = RuleStore.from_candidates(
         enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
                                min_stem=cfg.min_stem),

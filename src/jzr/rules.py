@@ -271,50 +271,49 @@ def score_rule(rule: MorphRule, table: EmbeddingTable,
 
 
 class RuleStore:
-    """Insertion-ordered collection of rules, keyed by their RuleKey.
+    """A list of rules in insertion order, no two with the same RuleKey.
 
-    A store from `load_rules` holds its pairs only as `PairArrays`: each
-    rule's support and w_sem tuples are made on the first call that reads
-    the rules (iteration, `==`, `len`), once for the whole store, which
-    from then on holds them as a store built in memory does; `get` makes
-    only those of the rule it returns.
+    Nothing looks a rule up by key but `get`, which scans key texts, so the
+    store holds no map of its rules. A store from `load_rules` holds its
+    pairs only as `PairArrays`: each rule's support and w_sem tuples are
+    made on the first call that reads the rules (iteration, `==`, `len`),
+    once for the whole store, which from then on holds them as a store
+    built in memory does; `get` makes only those of the rule it returns.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
                  scoring: ScoringSettings | None = None):
-        self._rules: dict[RuleKey, MorphRule] | None = {}
-        for rule in rules:
-            if rule.key in self._rules:
+        self._rules: list[MorphRule] | None = list(rules)
+        seen: set[RuleKey] = set()
+        for rule in self._rules:
+            if rule.key in seen:
                 raise ValueError(f"duplicate rule key: {rule.key.key_str}")
-            self._rules[rule.key] = rule
+            seen.add(rule.key)
         self._arrays: PairArrays | None = None
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
         self.scoring = scoring
 
     @classmethod
-    def from_candidates(cls, concat_map, templatic_map, vocab_hash: str = "") -> "RuleStore":
+    def from_candidates(cls, concat_rules, templatic_map, vocab_hash: str = "") -> "RuleStore":
         """The store of every mined candidate, concatenative rules first.
 
-        Both maps go from key to support. `concat_map` is consumed: it
-        becomes the store's own dict, each support replaced in place by its
-        MorphRule, and the templatic rules are appended to it, so no second
-        dict of the candidates is built. It must not be used afterwards.
+        `concat_rules` yields each concatenative (key, support) once, as
+        `enumerate_concat_rules` does, and `templatic_map` maps each
+        template to its support. The store's list is built as the rules
+        stream in, with no set of their keys: the miners make each key once,
+        and a Template never equals a ConcatRule.
         """
-        counts = {CONCATENATIVE: len(concat_map), TEMPLATIC: len(templatic_map)}
-        rules = concat_map
-        for key, support in rules.items():
-            rules[key] = MorphRule(key, support)
-        # A Template never equals a ConcatRule, so no concatenative rule is replaced.
-        for key, support in templatic_map.items():
-            rules[key] = MorphRule(key, support)
+        rules = [MorphRule(key, support) for key, support in concat_rules]
+        counts = {CONCATENATIVE: len(rules), TEMPLATIC: len(templatic_map)}
+        rules += [MorphRule(key, support) for key, support in templatic_map.items()]
         store = cls(vocab_hash=vocab_hash, candidate_counts=counts)
         store._rules = rules
         return store
 
     @property
-    def _rule_map(self) -> dict[RuleKey, MorphRule]:
+    def _rule_list(self) -> list[MorphRule]:
         if self._rules is None:
             self._rules = _unpack(self._arrays)
             self._arrays = None  # the rules may now be changed in place
@@ -342,20 +341,21 @@ class RuleStore:
                      [len(rule.support) for rule in rules])
 
     def __iter__(self):
-        return iter(self._rule_map.values())
+        return iter(self._rule_list)
 
     def __len__(self) -> int:
-        return len(self._rule_map)
+        return len(self._rule_list)
 
     def get(self, ks: str) -> MorphRule | None:
         """The rule whose key text is `ks`; a loaded store unpacks only that rule."""
         rules = _unpack(self._arrays, ks) if self._rules is None else self._rules
-        return next((rule for rule in rules.values() if rule.key.key_str == ks), None)
+        return next((rule for rule in rules if rule.key.key_str == ks), None)
 
     def __eq__(self, other) -> bool:
+        """Equal rules in the same order, and equal header fields."""
         if not isinstance(other, RuleStore):
             return NotImplemented
-        return (self._rule_map == other._rule_map
+        return (self._rule_list == other._rule_list
                 and self.vocab_hash == other.vocab_hash
                 and self.candidate_counts == other.candidate_counts
                 and self.scoring == other.scoring)
@@ -427,9 +427,10 @@ def save_rules(store: RuleStore, path) -> None:
     """Write the rule DB: header lines, then one rule record plus its pairs.
 
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
-    A store with no scoring settings or no vocab_hash, or whose pairs fail
-    load_rules' checks, raises ValueError (InvalidWordError for a bad pair
-    word) before anything is written. A loaded store is not unpacked.
+    A store with no scoring settings, no vocab_hash or no non-negative
+    candidate count of each kind, or whose pairs fail load_rules' checks,
+    raises ValueError (InvalidWordError for a bad pair word) before anything
+    is written. A loaded store is not unpacked.
     """
     sc = store.scoring
     if sc is None:
@@ -437,15 +438,16 @@ def save_rules(store: RuleStore, path) -> None:
     if not store.vocab_hash:
         raise ValueError("store has no vocab_hash; set it to vocab_fingerprint of "
                          "the words it was learned from")
+    counts = store.candidate_counts
+    if sorted(counts) != [CONCATENATIVE, TEMPLATIC] or min(counts.values()) < 0:
+        raise ValueError("store has no non-negative candidate_counts of both "
+                         f"{CONCATENATIVE} and {TEMPLATIC} rules: {counts!r}")
     arrays = store.pair_arrays()
     _check_pairs(arrays, lambda r, p: f"rule {arrays.rules[r][0].key_str}")
-    counts = store.candidate_counts
     lines = [
         _DB_MAGIC,
         f"#vocab-hash {store.vocab_hash}",
-        "#candidates "
-        f"{CONCATENATIVE}={counts.get(CONCATENATIVE, 0)} "
-        f"{TEMPLATIC}={counts.get(TEMPLATIC, 0)}",
+        f"#candidates {CONCATENATIVE}={counts[CONCATENATIVE]} {TEMPLATIC}={counts[TEMPLATIC]}",
         f"#scoring t_cos_sim={sc.t_cos_sim!r} sample_cap={sc.sample_cap} seed={sc.seed}",
     ]
     words, bounds = arrays.words, [0, *arrays.ends.tolist()]
@@ -543,15 +545,15 @@ class _DbRecords:
         return store
 
 
-def _unpack(arrays: PairArrays, ks: str | None = None) -> dict[RuleKey, MorphRule]:
-    """Each rule of `arrays`, or the one whose key text is `ks`, with its tuples, by key."""
+def _unpack(arrays: PairArrays, ks: str | None = None) -> list[MorphRule]:
+    """Each rule of `arrays`, or the one whose key text is `ks`, with its tuples."""
     words, w1, w2, w_sem, ends = arrays[1:]
     bounds = [0, *ends.tolist()]
-    return {key: MorphRule(key, tuple(zip(map(words.__getitem__, w1[a:b].tolist()),
-                                          map(words.__getitem__, w2[a:b].tolist()))),
-                           replace(scores, w_sem=tuple(w_sem[a:b].tolist())))
+    return [MorphRule(key, tuple(zip(map(words.__getitem__, w1[a:b].tolist()),
+                                     map(words.__getitem__, w2[a:b].tolist()))),
+                      replace(scores, w_sem=tuple(w_sem[a:b].tolist())))
             for (key, scores), a, b in zip(arrays.rules, bounds, bounds[1:])
-            if ks is None or key.key_str == ks}
+            if ks is None or key.key_str == ks]
 
 
 @collector_paused()

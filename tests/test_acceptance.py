@@ -196,7 +196,7 @@ def test_criterion_6_orthographic_oracles():
                                                      int(rng.integers(1, 9))))
             for _ in range(n_words)
         ))
-        assert enumerate_concat_rules(vocab) == brute_concat_rules(vocab)
+        assert dict(enumerate_concat_rules(vocab)) == brute_concat_rules(vocab)
         assert enumerate_templatic_rules(vocab) == brute_templatic_rules(vocab)
 
 
@@ -207,7 +207,7 @@ def test_criterion_7_worked_examples():
     assert Template(("ma", "", "a", "")) in extract_templates("ktb", "maktab")
 
     vocab = ["maktab", "almaktab", "wamaktab", "jaras", "aljaras"]
-    rules = enumerate_concat_rules(vocab)
+    rules = dict(enumerate_concat_rules(vocab))
     assert ("maktab", "almaktab") in rules[ConcatRule("prefix", "", "al")]
     assert ("almaktab", "wamaktab") in rules[ConcatRule("prefix", "al", "wa")]
 

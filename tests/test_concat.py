@@ -61,23 +61,23 @@ class TestConcatRule:
 
 class TestEnumeration:
     def test_definite_article_pair(self):
-        rules = enumerate_concat_rules(["maktab", "almaktab", "jaras", "aljaras"])
+        rules = dict(enumerate_concat_rules(["maktab", "almaktab", "jaras", "aljaras"]))
         rule = ConcatRule("prefix", "", "al")
         assert rule in rules
         assert set(rules[rule]) == {("maktab", "almaktab"), ("jaras", "aljaras")}
 
     def test_prefix_replacement_pair(self):
-        rules = enumerate_concat_rules(["almaktab", "wamaktab"])
+        rules = dict(enumerate_concat_rules(["almaktab", "wamaktab"]))
         rule = ConcatRule("prefix", "al", "wa")
         assert rules[rule] == (("almaktab", "wamaktab"),)
 
     def test_singleton_vocab_empty(self):
-        assert enumerate_concat_rules(["ab"]) == {}
+        assert dict(enumerate_concat_rules(["ab"])) == {}
 
     def test_three_word_family_min_stem_3(self):
         # Hand case checked against the brute-force oracle: every ordered
         # pair shares only the stem "tab", so six rules with one pair each.
-        got = enumerate_concat_rules(["tab", "xtab", "ytab"], min_stem=3)
+        got = dict(enumerate_concat_rules(["tab", "xtab", "ytab"], min_stem=3))
         expected = {
             ConcatRule("prefix", "", "x"): (("tab", "xtab"),),
             ConcatRule("prefix", "", "y"): (("tab", "ytab"),),
@@ -92,30 +92,39 @@ class TestEnumeration:
     def test_max_affix_bounds_each_affix_independently(self):
         # 6-char prefix on one side, empty on the other: allowed at the limit.
         words = ["stemma", "abcdefstemma"]
-        rules = enumerate_concat_rules(words, max_affix=6)
+        rules = dict(enumerate_concat_rules(words, max_affix=6))
         assert ConcatRule("prefix", "", "abcdef") in rules
-        assert enumerate_concat_rules(words, max_affix=5) == {}
+        assert dict(enumerate_concat_rules(words, max_affix=5)) == {}
 
     def test_min_stem_respected(self):
-        for rule, pairs in enumerate_concat_rules(["ab", "xb", "axb"], min_stem=2).items():
+        for rule, pairs in enumerate_concat_rules(["ab", "xb", "axb"], min_stem=2):
             for w1, w2 in pairs:
                 assert len(w1) - len(rule.old) >= 2
 
+    def test_bad_settings_raise_before_iteration(self):
+        with pytest.raises(ValueError, match="max_affix"):
+            enumerate_concat_rules(["ab"], max_affix=-1)
+        with pytest.raises(ValueError, match="min_stem"):
+            enumerate_concat_rules(["ab"], min_stem=0)
+
     def test_empty_vocab(self):
-        assert enumerate_concat_rules([]) == {}
+        assert dict(enumerate_concat_rules([])) == {}
 
     def test_group_cap_skips_with_warning(self, monkeypatch):
         words = [c + "stem" for c in "abcdefgh"]
         monkeypatch.setattr(concat, "GROUP_CAP", 3)
+        stream = enumerate_concat_rules(words)  # warnings are errors: none yet
         with pytest.warns(StemGroupOverflowWarning):
-            rules = enumerate_concat_rules(words)
+            rules = dict(stream)
         # The shared "stem" bucket was dropped; distinct-prefix pairs with
         # shorter shared stems remain.
         assert ConcatRule("prefix", "a", "b") not in rules
 
     @given(small_vocab)
     def test_matches_brute_force(self, vocab):
-        got = enumerate_concat_rules(vocab)
+        stream = list(enumerate_concat_rules(vocab))
+        got = dict(stream)
+        assert len(got) == len(stream)  # no rule is yielded twice
         assert got == brute_concat_rules(vocab)
         for pairs in got.values():
             assert type(pairs) is tuple and list(pairs) == sorted(pairs)
@@ -124,7 +133,7 @@ class TestEnumeration:
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
     def test_matches_brute_force_parametrized(self, vocab, max_affix, min_stem):
-        got = enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
+        got = dict(enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem))
         assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
 
     @given(small_vocab, st.integers(min_value=1, max_value=4),
@@ -134,13 +143,13 @@ class TestEnumeration:
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             mp.setattr(concat, "GROUP_CAP", cap)
             warnings.simplefilter("ignore", StemGroupOverflowWarning)
-            got = enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
+            got = dict(enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem))
         assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem,
                                          group_cap=cap)
 
     @given(small_vocab)
     def test_symmetry(self, vocab):
-        rules = enumerate_concat_rules(vocab)
+        rules = dict(enumerate_concat_rules(vocab))
         for rule, pairs in rules.items():
             mirror = ConcatRule(rule.side, rule.new, rule.old)
             for w1, w2 in pairs:
@@ -148,7 +157,7 @@ class TestEnumeration:
 
     @given(small_vocab)
     def test_pairs_reconstruct_from_rule(self, vocab):
-        for rule, pairs in enumerate_concat_rules(vocab).items():
+        for rule, pairs in enumerate_concat_rules(vocab):
             for w1, w2 in pairs:
                 assert w1 != w2
                 if rule.side == "prefix":

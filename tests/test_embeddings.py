@@ -159,6 +159,27 @@ class TestLoad:
                 v = np.array(row)
                 assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
 
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "ktb"]), st.lists(
+        st.floats(-1e6, 1e6), min_size=3, max_size=3)
+        .filter(lambda row: np.linalg.norm(row) > 1e-12)), min_size=1, max_size=6),
+        st.none() | st.integers(0, 3))
+    def test_parsed_matrix_is_the_kept_rows_normalized_one_at_a_time(
+            self, tmp_path_factory, records, top_n):
+        # top_n=0 keeps no row, and the table must still load, empty.
+        text = "".join(f"{word} {' '.join(map(repr, row))}\n" for word, row in records)
+        path = write(tmp_path_factory.mktemp("parse"), text)
+        first: dict[str, list[float]] = {}
+        for word, row in records:
+            first.setdefault(word, row)  # the first occurrence of a word wins
+        kept = list(first.items())[:top_n]
+        table = parsed(path, top_n)
+        assert table.words == [word for word, _ in kept]
+        assert table.matrix.shape == (len(kept), 3) and table.matrix.dtype == np.float64
+        assert table.matrix.flags.c_contiguous
+        rows = [np.array(row) for _, row in kept]
+        assert table.matrix.tobytes() == b"".join(
+            (v / math.sqrt(v.dot(v))).tobytes() for v in rows)
+
     @staticmethod
     def outcome(path, top_n, first_lineno):
         """What loading gives, with line numbers counted from `first_lineno`."""

@@ -18,6 +18,8 @@ from jzr.extractor import (
     TraceStep,
 )
 from jzr.rules import (
+    CONCATENATIVE,
+    TEMPLATIC,
     MorphRule,
     RuleDbError,
     RuleScores,
@@ -36,6 +38,7 @@ INSERT_WA = ConcatRule("prefix", "", "wa")
 DELETE_WA = ConcatRule("prefix", "wa", "")
 INSERT_IYN = ConcatRule("suffix", "", "iyn")
 REPLACE_A_IYN = ConcatRule("suffix", "a", "iyn")
+COUNTS = {CONCATENATIVE: 4, TEMPLATIC: 1}  # any counts a saved store may carry
 
 
 def planted_world(rules, n_genuine=4, dim=64, seed=0):
@@ -421,13 +424,14 @@ class TestStoreOrder:
 
 def savable(store, table):
     """`store` as save_rules takes it: its invalid pairs dropped, each orth
-    its support size, and the vocabulary hash of `table`."""
+    its support size, the vocabulary hash of `table` and candidate counts."""
     rules = []
     for rule in store:
         keep = [i for i, pair in enumerate(rule.support) if all(map(brute_valid_word, pair))]
         rules.append(MorphRule(rule.key, tuple(rule.support[i] for i in keep), replace(
             rule.scores, orth=len(keep), w_sem=tuple(rule.scores.w_sem[i] for i in keep))))
-    return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words), scoring=store.scoring)
+    return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words),
+                     candidate_counts=COUNTS, scoring=store.scoring)
 
 
 class TestLoadedStore:
@@ -458,7 +462,7 @@ class TestLoadedStore:
         # once per store; loading it and building an extractor do not.
         store, table = planted_world([(INSERT_WA, [("maktab", "wamaktab")], True),
                                       (PLACE, [("ktb", "maktab")], True)])
-        store.vocab_hash = vocab_fingerprint(table.words)
+        store.vocab_hash, store.candidate_counts = vocab_fingerprint(table.words), COUNTS
         path = tmp_path / "rules.db"
         save_rules(store, path)
         with mock.patch.object(rules_module, "_unpack", wraps=rules_module._unpack) as unpack:

@@ -18,6 +18,7 @@ from oracles import brute_r_sem, brute_w_sem, tensor_count_passes
 from jzr.concat import ConcatRule, enumerate_concat_rules
 from jzr.config import Config
 from jzr.embeddings import _NORM_EPS, EmbeddingTable, InvalidWordError
+from jzr.fileio import collector_paused
 from jzr.pipeline import learn_rules
 from jzr.rules import (
     CONCATENATIVE,
@@ -467,8 +468,8 @@ class TestCountPasses:
 
 def old_way_store(table, cfg):
     """The candidate store built from fresh maps, with RuleStore's own constructor."""
-    concat = enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
-                                    min_stem=cfg.min_stem)
+    concat = dict(enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
+                                         min_stem=cfg.min_stem))
     templatic = enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len)
     rules = [MorphRule(k, v) for m in (concat, templatic) for k, v in m.items()]
     return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words),
@@ -490,28 +491,38 @@ class TestFromCandidates:
         assert candidates == expected
         assert [r.key for r in candidates] == [r.key for r in expected]
 
-    def test_adopting_the_maps_adds_only_the_rule_records(self):
-        # A second dict of the candidates would add about 40 bytes per rule
-        # on top of each MorphRule's own. Appending the templatic rules
-        # could also grow the dict's table, had the concatenative map fewer
-        # free slots than there are templates; this vocabulary's has enough.
+    def test_mining_into_the_store_adds_a_record_and_a_slot_per_candidate(self):
+        # Mining peaks with one side's index alive and every key and support
+        # mined so far kept. Kept as a list of the stream's (key, support)
+        # tuples, that peak is the baseline: the store may swap each tuple
+        # for a MorphRule and add a slot's worth more per candidate. A map
+        # of the candidates adds about 35 bytes per candidate here. A full
+        # collection first empties the free lists, which would otherwise
+        # serve some tuples untraced, and learn_rules pauses the collector.
         _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
-        concat = enumerate_concat_rules(table.words)
         templatic = enumerate_templatic_rules(table.words)
-        n = len(concat) + len(templatic)
+
+        def peak(consume):
+            gc.collect()
+            with collector_paused():
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    kept = consume(enumerate_concat_rules(table.words))
+                    return tracemalloc.get_traced_memory()[1] - before, kept
+                finally:
+                    tracemalloc.stop()
+
+        listed, stream = peak(list)
+        added, store = peak(lambda rules: RuleStore.from_candidates(rules, templatic))
+        n = len(stream)
+        assert len(store) == n + len(templatic)
         record = sys.getsizeof(MorphRule(ConcatRule("prefix", "", "x"), ()))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            store = RuleStore.from_candidates(concat, templatic)
-            added = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert len(store) == n
-        assert added < 1.25 * n * record
+        assert added < listed + n * (record - sys.getsizeof((None, None)) + 8)
 
 
 SCORING = ScoringSettings(0.5, 100, 42)
+COUNTS = {CONCATENATIVE: 1, TEMPLATIC: 0}
 
 
 class TestDbRoundTrip:
@@ -657,7 +668,8 @@ class TestDbRoundTrip:
     def test_save_refuses_a_pair_word_that_load_would_refuse(self, tmp_path, pair):
         store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), (pair,),
                                      RuleScores(1, 1.0, False, (1.0,)))],
-                          vocab_hash=vocab_fingerprint(["a"]), scoring=SCORING)
+                          vocab_hash=vocab_fingerprint(["a"]), candidate_counts=COUNTS,
+                          scoring=SCORING)
         path = tmp_path / "rules.db"
         with pytest.raises(InvalidWordError):
             save_rules(store, path)
@@ -675,7 +687,8 @@ class TestDbRoundTrip:
     def test_save_refuses_pairs_that_load_would_refuse(self, tmp_path, support, scores,
                                                        message):
         store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), support, scores)],
-                          vocab_hash=vocab_fingerprint(["a"]), scoring=SCORING)
+                          vocab_hash=vocab_fingerprint(["a"]), candidate_counts=COUNTS,
+                          scoring=SCORING)
         path = tmp_path / "rules.db"
         with pytest.raises(ValueError, match=f"^rule concat:prefix:>wa: {message}"):
             save_rules(store, path)
@@ -689,7 +702,7 @@ class TestDbRoundTrip:
 
         def unpack(*args):
             found = real(*args)
-            unpacked.append(list(found))
+            unpacked.append([rule.key for rule in found])
             return found
 
         with mock.patch.object(rules, "_unpack", side_effect=unpack):
@@ -726,6 +739,30 @@ class TestDbRoundTrip:
             save_rules(store, path)
         assert not path.exists()
 
+    # Written as 0, a missing count would load back as a store unequal to
+    # the one saved; a negative one would not load at all.
+    @pytest.mark.parametrize("counts", [{}, {CONCATENATIVE: 10},
+                                        {CONCATENATIVE: 10, TEMPLATIC: -1}])
+    def test_save_refuses_a_store_without_both_candidate_counts(self, tmp_path, counts):
+        store = self.build()
+        store.candidate_counts = counts
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError, match="candidate_counts"):
+            save_rules(store, path)
+        assert not path.exists()
+
+    def test_stores_compare_their_rules_in_order(self, tmp_path):
+        store = self.build()
+        first, second, *rest = store
+        swapped = RuleStore([second, first, *rest], vocab_hash=store.vocab_hash,
+                            candidate_counts=store.candidate_counts, scoring=store.scoring)
+        assert swapped != store
+        path = tmp_path / "rules.db"
+        save_rules(swapped, path)
+        for _ in range(2):  # a text parse, then a cache hit
+            loaded = load_rules(path)
+            assert loaded == swapped and loaded != store
+
     def test_learned_rules_with_the_same_key_text_round_trip(self, tmp_path):
         # prefix "a>b" -> "" and prefix "a" -> "b>" would both print as
         # concat:prefix:a>b> unescaped; each has two support pairs, so both validate.
@@ -744,7 +781,7 @@ class TestDbRoundTrip:
         rule = MorphRule(ConcatRule("prefix", "al", ""), (("almaktab", "maktab"),),
                          RuleScores(1, 1.0, False, (1.0,)))
         store = RuleStore([rule], vocab_hash=vocab_fingerprint(["almaktab", "maktab"]),
-                          scoring=SCORING)
+                          candidate_counts=COUNTS, scoring=SCORING)
         path = tmp_path / "rules.db"
         save_rules(store, path)
         loaded = load_rules(path)
