@@ -162,8 +162,8 @@ def cmd_learn(args) -> int:
     c_counts = validated.candidate_counts
     v_counts = validated.count_by_kind()
     print(
-        f"candidates: {CONCATENATIVE}={c_counts.get(CONCATENATIVE, 0)} "
-        f"{TEMPLATIC}={c_counts.get(TEMPLATIC, 0)} | "
+        f"candidates: {CONCATENATIVE}={c_counts[CONCATENATIVE]} "
+        f"{TEMPLATIC}={c_counts[TEMPLATIC]} | "
         f"validated: {CONCATENATIVE}={v_counts[CONCATENATIVE]} "
         f"{TEMPLATIC}={v_counts[TEMPLATIC]}"
     )

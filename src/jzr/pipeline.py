@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .concat import enumerate_concat_rules
 from .config import Config
 from .embeddings import EmbeddingTable
 from .fileio import collector_paused
-from .rules import RuleStore, prune_rules, vocab_fingerprint
+from .rules import MorphRule, RuleScores, RuleStore, prune_rules, score_rule, vocab_fingerprint
 from .templatic import enumerate_templatic_rules
 
 
@@ -15,19 +18,21 @@ def learn_rules(table: EmbeddingTable,
                 config: Config | None = None) -> tuple[RuleStore, RuleStore]:
     """Mine candidates from the table's vocabulary and validate them.
 
-    Returns (candidates, validated). The semantic score is only computed for
-    rules that can clear the orthographic threshold; the rest keep sem 0.0.
-    The cyclic garbage collector is paused throughout: the candidates stay
-    alive until the end, so each automatic collection would only re-traverse
-    them. Concatenative mining streams into the candidate store's list, so
-    no map of the candidates is built.
+    Returns (candidates, validated). Each candidate is scored as it streams
+    out of mining, concatenative rules first: one above t_r_orth gets
+    `score_rule`'s scores, and one at or below it, which cannot be
+    validated, sem 0.0 and no w_sem. The cyclic garbage collector is
+    paused throughout: the candidates stay alive until the end, so each
+    automatic collection would only re-traverse them.
     """
     cfg = config or Config()
-    candidates = RuleStore.from_candidates(
-        enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
-                               min_stem=cfg.min_stem),
-        enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len),
-        vocab_hash=vocab_fingerprint(table.words),
-    )
-    candidates.score_all(table, cfg.scoring, orth_gate=cfg.thresholds.t_r_orth)
+    t_r_orth, scoring = cfg.thresholds.t_r_orth, cfg.scoring
+    gated = functools.cache(lambda orth: RuleScores(orth, 0.0, False))  # frozen: one per orth
+    mined = itertools.chain(
+        enumerate_concat_rules(table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem),
+        enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len).items())
+    scored = (MorphRule(key, support, score_rule(key, support, table, scoring)
+                        if len(support) > t_r_orth else gated(len(support)))
+              for key, support in mined)
+    candidates = RuleStore.from_candidates(scored, vocab_fingerprint(table.words), scoring)
     return candidates, prune_rules(candidates, cfg.thresholds)

@@ -45,7 +45,7 @@ class RuleScores:
     """orth is the raw support size; sem the analogy-pass fraction in [0, 1].
 
     w_sem holds each support pair's own pass fraction, aligned with the
-    rule's support; it is empty for rules left semantically unscored.
+    rule's support; learn leaves it empty exactly for rules at or below t_r_orth.
     """
 
     orth: int
@@ -97,7 +97,7 @@ class Thresholds:
 class MorphRule:
     key: RuleKey
     support: tuple[Pair, ...]
-    scores: RuleScores | None = None
+    scores: RuleScores
 
 
 class PairArrays(NamedTuple):
@@ -110,7 +110,7 @@ class PairArrays(NamedTuple):
     are those from `ends[r - 1]` (0 for the first rule) up to `ends[r]`.
     """
 
-    rules: list[tuple[RuleKey, RuleScores | None]]
+    rules: list[tuple[RuleKey, RuleScores]]
     words: list[str]
     w1: np.ndarray
     w2: np.ndarray
@@ -183,28 +183,25 @@ def vocab_fingerprint(words) -> str:
     return hashlib.sha256("\n".join([*words, ""]).encode("utf-8")).hexdigest()
 
 
-def support_sample(rule: MorphRule, table: EmbeddingTable, sample_cap: int,
-                   seed: int) -> tuple[list[int], list[int]]:
-    """Support positions of the embedded pairs, and of the sample drawn from them.
+def support_sample(key: RuleKey, orth: int, sample_cap: int, seed: int) -> list[int]:
+    """The ascending support positions of the sample rule `key`'s scores are
+    taken over, for a support of `orth` pairs.
 
-    The sample is every embedded pair, unless there are more than
-    `sample_cap`: then it is a deterministic seeded choice of that many.
+    The sample is every pair, unless there are more than `sample_cap`: then
+    it is a deterministic choice of that many, seeded by `seed` and the key.
     """
-    index = table.index
-    embedded = [i for i, (a, b) in enumerate(rule.support) if a in index and b in index]
-    if len(embedded) <= sample_cap:
-        return embedded, embedded
+    if orth <= sample_cap:
+        return list(range(orth))
     # hashlib, not hash(): per-rule sampling must survive interpreter restarts.
-    digest = hashlib.sha256(f"{seed}|{rule.key.key_str}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{seed}|{key.key_str}".encode("utf-8")).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-    keep = sorted(rng.choice(len(embedded), size=sample_cap, replace=False).tolist())
-    return embedded, [embedded[i] for i in keep]
+    return sorted(rng.choice(orth, size=sample_cap, replace=False).tolist())
 
 
-def _vectors(rule: MorphRule, table: EmbeddingTable,
-             positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _vectors(support: tuple[Pair, ...], table: EmbeddingTable,
+             positions) -> tuple[np.ndarray, np.ndarray]:
     """Source and derived vectors of the support pairs at `positions`."""
-    index, support = table.index, rule.support
+    index = table.index
     return (table.matrix[[index[support[p][0]] for p in positions]],
             table.matrix[[index[support[p][1]] for p in positions]])
 
@@ -239,46 +236,46 @@ def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
     return np.count_nonzero(cos > t_cos, axis=1)
 
 
-def score_rule(rule: MorphRule, table: EmbeddingTable,
+def score_rule(key: RuleKey, support: tuple[Pair, ...], table: EmbeddingTable,
                scoring: ScoringSettings) -> RuleScores:
     """orth, sem (r_sem) and every support pair's w_sem, from one seeded sample.
 
-    For query pair (w1, w2) and sample pair (w3, w4) the analogy test reads
+    Every support word must be a table word, as every mined one is. For
+    query pair (w1, w2) and sample pair (w3, w4) the analogy test reads
     cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim. A pair's w_sem is the
     fraction of sample offsets it passes against; sem is the mean of the
     sample's own w_sem values, the diagonal included, so a singleton
-    support scores 1.0. Every embedded pair is counted against the sample's
-    offsets in one pass over blocks of at most `sample_cap` queries, so that
-    no block is larger than the sample. A pair without vectors gets w_sem
-    0.0, and a rule with no embedded pair sem 0.0.
+    support scores 1.0. Every pair is counted against the sample's offsets
+    in one pass over blocks of at most `sample_cap` queries, so that no
+    block is larger than the sample. An empty support raises ValueError.
     """
     t_cos, sample_cap = scoring.t_cos_sim, scoring.sample_cap
-    orth = len(rule.support)
-    embedded, sample = support_sample(rule, table, sample_cap, scoring.seed)
-    if not sample:
-        return RuleScores(orth, 0.0, False, (0.0,) * orth)
+    orth = len(support)
+    if not orth:
+        raise ValueError(f"rule {key.key_str} has an empty support, so no score")
+    sample = support_sample(key, orth, sample_cap, scoring.seed)
     n = len(sample)
-    w1, w2 = _vectors(rule, table, sample)
+    w1, w2 = _vectors(support, table, sample)
     offsets = w2 - w1
-    counts = [0] * orth
-    for start in range(0, len(embedded), sample_cap):
-        block = embedded[start:start + sample_cap]
-        passes = _count_passes(*_vectors(rule, table, block), offsets, t_cos)
-        for p, c in zip(block, passes.tolist()):
-            counts[p] = c
+    counts: list[int] = []
+    for start in range(0, orth, sample_cap):
+        block = range(start, min(start + sample_cap, orth))
+        counts += _count_passes(*_vectors(support, table, block), offsets, t_cos).tolist()
     sem = sum(counts[p] for p in sample) / (n * n)
-    return RuleScores(orth, sem, n < len(embedded), tuple(c / n for c in counts))
+    return RuleScores(orth, sem, n < orth, tuple(c / n for c in counts))
 
 
 class RuleStore:
-    """A list of rules in insertion order, no two with the same RuleKey.
+    """A list of scored rules in insertion order, no two with the same RuleKey.
 
-    Nothing looks a rule up by key but `get`, which scans key texts, so the
-    store holds no map of its rules. A store from `load_rules` holds its
-    pairs only as `PairArrays`: each rule's support and w_sem tuples are
-    made on the first call that reads the rules (iteration, `==`, `len`),
-    once for the whole store, which from then on holds them as a store
-    built in memory does; `get` makes only those of the rule it returns.
+    Learn's candidate store (`from_candidates`) takes each rule as it is
+    mined, already scored. Nothing looks a rule up by key but `get`, which
+    scans key texts, so the store holds no map of its rules. A store from
+    `load_rules` holds its pairs only as `PairArrays`: each rule's support
+    and w_sem tuples are made on the first call that reads the rules
+    (iteration, `==`, `len`), once for the whole store, which from then on
+    holds them as a store built in memory does; `get` makes only those of
+    the rule it returns.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
@@ -296,20 +293,20 @@ class RuleStore:
         self.scoring = scoring
 
     @classmethod
-    def from_candidates(cls, concat_rules, templatic_map, vocab_hash: str = "") -> "RuleStore":
-        """The store of every mined candidate, concatenative rules first.
+    def from_candidates(cls, rules, vocab_hash: str, scoring: ScoringSettings) -> "RuleStore":
+        """The store of every mined candidate, each scored with `scoring`.
 
-        `concat_rules` yields each concatenative (key, support) once, as
-        `enumerate_concat_rules` does, and `templatic_map` maps each
-        template to its support. The store's list is built as the rules
-        stream in, with no set of their keys: the miners make each key once,
-        and a Template never equals a ConcatRule.
+        `rules` yields each candidate's MorphRule once, as learn makes them
+        while it mines. The store keeps them in that order, counting each
+        kind as they arrive, and builds no set of their keys: the miners
+        make each key once, and a Template never equals a ConcatRule.
         """
-        rules = [MorphRule(key, support) for key, support in concat_rules]
-        counts = {CONCATENATIVE: len(rules), TEMPLATIC: len(templatic_map)}
-        rules += [MorphRule(key, support) for key, support in templatic_map.items()]
-        store = cls(vocab_hash=vocab_hash, candidate_counts=counts)
-        store._rules = rules
+        kept, counts = [], {CONCATENATIVE: 0, TEMPLATIC: 0}
+        for rule in rules:
+            counts[rule_kind(rule.key)] += 1
+            kept.append(rule)
+        store = cls(vocab_hash=vocab_hash, candidate_counts=counts, scoring=scoring)
+        store._rules = kept
         return store
 
     @property
@@ -324,15 +321,15 @@ class RuleStore:
 
         A loaded store returns the arrays it holds; any other store packs
         its support and w_sem tuples, and raises ValueError for a rule
-        without one w_sem per support pair.
+        without one w_sem per support pair, as one at or below t_r_orth.
         """
         if self._arrays is not None:
             return self._arrays
         rules = list(self)
         for rule in rules:
-            if rule.scores is None or len(rule.scores.w_sem) != len(rule.support):
+            if len(rule.scores.w_sem) != len(rule.support):
                 raise ValueError(f"rule {rule.key.key_str} is unscored: it has no w_sem "
-                                 "per support pair; score the store first")
+                                 "per support pair")
         ids: dict[str, int] = {}
         w1 = [ids.setdefault(a, len(ids)) for rule in rules for a, _ in rule.support]
         w2 = [ids.setdefault(b, len(ids)) for rule in rules for _, b in rule.support]
@@ -366,28 +363,6 @@ class RuleStore:
             counts[rule_kind(rule.key)] += 1
         return counts
 
-    def score_all(self, table: EmbeddingTable, scoring: ScoringSettings,
-                  orth_gate: int) -> None:
-        """Fill in RuleScores, per-pair w_sem included, for every rule.
-
-        Rules whose support size is at most `orth_gate` cannot clear the
-        orthographic threshold: they keep sem = 0.0 and no w_sem, unscored,
-        which avoids scoring the long tail of single-pair candidates. An
-        `orth_gate` of 0 scores every rule.
-        """
-        # RuleScores is frozen, so every unscored rule of one orth shares one.
-        unscored: dict[int, RuleScores] = {}
-        for rule in self:
-            orth = len(rule.support)
-            if orth <= orth_gate:
-                scores = unscored.get(orth)
-                if scores is None:
-                    scores = unscored[orth] = RuleScores(orth, 0.0, False)
-                rule.scores = scores
-                continue
-            rule.scores = score_rule(rule, table, scoring)
-        self.scoring = scoring
-
 
 def _order_key(key: RuleKey, scores: RuleScores):
     # Distinct keys never print alike, so the order never depends on insertion.
@@ -399,9 +374,6 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
 
     Survivors are ordered by descending sem, then descending orth, then key.
     """
-    for rule in store:
-        if rule.scores is None:
-            raise ValueError(f"rule {rule.key.key_str} not scored; run score_all first")
     survivors = [
         rule for rule in store
         if rule.scores.sem > thresholds.t_r_sem and rule.scores.orth > thresholds.t_r_orth
@@ -416,9 +388,6 @@ def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[Mor
     if kind not in ("all", CONCATENATIVE, TEMPLATIC):
         raise ValueError(f"unknown kind filter: {kind!r}")
     rules = [r for r in store if kind == "all" or rule_kind(r.key) == kind]
-    for rule in rules:
-        if rule.scores is None:
-            raise ValueError(f"rule {rule.key.key_str} not scored")
     rules.sort(key=lambda rule: _order_key(rule.key, rule.scores))
     return rules[: max(top_k, 0)]
 
@@ -434,7 +403,7 @@ def save_rules(store: RuleStore, path) -> None:
     """
     sc = store.scoring
     if sc is None:
-        raise ValueError("store has no scoring settings; run score_all first")
+        raise ValueError("store has no scoring settings; set them to those it was scored with")
     if not store.vocab_hash:
         raise ValueError("store has no vocab_hash; set it to vocab_fingerprint of "
                          "the words it was learned from")

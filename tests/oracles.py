@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import types
 import unicodedata
 
 import numpy as np
@@ -145,10 +144,10 @@ def brute_learn(table, config):
 
     Mines the vocabulary with the brute enumerators; scores every rule
     whose support is larger than `t_r_orth` over its seeded sample, sem
-    with `brute_r_sem` and each support pair's w_sem with `brute_w_sem`
-    (0.0 for a pair without vectors); keeps those whose sem is above
-    `t_r_sem` too, ordered by descending sem, then descending orth, then
-    key text. Each rule is (key, support, orth, sem, sampled, w_sem).
+    with `brute_r_sem` and each support pair's w_sem with `brute_w_sem`;
+    keeps those whose sem is above `t_r_sem` too, ordered by descending
+    sem, then descending orth, then key text. Each rule is (key, support,
+    orth, sem, sampled, w_sem).
     """
     th = config.thresholds
     words = list(table.words)
@@ -159,17 +158,13 @@ def brute_learn(table, config):
         orth = len(support)
         if orth <= th.t_r_orth:
             continue
-        embedded, sample = support_sample(types.SimpleNamespace(key=key, support=support),
-                                          table, config.sample_cap, config.seed)
+        sample = support_sample(key, orth, config.sample_cap, config.seed)
         sample_pairs = [support[i] for i in sample]
-        if not sample_pairs:
-            continue  # sem 0.0
         sem = brute_r_sem(table, sample_pairs, th.t_cos_sim)
         if sem <= th.t_r_sem:
             continue
-        w_sem = tuple(brute_w_sem(table, pair, sample_pairs, th.t_cos_sim)
-                      if i in embedded else 0.0 for i, pair in enumerate(support))
-        rules.append((key, support, orth, sem, len(sample) < len(embedded), w_sem))
+        w_sem = tuple(brute_w_sem(table, pair, sample_pairs, th.t_cos_sim) for pair in support)
+        rules.append((key, support, orth, sem, len(sample) < orth, w_sem))
     rules.sort(key=lambda rule: (-rule[3], -rule[2], rule[0].key_str))
     return rules, {"concatenative": len(mined[0]), "templatic": len(mined[1])}
 
@@ -195,7 +190,7 @@ def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
 
     Returns (final, status, steps), each step as (rule key text, word, w_sem).
     w_sem is brute_w_sem against the rule's support sample: the pairs that
-    `support_sample` draws, which below `sample_cap` are all embedded pairs.
+    `support_sample` draws, which below `sample_cap` are all the pairs.
     A step must shorten the word and leave at least three letters.
     """
     def kind(key):
@@ -222,7 +217,8 @@ def brute_extract(store, table, word, t_cos: float, t_w_sem: float,
                     if w2 != current or not 3 <= len(w1) < len(current):
                         continue
                     if sample_pairs is None:
-                        _, sample = support_sample(rule, table, sample_cap, seed)
+                        sample = support_sample(rule.key, len(rule.support), sample_cap,
+                                                seed)
                         sample_pairs = [rule.support[i] for i in sample]
                     w_sem = brute_w_sem(table, (w1, w2), sample_pairs, t_cos)
                     if w_sem <= t_w_sem:

@@ -24,7 +24,6 @@ from jzr.config import Config
 from jzr.evalharness import evaluate
 from jzr.pipeline import learn_rules
 from jzr.rules import (
-    MorphRule,
     ScoringSettings,
     Thresholds,
     prune_rules,
@@ -127,8 +126,8 @@ def test_criterion_3_scoring_oracle_equivalence():
         pairs = tuple(
             (f"w{2 * i}", f"w{2 * i + 1}") for i in range(n_pairs)
         )
-        rule = MorphRule(ConcatRule("prefix", "", "x"), pairs)
-        scores = score_rule(rule, table, ScoringSettings(0.5, 100, 42))
+        scores = score_rule(ConcatRule("prefix", "", "x"), pairs, table,
+                            ScoringSettings(0.5, 100, 42))
         assert scores.sem == brute_r_sem(table, pairs, 0.5)
         for i in rng.integers(0, n_pairs, size=min(3, n_pairs)).tolist():
             assert scores.w_sem[i] == brute_w_sem(table, pairs[i], pairs, 0.5)
@@ -150,8 +149,7 @@ def test_criterion_4_analogy_identities():
         ks = rule.key_str
         pairs = tuple(sorted((e.root, w) for w, e in gold.items() if e.chain == (ks,)))
         assert len(pairs) == 60
-        sem = score_rule(MorphRule(rule, pairs), planted_table,
-                         ScoringSettings(0.5, 100, 42)).sem
+        sem = score_rule(rule, pairs, planted_table, ScoringSettings(0.5, 100, 42)).sem
         assert abs(sem - 1.0) < 1e-6
 
 

@@ -25,7 +25,7 @@ from jzr.embeddings import (
     validate_word,
     words_valid,
 )
-from jzr.rules import MorphRule, ScoringSettings, _count_passes, score_rule
+from jzr.rules import ScoringSettings, _count_passes, score_rule
 
 
 def write(tmp_path, text, name="vecs.txt"):
@@ -414,8 +414,8 @@ def kernel_cosine_is(target, query, expected, tol=1e-12):
 
 
 def singleton_sem(table, w1, w2, t_cos):
-    rule = MorphRule(ConcatRule("prefix", "", "x"), ((w1, w2),))
-    return score_rule(rule, table, ScoringSettings(t_cos, 100, 42)).sem
+    return score_rule(ConcatRule("prefix", "", "x"), ((w1, w2),), table,
+                      ScoringSettings(t_cos, 100, 42)).sem
 
 
 class TestCosine:
@@ -464,8 +464,8 @@ class TestAnalogy:
         rng = np.random.default_rng(7)
         a, c, o = rng.standard_normal((3, 12))
         table = EmbeddingTable(["a", "b", "c", "d"], [a, a + o, c, c + o])
-        rule = MorphRule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "d")))
-        scores = score_rule(rule, table, ScoringSettings(1.0 - 1e-12, 100, 42))
+        scores = score_rule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "d")), table,
+                            ScoringSettings(1.0 - 1e-12, 100, 42))
         assert (scores.sem, scores.w_sem) == (1.0, (1.0, 1.0))
 
     def test_random_words_rarely_analogous(self):

@@ -63,12 +63,12 @@ def planted_world(rules, n_genuine=4, dim=64, seed=0):
             vecs.setdefault(w2, rng.standard_normal(dim))
             vecs[w1] = vecs[w2] - offset if genuine else rng.standard_normal(dim)
             support.append((w1, w2))
-        rules_out.append(MorphRule(key, tuple(sorted(support))))
+        rules_out.append((key, tuple(sorted(support))))
     words = list(vecs)
     table = EmbeddingTable(words, np.array([vecs[w] for w in words]))
-    store = RuleStore(rules_out)
-    store.score_all(table, ScoringSettings(0.5, 100, 42), orth_gate=0)
-    return store, table
+    sc = ScoringSettings(0.5, 100, 42)
+    return RuleStore([MorphRule(key, support, score_rule(key, support, table, sc))
+                      for key, support in rules_out], scoring=sc), table
 
 
 class TestStepKinds:
@@ -323,6 +323,7 @@ KEYS = (ConcatRule("prefix", "", "al"), ConcatRule("prefix", "al", ""),
         ConcatRule("prefix", "al", "wa"), ConcatRule("suffix", "", "at"),
         ConcatRule("suffix", "a", "iyn"), PLACE, Template(("", "A", "i", "")))
 SAMPLE_CAP = 6
+INVALID_KEY = ConcatRule("suffix", "", "z")  # the rule of small_stores' invalid pair
 # Whitespace and control characters, each of which makes a word invalid.
 BAD_CHARS = " \t\n\x00\x07\x7f\x85\u3000"
 
@@ -334,8 +335,8 @@ def small_stores(draw):
     Supports ignore orthography on purpose: the extractor must follow them
     as given. Two-dimensional vectors make analogy passes, and so w_sem
     ties, common; sem and orth are drawn apart from the scored ones so that
-    the sem and orth tie-breaks often disagree. The first rule's support
-    may also hold a pair whose derived word is invalid and has no vector,
+    the sem and orth tie-breaks often disagree. The store may also end
+    with a rule whose one pair's derived word is invalid and has no vector,
     with w_sem 1.0, as a hand-built store can.
     """
     words = draw(st.lists(st.text("abkt", min_size=2, max_size=7),
@@ -347,25 +348,19 @@ def small_stores(draw):
                             t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
     seed = draw(st.integers(0, 3))
     scoring = ScoringSettings(thresholds.t_cos_sim, SAMPLE_CAP, seed)
+    rules = []
+    for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
+        support = tuple(sorted(draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                             max_size=3 * SAMPLE_CAP, unique=True))))
+        rules.append(MorphRule(key, support, replace(
+            score_rule(key, support, table, scoring),
+            sem=draw(st.sampled_from([0.5, 1.0])), orth=draw(st.integers(21, 23)))))
     sources = [w for w in words if len(w) >= 3]
-    invalid_pair = None
     if sources and draw(st.booleans()):
         source = draw(st.sampled_from(sources))
         invalid_pair = (source, source + draw(st.sampled_from(BAD_CHARS)))
-    rules = []
-    for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
-        support = draw(st.lists(st.sampled_from(pairs), min_size=1,
-                                max_size=3 * SAMPLE_CAP, unique=True))
-        if invalid_pair and not rules:
-            support.append(invalid_pair)
-        rule = MorphRule(key, tuple(sorted(support)))
-        scores = score_rule(rule, table, scoring)
-        w_sem = [1.0 if pair == invalid_pair else s
-                 for pair, s in zip(rule.support, scores.w_sem)]
-        rule.scores = replace(scores, w_sem=tuple(w_sem),
-                              sem=draw(st.sampled_from([0.5, 1.0])),
-                              orth=draw(st.integers(21, 23)))
-        rules.append(rule)
+        rules.append(MorphRule(INVALID_KEY, (invalid_pair,), RuleScores(
+            draw(st.integers(21, 23)), draw(st.sampled_from([0.5, 1.0])), False, (1.0,))))
     return RuleStore(rules, scoring=scoring), table, thresholds
 
 
@@ -543,7 +538,8 @@ class TestExtraction:
                 assert not (isinstance(rule.key, ConcatRule) and rule.key.new == "")
                 assert len(step.word) < len(current)
                 assert (step.word, current) in rule.support
-                recomputed = score_rule(rule, table, validated.scoring).w_sem
+                recomputed = score_rule(rule.key, rule.support, table,
+                                        validated.scoring).w_sem
                 assert recomputed[rule.support.index((step.word, current))] == step.w_sem
                 assert step.w_sem > th.t_w_sem
                 current = step.word

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import re
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway, random_table
 from jzr import rules
-from oracles import brute_r_sem, brute_w_sem, tensor_count_passes
+from oracles import (brute_concat_rules, brute_r_sem, brute_templatic_rules, brute_w_sem,
+                     tensor_count_passes)
 from jzr.concat import ConcatRule, enumerate_concat_rules
 from jzr.config import Config
 from jzr.embeddings import _NORM_EPS, EmbeddingTable, InvalidWordError
@@ -33,6 +35,7 @@ from jzr.rules import (
     load_rules,
     prune_rules,
     rank_rules,
+    rule_kind,
     save_rules,
     score_rule,
     support_sample,
@@ -42,8 +45,12 @@ from jzr.synthlang import SynthConfig, generate
 from jzr.templatic import Template, enumerate_templatic_rules
 
 
+KEY = ConcatRule("prefix", "", "x")
+
+
 def offset_rule(n_pairs, dim=32, seed=0, noise=0.0):
-    """Planted rule: every derived vector is its root vector plus one offset."""
+    """Planted rule's support and table: every derived vector is its root
+    vector plus one offset."""
     rng = np.random.default_rng(seed)
     offset = rng.standard_normal(dim)
     offset /= np.linalg.norm(offset)
@@ -54,27 +61,29 @@ def offset_rule(n_pairs, dim=32, seed=0, noise=0.0):
         words += [f"r{i}", f"d{i}"]
         vecs += [base, base + offset + eps]
         pairs.append((f"r{i}", f"d{i}"))
-    table = EmbeddingTable(words, np.array(vecs))
-    rule = MorphRule(ConcatRule("prefix", "", "x"), tuple(sorted(pairs)))
-    return rule, table
+    return tuple(sorted(pairs)), EmbeddingTable(words, np.array(vecs))
 
 
 def scoring(t_cos=0.5, sample_cap=100, seed=42):
     return ScoringSettings(t_cos, sample_cap, seed)
 
 
-def r_sem(rule, table, **kwargs):
-    return score_rule(rule, table, scoring(**kwargs)).sem
+def score(support, table, **kwargs):
+    return score_rule(KEY, support, table, scoring(**kwargs))
 
 
-def w_sem(pair, rule, table, **kwargs):
-    return score_rule(rule, table, scoring(**kwargs)).w_sem[rule.support.index(pair)]
+def r_sem(support, table, **kwargs):
+    return score(support, table, **kwargs).sem
+
+
+def w_sem(pair, support, table, **kwargs):
+    return score(support, table, **kwargs).w_sem[support.index(pair)]
 
 
 def random_rule(n_pairs, dim=64, seed=0):
+    """A random rule's support and table."""
     table = random_table(2 * n_pairs, dim, seed=seed)
-    pairs = tuple((f"w{2 * i}", f"w{2 * i + 1}") for i in range(n_pairs))
-    return MorphRule(ConcatRule("prefix", "", "x"), pairs), table
+    return tuple((f"w{2 * i}", f"w{2 * i + 1}") for i in range(n_pairs)), table
 
 
 class TestThresholds:
@@ -106,58 +115,52 @@ class TestScoringSettings:
 
 class TestScoreRSem:
     def test_singleton_support_scores_one(self):
-        rule, table = random_rule(1, seed=5)
-        assert r_sem(rule, table, t_cos=0.99) == 1.0
+        support, table = random_rule(1, seed=5)
+        assert r_sem(support, table, t_cos=0.99) == 1.0
 
     def test_offset_planted_scores_one(self):
-        rule, table = offset_rule(10, seed=8)
-        assert r_sem(rule, table) == pytest.approx(1.0, abs=1e-6)
+        support, table = offset_rule(10, seed=8)
+        assert r_sem(support, table) == pytest.approx(1.0, abs=1e-6)
 
     def test_random_support_only_diagonal_passes(self):
-        rule, table = random_rule(5, seed=23)
-        assert r_sem(rule, table, t_cos=0.5) == 0.2
+        support, table = random_rule(5, seed=23)
+        assert r_sem(support, table, t_cos=0.5) == 0.2
 
     def test_diagonal_lower_bound(self):
         for seed in range(5):
-            rule, table = random_rule(7, seed=seed)
-            assert r_sem(rule, table, t_cos=0.9) >= 1 / 7
+            support, table = random_rule(7, seed=seed)
+            assert r_sem(support, table, t_cos=0.9) >= 1 / 7
 
-    def test_empty_support_scores_zero(self):
-        rule, _ = random_rule(3, seed=1)
-        other = random_table(4, 8, seed=2, prefix="v")
-        assert score_rule(rule, other, scoring()) == RuleScores(3, 0.0, False, (0.0,) * 3)
-
-    def test_missing_words_dropped_not_fatal(self):
-        rule, table = offset_rule(4, seed=3)
-        bigger = MorphRule(rule.key, rule.support + (("nope", "alsonope"),))
-        assert r_sem(bigger, table) == pytest.approx(1.0, abs=1e-6)
+    def test_empty_support_raises(self):
+        _, table = random_rule(3, seed=1)
+        with pytest.raises(ValueError, match="concat:prefix:>x has an empty support"):
+            score((), table)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 20])
     def test_matches_brute_force_exactly(self, n):
-        rule, table = random_rule(n, seed=100 + n)
-        assert r_sem(rule, table, t_cos=0.5) == brute_r_sem(table, rule.support, 0.5)
+        support, table = random_rule(n, seed=100 + n)
+        assert r_sem(support, table, t_cos=0.5) == brute_r_sem(table, support, 0.5)
 
     def test_sampling_deterministic(self):
-        rule, table = offset_rule(150, seed=4)
-        a = score_rule(rule, table, scoring(sample_cap=50))
-        b = score_rule(rule, table, scoring(sample_cap=50))
+        support, table = offset_rule(150, seed=4)
+        a = score(support, table, sample_cap=50)
+        b = score(support, table, sample_cap=50)
         assert a == b and a.sampled
 
     def test_sampling_identity_below_cap(self):
-        rule, table = random_rule(10, seed=6)
-        assert score_rule(rule, table, scoring(sample_cap=10)) == score_rule(
-            rule, table, scoring(sample_cap=10_000)
-        )
+        support, table = random_rule(10, seed=6)
+        assert score(support, table, sample_cap=10) == score(support, table,
+                                                             sample_cap=10_000)
 
 
 class TestScoreWSem:
     def test_singleton_support(self):
-        rule, table = random_rule(1, seed=9)
-        assert w_sem(rule.support[0], rule, table, t_cos=0.99) == 1.0
+        support, table = random_rule(1, seed=9)
+        assert w_sem(support[0], support, table, t_cos=0.99) == 1.0
 
     def test_offset_planted_genuine_pair(self):
-        rule, table = offset_rule(10, seed=11)
-        assert w_sem(rule.support[0], rule, table) == pytest.approx(1.0, abs=1e-6)
+        support, table = offset_rule(10, seed=11)
+        assert w_sem(support[0], support, table) == pytest.approx(1.0, abs=1e-6)
 
     def test_mis_planted_pair_scores_low(self):
         # 20 genuine offset pairs plus one unrelated pair: only its own
@@ -176,32 +179,25 @@ class TestScoreWSem:
         vecs += [rng.standard_normal(dim), rng.standard_normal(dim)]
         pairs.append(("zhb", "mazhab"))
         table = EmbeddingTable(words, np.array(vecs))
-        rule = MorphRule(ConcatRule("prefix", "", "ma"), tuple(sorted(pairs)))
-        assert w_sem(("r0", "d0"), rule, table) == pytest.approx(1.0, abs=1e-6)
-        mis = w_sem(("zhb", "mazhab"), rule, table)
+        support = tuple(sorted(pairs))
+        assert w_sem(("r0", "d0"), support, table) == pytest.approx(1.0, abs=1e-6)
+        mis = w_sem(("zhb", "mazhab"), support, table)
         assert mis == 1 / 21
         assert mis < 0.3
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_matches_brute_force_exactly(self, n):
-        rule, table = random_rule(n, seed=200 + n)
-        for pair in rule.support:
-            got = w_sem(pair, rule, table, t_cos=0.5)
-            assert got == brute_w_sem(table, pair, rule.support, 0.5)
-
-    def test_pair_without_vectors_stores_zero(self):
-        rule, table = offset_rule(4, seed=3)
-        bigger = MorphRule(rule.key, rule.support + (("nope", "alsonope"),))
-        scores = score_rule(bigger, table, scoring())
-        assert scores.w_sem[-1] == 0.0
-        assert scores.w_sem[:-1] == score_rule(rule, table, scoring()).w_sem
+        support, table = random_rule(n, seed=200 + n)
+        for pair in support:
+            got = w_sem(pair, support, table, t_cos=0.5)
+            assert got == brute_w_sem(table, pair, support, 0.5)
 
     def test_mean_w_sem_equals_r_sem(self):
         # Row means of the shared indicator matrix recover the full mean.
         for seed in (3, 17, 51):
-            rule, table = random_rule(6, dim=16, seed=seed)
-            n = len(rule.support)
-            scores = score_rule(rule, table, scoring(t_cos=0.35))
+            support, table = random_rule(6, dim=16, seed=seed)
+            n = len(support)
+            scores = score(support, table, t_cos=0.35)
             total = sum(round(w * n) for w in scores.w_sem)
             assert total / (n * n) == scores.sem
 
@@ -228,11 +224,6 @@ class TestStoreAndPrune:
         rule = self.scored(ConcatRule("prefix", "", "x"), 21, 1.0)
         store = self.build_store([rule])
         assert len(prune_rules(store, Thresholds())) == 1
-
-    def test_prune_requires_scores(self):
-        store = self.build_store([MorphRule(ConcatRule("prefix", "", "x"), ())])
-        with pytest.raises(ValueError):
-            prune_rules(store, Thresholds())
 
     def test_prune_ordering(self):
         r1 = self.scored(ConcatRule("prefix", "", "b"), 25, 0.5)
@@ -266,7 +257,7 @@ class TestStoreAndPrune:
         rng = np.random.default_rng(77)
         dim = 48
         words, vecs = [], []
-        rules = []
+        mined = []
         for p in range(5):
             offset = rng.standard_normal(dim)
             offset /= np.linalg.norm(offset)
@@ -276,37 +267,34 @@ class TestStoreAndPrune:
                 words += [f"p{p}r{i}", f"p{p}d{i}"]
                 vecs += [base, base + offset]
                 pairs.append((f"p{p}r{i}", f"p{p}d{i}"))
-            rules.append(MorphRule(ConcatRule("prefix", "", f"good{p}"),
-                                   tuple(sorted(pairs))))
+            mined.append((ConcatRule("prefix", "", f"good{p}"), tuple(sorted(pairs))))
         for q in range(25):  # noisy but well-supported: fails the sem test
             pairs = []
             for i in range(25):
                 words += [f"n{q}r{i}", f"n{q}d{i}"]
                 vecs += [rng.standard_normal(dim), rng.standard_normal(dim)]
                 pairs.append((f"n{q}r{i}", f"n{q}d{i}"))
-            rules.append(MorphRule(ConcatRule("prefix", "", f"noise{q}"),
-                                   tuple(sorted(pairs))))
+            mined.append((ConcatRule("prefix", "", f"noise{q}"), tuple(sorted(pairs))))
         for q in range(25):  # tiny support: fails the orth test
             words += [f"t{q}r", f"t{q}d"]
             vecs += [rng.standard_normal(dim), rng.standard_normal(dim)]
-            rules.append(MorphRule(ConcatRule("prefix", "", f"tiny{q}"),
-                                   ((f"t{q}r", f"t{q}d"),)))
+            mined.append((ConcatRule("prefix", "", f"tiny{q}"), ((f"t{q}r", f"t{q}d"),)))
         table = EmbeddingTable(words, np.array(vecs))
-        store = RuleStore(rules)
-        store.score_all(table, scoring(), orth_gate=0)
+        store = RuleStore([MorphRule(key, support, score_rule(key, support, table, scoring()))
+                           for key, support in mined])
         survivors = prune_rules(store, Thresholds())
         assert sorted(r.key.key_str for r in survivors) == [
             f"concat:prefix:>good{p}" for p in range(5)
         ]
 
     def test_duplicate_rule_keys_rejected(self):
-        rule = MorphRule(ConcatRule("prefix", "", "x"), ())
+        rule = self.scored(ConcatRule("prefix", "", "x"), 0, 0.0)
         with pytest.raises(ValueError):
-            RuleStore([rule, MorphRule(ConcatRule("prefix", "", "x"), ())])
+            RuleStore([rule, self.scored(ConcatRule("prefix", "", "x"), 0, 0.0)])
 
     def test_rules_whose_affixes_hold_the_key_separator_print_apart(self):
-        a = MorphRule(ConcatRule("prefix", "a>b", ""), ())
-        b = MorphRule(ConcatRule("prefix", "a", "b>"), ())
+        a = self.scored(ConcatRule("prefix", "a>b", ""), 0, 0.0)
+        b = self.scored(ConcatRule("prefix", "a", "b>"), 0, 0.0)
         assert a.key.key_str == "concat:prefix:a\\>b>"
         assert b.key.key_str == "concat:prefix:a>b\\>"
         store = RuleStore([a, b])
@@ -324,7 +312,8 @@ class TestStoreAndPrune:
 
     def test_records_have_no_instance_dict(self):
         records = [ConcatRule("prefix", "", "x"), Template(("m", "", "", "")),
-                   MorphRule(ConcatRule("prefix", "", "x"), ()), RuleScores(0, 0.0, False)]
+                   self.scored(ConcatRule("prefix", "", "x"), 0, 0.0),
+                   RuleScores(0, 0.0, False)]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
 
@@ -363,9 +352,9 @@ class TestSamplingInvariant:
     @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30)
     def test_unsampled_equals_brute_force(self, n, seed):
-        rule, table = random_rule(n, dim=16, seed=seed)
-        got = r_sem(rule, table, t_cos=0.4, sample_cap=100)
-        assert got == brute_r_sem(table, rule.support, 0.4)
+        support, table = random_rule(n, dim=16, seed=seed)
+        got = r_sem(support, table, t_cos=0.4, sample_cap=100)
+        assert got == brute_r_sem(table, support, 0.4)
 
 
 class TestStoredWSem:
@@ -377,18 +366,15 @@ class TestStoredWSem:
         # Supports above `cap` put most pairs outside the sample, where their
         # w_sem comes from the blockwise out-of-sample pass. Scaled tables put
         # vector norms on both sides of the zero-norm guard.
-        rule, unit = random_rule(n, dim=16, seed=seed)
+        support, unit = random_rule(n, dim=16, seed=seed)
         table = EmbeddingTable(unit.words, unit.matrix * 10.0 ** scale_exp)
-        store = RuleStore([rule])
-        sc = ScoringSettings(t_cos, cap, seed)
-        store.score_all(table, sc, orth_gate=0)
-        assert store.scoring is sc
-        _, sample = support_sample(rule, table, cap, seed)
-        sample_pairs = [rule.support[i] for i in sample]
-        assert rule.scores.sampled == (n > cap)
-        assert rule.scores.sem == brute_r_sem(table, sample_pairs, t_cos)
-        assert len(rule.scores.w_sem) == n
-        for pair, got in zip(rule.support, rule.scores.w_sem):
+        scores = score_rule(KEY, support, table, ScoringSettings(t_cos, cap, seed))
+        sample = support_sample(KEY, n, cap, seed)
+        sample_pairs = [support[i] for i in sample]
+        assert scores.sampled == (n > cap)
+        assert scores.sem == brute_r_sem(table, sample_pairs, t_cos)
+        assert len(scores.w_sem) == n
+        for pair, got in zip(support, scores.w_sem):
             assert got == brute_w_sem(table, pair, sample_pairs, t_cos)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -400,23 +386,23 @@ class TestStoredWSem:
         # that forms the target's norm by expansion leaves a rounding
         # residual in a few percent of draws, hence many draws.
         rng = np.random.default_rng(7)
-        rule = MorphRule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "z")))
+        support = (("a", "b"), ("c", "z"))
         for _ in range(200):
             v, u = rng.standard_normal((2, 8)) * scale
             table = EmbeddingTable(["a", "b", "c", "z"], [v, u, v, np.zeros(8)])
-            RuleStore([rule]).score_all(table, scoring(t_cos=t_cos), orth_gate=0)
-            brute = tuple(brute_w_sem(table, pair, rule.support, t_cos)
-                          for pair in rule.support)
-            assert rule.scores.w_sem == brute == expected
+            brute = tuple(brute_w_sem(table, pair, support, t_cos) for pair in support)
+            assert score(support, table, t_cos=t_cos).w_sem == brute == expected
 
     def test_gated_rules_keep_no_pair_scores(self):
-        rule, table = random_rule(3, seed=2)
-        twin = MorphRule(ConcatRule("suffix", "", "x"), rule.support[::-1])
-        store = RuleStore([rule, twin])
-        store.score_all(table, scoring(), orth_gate=3)
-        assert rule.scores == RuleScores(3, 0.0, False)
+        stems = ["ab", "cd", "ef"]
+        words = stems + [f"x{w}" for w in stems] + [f"{w}y" for w in stems]
+        table = EmbeddingTable(words, np.random.default_rng(2).standard_normal((9, 8)))
+        candidates, _ = learn_rules(table, Config(thresholds=Thresholds(t_r_orth=3)))
+        scores = {rule.key: rule.scores for rule in candidates}
+        prefix = scores[ConcatRule("prefix", "", "x")]
+        assert prefix == RuleScores(3, 0.0, False)
         # Gated rules of one orth share one (frozen) scores object.
-        assert twin.scores is rule.scores
+        assert scores[ConcatRule("suffix", "", "y")] is prefix
 
 
 class TestCountPasses:
@@ -466,41 +452,55 @@ class TestCountPasses:
         assert sides == {0, 1}
 
 
-def old_way_store(table, cfg):
-    """The candidate store built from fresh maps, with RuleStore's own constructor."""
-    concat = dict(enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
-                                         min_stem=cfg.min_stem))
-    templatic = enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len)
-    rules = [MorphRule(k, v) for m in (concat, templatic) for k, v in m.items()]
-    return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words),
-                     candidate_counts={CONCATENATIVE: len(concat), TEMPLATIC: len(templatic)})
-
-
 class TestFromCandidates:
     @given(st.lists(st.text("abkt", min_size=2, max_size=6), min_size=1, max_size=40,
                     unique=True),
            st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
     @settings(max_examples=30)
     def test_learned_store_equals_a_store_of_copies(self, words, seed, t_r_orth):
+        # The candidates are the brute miners' rules, concatenative first,
+        # each scored as it was mined: score_rule's scores above t_r_orth,
+        # and at or below it sem 0.0 and no w_sem, one object per orth.
         vectors = np.random.default_rng(seed).standard_normal((len(words), 8))
         table = EmbeddingTable(words, vectors)
         cfg = Config(thresholds=Thresholds(t_r_orth=t_r_orth))
         candidates, _ = learn_rules(table, cfg)
-        expected = old_way_store(table, cfg)
-        expected.score_all(table, cfg.scoring, orth_gate=t_r_orth)
-        assert candidates == expected
-        assert [r.key for r in candidates] == [r.key for r in expected]
+        concat = brute_concat_rules(words, cfg.max_affix, cfg.min_stem)
+        templatic = brute_templatic_rules(words, cfg.max_derived_len)
+        assert {rule.key: rule.support for rule in candidates} == {**concat, **templatic}
+        assert [rule_kind(rule.key) for rule in candidates] == (
+            [CONCATENATIVE] * len(concat) + [TEMPLATIC] * len(templatic))
+        assert candidates.candidate_counts == {CONCATENATIVE: len(concat),
+                                               TEMPLATIC: len(templatic)}
+        assert candidates.vocab_hash == vocab_fingerprint(words)
+        assert candidates.scoring == cfg.scoring
+        gated: dict[int, RuleScores] = {}
+        for rule in candidates:
+            orth = len(rule.support)
+            if orth <= t_r_orth:
+                assert rule.scores is gated.setdefault(orth, rule.scores)
+                assert rule.scores == RuleScores(orth, 0.0, False)
+            else:
+                assert rule.scores == score_rule(rule.key, rule.support, table, cfg.scoring)
 
     def test_mining_into_the_store_adds_a_record_and_a_slot_per_candidate(self):
         # Mining peaks with one side's index alive and every key and support
         # mined so far kept. Kept as a list of the stream's (key, support)
-        # tuples, that peak is the baseline: the store may swap each tuple
-        # for a MorphRule and add a slot's worth more per candidate. A map
-        # of the candidates adds about 35 bytes per candidate here. A full
-        # collection first empties the free lists, which would otherwise
-        # serve some tuples untraced, and learn_rules pauses the collector.
+        # tuples, that peak is the baseline: the store of the mined rules,
+        # all sharing one scores object as the gated ones of an orth do, may
+        # swap each tuple for a MorphRule and add a slot's worth more per
+        # candidate. A map or set of the candidates' keys adds about 35 bytes
+        # per candidate here. A full collection first empties the free
+        # lists, which would otherwise serve some tuples untraced, and
+        # learn_rules pauses the collector.
         _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
         templatic = enumerate_templatic_rules(table.words)
+        gated = RuleScores(1, 0.0, False)
+
+        def store_of(rules):
+            mined = itertools.chain(rules, templatic.items())
+            return RuleStore.from_candidates((MorphRule(key, support, gated)
+                                              for key, support in mined), "", scoring())
 
         def peak(consume):
             gc.collect()
@@ -514,10 +514,10 @@ class TestFromCandidates:
                     tracemalloc.stop()
 
         listed, stream = peak(list)
-        added, store = peak(lambda rules: RuleStore.from_candidates(rules, templatic))
+        added, store = peak(store_of)
         n = len(stream)
         assert len(store) == n + len(templatic)
-        record = sys.getsizeof(MorphRule(ConcatRule("prefix", "", "x"), ()))
+        record = sys.getsizeof(MorphRule(KEY, (), gated))
         assert added < listed + n * (record - sys.getsizeof((None, None)) + 8)
 
 

@@ -8,7 +8,7 @@ from conftest import fail_writes_halfway
 from oracles import analogy_score
 from jzr.concat import PREFIX, ConcatRule
 from jzr.evalharness import PredictionFormatError
-from jzr.rules import MorphRule, ScoringSettings, score_rule
+from jzr.rules import ScoringSettings, score_rule
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
     DEFAULT_TEMPLATES,
@@ -129,8 +129,7 @@ class TestGenerate:
             pairs = tuple(sorted(
                 (e.root, w) for w, e in gold.items() if e.chain == (ks,)
             ))
-            mr = MorphRule(rule if isinstance(rule, Template) else rule, pairs)
-            sem = score_rule(mr, table, ScoringSettings(0.5, 100, 42)).sem
+            sem = score_rule(rule, pairs, table, ScoringSettings(0.5, 100, 42)).sem
             assert sem == pytest.approx(1.0, abs=1e-6)
 
     def test_alphabet_too_small(self):
@@ -175,8 +174,9 @@ class TestGenerate:
                 w1, w2 = derived[a], derived[b]
                 if gold[w1].root != gold[w2].root and (w1, w2) not in pairs:
                     pairs.append((w1, w2))
-            fake = MorphRule(ConcatRule(PREFIX, "", "zz"), tuple(sorted(pairs)))
-            if score_rule(fake, table, ScoringSettings(0.5, 100, 42)).sem >= 0.3:
+            fake = ConcatRule(PREFIX, "", "zz")
+            if score_rule(fake, tuple(sorted(pairs)), table,
+                          ScoringSettings(0.5, 100, 42)).sem >= 0.3:
                 failures += 1
         assert failures <= 1
 
