@@ -24,7 +24,6 @@ from .rules import (
     CONCATENATIVE,
     TEMPLATIC,
     RuleDbError,
-    ScoringSettings,
     Thresholds,
     load_rules,
     rank_rules,
@@ -55,8 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The settings `extract` reads: those the rule DB fixes, plus two of its own.
-EXTRACT_SETTINGS = [f.name for f in dataclasses.fields(ScoringSettings)] + ["t_w_sem", "top_n"]
+# The settings `extract` takes as flags. The rule DB fixes the scoring ones.
+EXTRACT_SETTINGS = ["t_w_sem", "top_n"]
 
 # The scalar SynthConfig fields, which `synth` takes as flags.
 SYNTH_SETTINGS = {name: kind for name, kind in get_type_hints(SynthConfig).items()
@@ -182,8 +181,8 @@ def cmd_rank(args) -> int:
 
 def cmd_extract(args) -> int:
     store = load_rules(args.rules)
-    # The DB's scoring settings are the defaults; a differing explicit one
-    # makes RootExtractor refuse.
+    # The DB's scoring settings are the defaults; a config file value that
+    # differs makes RootExtractor refuse.
     cfg = _config_from_args(args, dataclasses.asdict(store.scoring))
     table = load_embeddings(args.vectors, top_n=cfg.top_n)
     extractor = RootExtractor(store, table, cfg.thresholds,

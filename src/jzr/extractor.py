@@ -52,16 +52,6 @@ def _status(final: str) -> str:
     return REACHED_TRILITERAL if len(final) == 3 else INFEASIBLE_STOP
 
 
-class _Traces(dict):
-    """Word -> trace; an unknown word is checked and given its no-step trace,
-    which is not stored, so memory does not grow with the words asked."""
-
-    __slots__ = ()
-
-    def __missing__(self, word: str) -> ExtractionTrace:
-        return ExtractionTrace(validate_word(word), (), word, _status(word))
-
-
 class RootExtractor:
     """Extracts roots against a frozen validated rule store.
 
@@ -81,8 +71,10 @@ class RootExtractor:
     words' `vocab_fingerprint`, the vocabulary the store was learned
     from. The build runs with the cyclic garbage collector paused.
 
-    `thresholds.t_cos_sim`, `sample_cap` and `seed` are the store's, as it
-    was scored; giving one that differs raises RuleDbError.
+    Of `thresholds`, only `t_w_sem` is read. `thresholds.t_cos_sim`,
+    `sample_cap` and `seed` change no trace, since the store holds every
+    w_sem already scored with them; giving one that differs from the
+    store's raises RuleDbError.
     """
 
     @collector_paused()
@@ -134,7 +126,7 @@ class RootExtractor:
         steps = map(tuple.__new__, itertools.repeat(TraceStep),
                     zip(map(key_strs.__getitem__, rule[best].tolist()), sources,
                         w_sem[best].tolist()))
-        self._traces = traces = _Traces()
+        self._traces = traces = {}
         for word, source, step in zip(map(words.__getitem__, w2[best].tolist()),
                                       sources, steps):
             tail = traces.get(source)
@@ -153,8 +145,13 @@ class RootExtractor:
         """The trace of inverting rules until three letters remain or no
         step is feasible, as built with the extractor.
 
-        A word shorter than three letters has no feasible step. A word the
-        extractor does not know is checked first: an empty word or one with
-        whitespace or a control character raises InvalidWordError.
+        A word the build traced is one dict lookup. Any other word has no
+        step: it is checked (an empty word or one with whitespace or a
+        control character raises InvalidWordError) and given its no-step
+        trace, which is not stored, so memory does not grow with the words
+        asked. A word shorter than three letters has no feasible step.
         """
-        return self._traces[word]
+        try:
+            return self._traces[word]
+        except KeyError:
+            return ExtractionTrace(validate_word(word), (), word, _status(word))

@@ -2,7 +2,7 @@
 
 Atomic writes, a checked array cache beside a parsed text file, the string
 list codec both caches use, and a pause of the cyclic garbage collector
-for the bulk builds that loading feeds.
+for the two bulk builds, learning and the extractor.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ import numpy as np
 from .concat import ConcatRule
 from .embeddings import (_NORM_EPS, EmbeddingTable, InvalidWordError, validate_word,
                          words_valid)
-from .fileio import collector_paused, load_cached, pack_lines, unpack_lines, write_atomic
+from .fileio import load_cached, pack_lines, unpack_lines, write_atomic
 from .templatic import Template, parse_template
 
 CONCATENATIVE = "concatenative"
@@ -525,7 +525,6 @@ def _unpack(arrays: PairArrays, ks: str | None = None) -> list[MorphRule]:
             if ks is None or key.key_str == ks]
 
 
-@collector_paused()
 def load_rules(path) -> RuleStore:
     """Read a rule DB written by save_rules, checking every record.
 

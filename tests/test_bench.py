@@ -41,4 +41,10 @@ def test_phases_learn_and_extract_every_word_right(workdir):
         assert (extracted["failed"], extracted["first_error"]) == (0, None)
         assert extracted["extracted"] == extracted["words"] > 0
         assert extracted["right"] == extracted["extracted"]
+        if trace:  # each stage of the set-up and the calls keeps its hook
+            report = extracted["trace"]
+            for name in ("rules.load", "embeddings.load", "extractor.build",
+                         "extractor.extract"):
+                assert name not in report["absent"], name
+                assert report["spans"][name]["calls"] > 0, name
     assert counts[0] == counts[1]  # tracing changes no count

@@ -12,8 +12,8 @@ from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
 from jzr.synthlang import SynthConfig, load_gold, write_fixture
 
-# The settings the rule DB fixes, plus the two extraction reads itself.
-EXTRACT_SETTINGS = {"t_cos_sim", "sample_cap", "seed", "t_w_sem", "top_n"}
+# The settings extraction reads; the rule DB fixes the scoring ones.
+EXTRACT_SETTINGS = {"t_w_sem", "top_n"}
 
 
 @pytest.fixture(scope="module")
@@ -236,25 +236,33 @@ class TestExtract:
         assert code == 2
         assert "different vocabulary" in capsys.readouterr().err
 
+    # Each setting the DB fixes, named by its `learn` flag. `extract` has no
+    # such flag, so the value comes from a config file.
     @pytest.mark.parametrize("flag, value", [
-        ("--t-cos-sim", "0.3"), ("--sample-cap", "50"), ("--seed", "7"),
+        ("--t-cos-sim", 0.3), ("--sample-cap", 50), ("--seed", 7),
     ])
-    def test_setting_other_than_the_db_is_refused(self, workspace, capsys, flag, value):
+    def test_setting_other_than_the_db_is_refused(self, workspace, tmp_path, capsys,
+                                                  flag, value):
         _, fix, db = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}), encoding="utf-8")
         code = main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", flag, value])
+                     "--word", "abcd", "--config", str(cfg)])
         assert code == 2
         assert "re-run `jzr learn`" in capsys.readouterr().err
 
-    def test_setting_equal_to_the_db_is_accepted(self, workspace, capsys):
+    def test_setting_equal_to_the_db_is_accepted(self, workspace, tmp_path):
         _, fix, db = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_cos_sim": 0.5, "sample_cap": 100, "seed": 42}),
+                       encoding="utf-8")
         assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", "--t-cos-sim", "0.5", "--sample-cap", "100",
-                     "--seed", "42"]) == 0
+                     "--word", "abcd", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-r-sem", "0.2"), ("--t-r-orth", "5"), ("--max-affix", "1"),
         ("--min-stem", "3"), ("--max-derived-len", "10"),
+        ("--t-cos-sim", "0.5"), ("--sample-cap", "100"), ("--seed", "42"),
     ])
     def test_learn_only_flag_is_usage_error(self, workspace, capsys, flag, value):
         _, fix, db = workspace

@@ -1023,14 +1023,6 @@ class TestDbCache:
         assert len(parses) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == [cache_of(path).name, "rules.db"]
 
-    def test_load_restores_the_collector_also_when_it_raises(self, tmp_path):
-        path = tmp_path / "junk.db"
-        path.write_text("not a db\n", encoding="utf-8")
-        assert gc.isenabled()
-        with pytest.raises(RuleDbError):
-            load_rules(path)
-        assert gc.isenabled()
-
 
 class TestVocabFingerprint:
     def test_order_sensitive(self):
