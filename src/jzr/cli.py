@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import evalharness, synthlang
+from .concat import PairBudgetError
 from .config import SETTING_TYPES, Config
 from .embeddings import EmbeddingError, InvalidWordError, load_embeddings
 from .evalharness import CoverageError, PredictionFormatError
@@ -35,6 +36,7 @@ DATA_ERRORS = (
     EmbeddingError,
     InvalidWordError,
     RuleDbError,
+    PairBudgetError,
     CoverageError,
     PredictionFormatError,
     SurfaceCollisionError,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -11,12 +11,11 @@ SUFFIX = "suffix"
 
 Pair = tuple[str, str]
 
-GROUP_CAP = 10_000
+PAIR_BUDGET = 10_000_000  # support pairs one side of mining may build, ~150 B each
 
 
-class StemGroupOverflowWarning(UserWarning):
-    """A stem carried more than GROUP_CAP affixes and was dropped; raised when
-    iteration of `enumerate_concat_rules` reaches that stem's side."""
+class PairBudgetError(ValueError):
+    """A side of concatenative mining would build more than PAIR_BUDGET support pairs."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -77,8 +76,9 @@ def enumerate_concat_rules(
     No rule is yielded twice; prefix rules come first, and only one side's
     index is alive at a time.
 
-    Bad settings raise ValueError at the call. A stem with more than
-    `GROUP_CAP` affixes is dropped, with a warning during iteration.
+    Bad settings raise ValueError at the call. Nothing is skipped: a side
+    whose rules would hold more than `PAIR_BUDGET` support pairs raises
+    `PairBudgetError` once iteration reaches it, before its first rule.
     """
     if max_affix < 0:
         raise ValueError("max_affix must be non-negative")
@@ -101,16 +101,14 @@ def _side_rules(words: list[str], side: str, max_affix: int, min_stem: int):
                 affix, stem = w[len(w) - k:], w[: len(w) - k]
             by_affix.setdefault(affix, {})[stem] = w
             by_stem.setdefault(stem, []).append(affix)
-    for stem, affixes in by_stem.items():
-        if len(affixes) > GROUP_CAP:
-            warnings.warn(
-                f"stem group {stem!r} has {len(affixes)} entries, over the "
-                f"cap of {GROUP_CAP}; skipped",
-                StemGroupOverflowWarning,
-            )
-            for affix in affixes:
-                del by_affix[affix][stem]
     edge = -1 if side == PREFIX else 0
+    # Per stem, its ordered affix pairs less those sharing an edge character.
+    pairs = sum(len(affixes) * (len(affixes) - 1)
+                - sum(n * (n - 1) for n in Counter(a[edge] for a in affixes if a).values())
+                for affixes in by_stem.values() if len(affixes) > 1)
+    if pairs > PAIR_BUDGET:
+        raise PairBudgetError(f"{side} side of concatenative mining would build {pairs:,} "
+                              f"support pairs, over the budget of {PAIR_BUDGET:,}")
     for a1, stems1 in by_affix.items():
         for a2 in dict.fromkeys(a for stem in stems1 for a in by_stem[stem]):
             if a1 == a2 or (a1 and a2 and a1[edge] == a2[edge]):

@@ -273,9 +273,9 @@ class RuleStore:
     scans key texts, so the store holds no map of its rules. A store from
     `load_rules` holds its pairs only as `PairArrays`: each rule's support
     and w_sem tuples are made on the first call that reads the rules
-    (iteration, `==`, `len`), once for the whole store, which from then on
-    holds them as a store built in memory does; `get` makes only those of
-    the rule it returns.
+    (iteration, `==`), once for the whole store, which from then on holds
+    them as a store built in memory does; `get` makes only those of the
+    rule it returns, and `len` none.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
@@ -341,7 +341,7 @@ class RuleStore:
         return iter(self._rule_list)
 
     def __len__(self) -> int:
-        return len(self._rule_list)
+        return len(self._arrays.rules if self._rules is None else self._rules)
 
     def get(self, ks: str) -> MorphRule | None:
         """The rule whose key text is `ks`; a loaded store unpacks only that rule."""

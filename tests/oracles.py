@@ -38,22 +38,16 @@ def common_suffix_len(a: str, b: str) -> int:
     return common_prefix_len(a[::-1], b[::-1])
 
 
-def brute_concat_rules(vocab, max_affix=6, min_stem=2, group_cap=None):
-    """All-pairs enumeration of canonical edge rules.
+def brute_concat_rules(vocab, max_affix=6, min_stem=2):
+    """All-pairs enumeration of canonical edge rules: the paper's definition.
 
     For each ordered pair the canonical stem is the longest shared run on
     the stem side, which is where the one-rule-per-pair-per-side guarantee
-    comes from. With a `group_cap`, a pair is dropped when more than
-    `group_cap` words carry its canonical stem within `max_affix`.
+    comes from. So a side's support pairs, summed over its rules, are the
+    ordered word pairs with a canonical stem on that side; that sum is what
+    `concat.PAIR_BUDGET` bounds. Nothing is skipped.
     """
     words = list(dict.fromkeys(vocab))
-
-    def capped(stem, carries):
-        if group_cap is None:
-            return False
-        carriers = [w for w in words if carries(w, stem) and len(w) - len(stem) <= max_affix]
-        return len(carriers) > group_cap
-
     out: dict[ConcatRule, set] = {}
     for w1 in words:
         for w2 in words:
@@ -62,14 +56,12 @@ def brute_concat_rules(vocab, max_affix=6, min_stem=2, group_cap=None):
             stem_len = common_suffix_len(w1, w2)
             if stem_len >= min_stem:
                 old, new = w1[: len(w1) - stem_len], w2[: len(w2) - stem_len]
-                if (len(old) <= max_affix and len(new) <= max_affix
-                        and not capped(w1[len(old):], str.endswith)):
+                if len(old) <= max_affix and len(new) <= max_affix:
                     out.setdefault(ConcatRule("prefix", old, new), set()).add((w1, w2))
             stem_len = common_prefix_len(w1, w2)
             if stem_len >= min_stem:
                 old, new = w1[stem_len:], w2[stem_len:]
-                if (len(old) <= max_affix and len(new) <= max_affix
-                        and not capped(w1[:stem_len], str.startswith)):
+                if len(old) <= max_affix and len(new) <= max_affix:
                     out.setdefault(ConcatRule("suffix", old, new), set()).add((w1, w2))
     return {rule: tuple(sorted(pairs)) for rule, pairs in out.items()}
 

@@ -4,9 +4,9 @@ import json
 import pytest
 
 from conftest import fail_writes_halfway
-from jzr import cli, embeddings
+from jzr import cli, concat, embeddings
 from jzr.cli import main
-from jzr.concat import ConcatRule
+from jzr.concat import PREFIX, ConcatRule, enumerate_concat_rules
 from jzr.config import SETTING_TYPES
 from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
@@ -81,6 +81,22 @@ class TestLearn:
                      "--out", str(tmp_path / "x.db")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_over_the_pair_budget_is_data_error(self, workspace, tmp_path, monkeypatch,
+                                                capsys):
+        # One pair under the prefix side's count: refused before any rule is
+        # made, with one error line, and no DB is written.
+        _, fix, _ = workspace
+        words = load_embeddings(fix / "vectors.txt").words
+        pairs = sum(len(support) for rule, support in enumerate_concat_rules(words)
+                    if rule.side == PREFIX)
+        monkeypatch.setattr(concat, "PAIR_BUDGET", pairs - 1)
+        db = tmp_path / "refused.db"
+        assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: prefix side of concatenative mining would build {pairs:,} support "
+            f"pairs, over the budget of {pairs - 1:,}\n")
+        assert not db.exists()
 
     def test_malformed_vectors_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -483,6 +499,9 @@ class TestUsageAndConfig:
         ({"seed": 1.5}, "seed must be int, got 1.5"),
         ({"t_r_orth": True}, "t_r_orth must be int, got True"),
         ({"vector_format": "headered"}, "unknown config keys: vector_format"),
+        ([1], "config file must hold a JSON object"),
+        ({"max_affix": -1}, "max_affix cannot be negative"),
+        ({"max_derived_len": -1}, "max_derived_len cannot be negative"),
     ])
     def test_invalid_config_file_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                       values, message):

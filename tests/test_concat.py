@@ -1,4 +1,4 @@
-import warnings
+import re
 from itertools import product
 
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_concat_rules
 from jzr import concat
-from jzr.concat import (
-    ConcatRule,
-    StemGroupOverflowWarning,
-    enumerate_concat_rules,
-)
+from jzr.concat import PREFIX, SUFFIX, ConcatRule, PairBudgetError, enumerate_concat_rules
 
 small_vocab = st.lists(
     st.text(alphabet="abcd", min_size=1, max_size=7),
@@ -57,6 +53,7 @@ class TestConcatRule:
         assert ConcatRule("prefix", "al", "wa").apply("maktab") is None
         assert ConcatRule("suffix", "", "at").apply("ktb") == "ktbat"
         assert ConcatRule("suffix", "at", "u").apply("ktbat") == "ktbu"
+        assert ConcatRule("suffix", "at", "u").apply("ktbu") is None
 
 
 class TestEnumeration:
@@ -110,16 +107,6 @@ class TestEnumeration:
     def test_empty_vocab(self):
         assert dict(enumerate_concat_rules([])) == {}
 
-    def test_group_cap_skips_with_warning(self, monkeypatch):
-        words = [c + "stem" for c in "abcdefgh"]
-        monkeypatch.setattr(concat, "GROUP_CAP", 3)
-        stream = enumerate_concat_rules(words)  # warnings are errors: none yet
-        with pytest.warns(StemGroupOverflowWarning):
-            rules = dict(stream)
-        # The shared "stem" bucket was dropped; distinct-prefix pairs with
-        # shorter shared stems remain.
-        assert ConcatRule("prefix", "a", "b") not in rules
-
     @given(small_vocab)
     def test_matches_brute_force(self, vocab):
         stream = list(enumerate_concat_rules(vocab))
@@ -136,16 +123,32 @@ class TestEnumeration:
         got = dict(enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem))
         assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
 
-    @given(small_vocab, st.integers(min_value=1, max_value=4),
-           st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
-    @settings(max_examples=60)
-    def test_group_cap_matches_brute_force(self, vocab, cap, max_affix, min_stem):
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            mp.setattr(concat, "GROUP_CAP", cap)
-            warnings.simplefilter("ignore", StemGroupOverflowWarning)
-            got = dict(enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem))
-        assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem,
-                                         group_cap=cap)
+    @given(small_vocab, st.integers(min_value=0, max_value=3),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40)
+    def test_pair_budget_is_exact(self, vocab, max_affix, min_stem):
+        # A side is mined whole when its oracle pair count is within the
+        # budget, and refused before its first rule when it is one over.
+        oracle = brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
+        sides = (PREFIX, SUFFIX)
+        counts = {side: sum(len(pairs) for rule, pairs in oracle.items() if rule.side == side)
+                  for side in sides}
+        for budget in {counts[PREFIX], counts[SUFFIX], counts[PREFIX] - 1, counts[SUFFIX] - 1}:
+            mined = sides[:next((i for i, side in enumerate(sides) if counts[side] > budget), 2)]
+            got = {}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(concat, "PAIR_BUDGET", budget)
+                stream = enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
+                if mined == sides:
+                    got = dict(stream)
+                else:
+                    over = sides[len(mined)]
+                    message = (f"{over} side of concatenative mining would build "
+                               f"{counts[over]:,} support pairs, over the budget of {budget:,}")
+                    with pytest.raises(PairBudgetError, match=f"^{re.escape(message)}$"):
+                        for rule, pairs in stream:
+                            got[rule] = pairs
+            assert got == {rule: pairs for rule, pairs in oracle.items() if rule.side in mined}
 
     @given(small_vocab)
     def test_symmetry(self, vocab):

@@ -110,6 +110,10 @@ class TestLoad:
         table = load_embeddings(path, top_n=2)
         assert table.words == ["a", "b"]
 
+    def test_negative_top_n_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="top_n must be non-negative"):
+            load_embeddings(write(tmp_path, "a 1 0\n"), top_n=-1)
+
     def test_top_n_zero_gives_empty_table(self, tmp_path):
         path = write(tmp_path, "a 1 0\nb 0 1\n")
         table = load_embeddings(path, top_n=0)
@@ -487,6 +491,16 @@ class TestFromVectors:
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValueError):
             EmbeddingTable(["a", "a"], [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.zeros(2), "2-dimensional"),
+        (np.zeros((3, 2)), "2 words but 3 vector rows"),
+        ([[1.0, np.nan], [0.0, 1.0]], "non-finite"),
+        ([[1.0, 0.0], [-np.inf, 1.0]], "non-finite"),
+    ], ids=["1-d", "rows", "nan", "inf"])
+    def test_bad_matrix_rejected(self, matrix, message):
+        with pytest.raises(EmbeddingError, match=message):
+            EmbeddingTable(["a", "b"], matrix)
 
     # The error names the first word, in table order, that is bad or repeated.
     @pytest.mark.parametrize("words, error, message", [

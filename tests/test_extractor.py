@@ -454,7 +454,8 @@ class TestLoadedStore:
 
     def test_the_set_up_makes_no_pair_tuple(self, tmp_path):
         # Only reading a loaded store's rules unpacks its pairs into tuples,
-        # once per store; loading it and building an extractor do not.
+        # once per store; loading it, counting its rules and building an
+        # extractor do not.
         store, table = planted_world([(INSERT_WA, [("maktab", "wamaktab")], True),
                                       (PLACE, [("ktb", "maktab")], True)])
         store.vocab_hash, store.candidate_counts = vocab_fingerprint(table.words), COUNTS
@@ -466,6 +467,7 @@ class TestLoadedStore:
                 for limited in (False, True):
                     RootExtractor(loaded, table, limited=limited)
                 assert unpack.call_count == 0
+            assert len(loaded) == 2 and unpack.call_count == 0
             assert list(loaded) == list(store) and len(loaded) == 2
             assert unpack.call_count == 1
 

@@ -100,6 +100,18 @@ class TestThresholds:
             Thresholds(**kwargs)
 
 
+class TestRuleScores:
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 0.5, False), "cannot be negative"),
+        ((3, 1.5, False), "sem score out of"),
+        ((3, -0.25, False), "sem score out of"),
+        ((3, math.nan, False), "sem score out of"),
+    ])
+    def test_validation(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            RuleScores(*args)
+
+
 class TestScoringSettings:
     @pytest.mark.parametrize("kwargs, message", [
         ({"t_cos": 1.0}, "t_cos_sim"), ({"t_cos": -1.0}, "t_cos_sim"),
@@ -731,6 +743,14 @@ class TestDbRoundTrip:
         with pytest.raises(RuleDbError, match="#vocab-hash"):
             load_rules(path)
 
+    def test_save_refuses_a_store_without_scoring(self, tmp_path):
+        store = self.build()
+        store.scoring = None
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError, match="no scoring settings"):
+            save_rules(store, path)
+        assert not path.exists()
+
     def test_save_refuses_a_store_without_vocab_hash(self, tmp_path):
         store = self.build()
         store.vocab_hash = ""
@@ -756,7 +776,7 @@ class TestDbRoundTrip:
         first, second, *rest = store
         swapped = RuleStore([second, first, *rest], vocab_hash=store.vocab_hash,
                             candidate_counts=store.candidate_counts, scoring=store.scoring)
-        assert swapped != store
+        assert swapped != store and store != list(store)
         path = tmp_path / "rules.db"
         save_rules(swapped, path)
         for _ in range(2):  # a text parse, then a cache hit
@@ -942,6 +962,7 @@ class TestDbCache:
         lambda a: TestDbCache.set_word(a, 0, ""),
         lambda a: TestDbCache.set_word(a, 1, "zz"),
         lambda a: TestDbCache.repeat_first_word(a),
+        lambda a: a.update(words=np.concatenate([a["words"], np.frombuffer(b"\n~ ~", np.uint8)])),
         swap_first_pairs,
         lambda a: a["w_sem"].__setitem__(0, 1.5),
         lambda a: a["w_sem"].__setitem__(0, np.nan),
@@ -954,7 +975,8 @@ class TestDbCache:
             a["lines"].tobytes().replace(b"\t2\t1.0\t0", b"\t1\t1.0\t0"), np.uint8)),
         lambda a: a["digest"].__setitem__(0, a["digest"][0] ^ 1),
         lambda a: a.update(tag=np.array("vectors top_n=None")),
-    ], ids=["space", "control", "empty", "unsorted-words", "repeated-word", "unsorted-pairs",
+    ], ids=["space", "control", "empty", "unsorted-words", "repeated-word",
+            "unused-invalid-word", "unsorted-pairs",
             "w_sem-1.5", "w_sem-nan", "w_sem-negative", "index-high", "index-negative",
             "pair-count", "dtype", "orth", "digest", "tag"])
     def test_spoiled_cache_falls_back_to_the_parse(self, tmp_path, parses, edit):

@@ -54,6 +54,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(chain_depth=3)
 
+    def test_rejects_multi_character_alphabet_entry(self):
+        with pytest.raises(ValueError, match="single code points"):
+            SynthConfig(alphabet=("a", "bc", "d"))
+
     def test_rejects_duplicate_alphabet(self):
         with pytest.raises(ValueError):
             SynthConfig(alphabet=("a", "a", "b"))

@@ -23,6 +23,11 @@ class TestTemplate:
         with pytest.raises(ValueError):
             Template(("", "", "", ""))
 
+    @pytest.mark.parametrize("parts", [("a", "", ""), ("a", "", "", "", ""), ("a", "", 1, "")])
+    def test_parts_other_than_four_strings_rejected(self, parts):
+        with pytest.raises(ValueError, match="four literal strings"):
+            Template(parts)
+
     def test_slot_marker_in_literal_rejected(self):
         with pytest.raises(ValueError):
             Template(("<C1>", "", "", "a"))
