@@ -31,8 +31,8 @@ def main() -> int:
     _, validated = learn_rules(table, Config())
     print(f"vocab {len(words)} words, {len(validated)} validated rules")
 
-    full = RootExtractor(validated, table)
-    limited = RootExtractor(validated, table, limited=True)
+    full = RootExtractor(validated)
+    limited = RootExtractor(validated, limited=True)
     derived = [w for w in words if gold[w].chain]
     predictions = {
         "full": {w: full.extract(w).final for w in derived},

@@ -54,7 +54,7 @@ def main() -> int:
     recovered = planted & {r.key.key_str for r in validated}
     print(f"\nplanted rules recovered: {len(recovered)}/{len(planted)}")
 
-    extractor = RootExtractor(validated, table)
+    extractor = RootExtractor(validated)
     samples = [w for w in table.words if len(gold[w].chain) == args.chain_depth][:8]
     print("\nsample extractions (word -> root, gold in brackets):")
     for word in samples:

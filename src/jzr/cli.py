@@ -56,9 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The settings `extract` takes as flags. The rule DB fixes the scoring ones.
-EXTRACT_SETTINGS = ["t_w_sem", "top_n"]
-
 # The scalar SynthConfig fields, which `synth` takes as flags.
 SYNTH_SETTINGS = {name: kind for name, kind in get_type_hints(SynthConfig).items()
                   if kind in (int, float)}
@@ -69,8 +66,8 @@ def _add_flags(parser: argparse.ArgumentParser, types: dict) -> None:
         parser.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
-def _config_from_args(args, learned: dict | None = None) -> Config:
-    """The run's Config: defaults, then `learned`, then the config file, then flags.
+def _config_from_args(args) -> Config:
+    """The run's Config: defaults, then the config file, then flags.
 
     Each source overrides the ones before it; a None value counts as not
     given. An unreadable config file is a data error; an invalid setting is
@@ -80,7 +77,7 @@ def _config_from_args(args, learned: dict | None = None) -> Config:
     flag_values = {name: getattr(args, name, None) for name in SETTING_TYPES}
     merged: dict = {}
     try:
-        for source in (learned or {}), file_values, flag_values:
+        for source in file_values, flag_values:
             if not isinstance(source, dict):
                 raise ValueError("config file must hold a JSON object")
             unknown = sorted(set(source) - set(SETTING_TYPES))
@@ -119,15 +116,13 @@ def build_parser() -> _Parser:
 
     p_extract = sub.add_parser("extract", help="extract roots for words")
     p_extract.add_argument("--rules", required=True, help="rule DB path")
-    p_extract.add_argument("--vectors", required=True)
     group = p_extract.add_mutually_exclusive_group(required=True)
     group.add_argument("--word")
     group.add_argument("--words", help="file with one word per line")
     p_extract.add_argument("--limited", action="store_true",
                            help="concatenative rules only")
     p_extract.add_argument("--out", help="write trace lines here instead of stdout")
-    p_extract.add_argument("--config", help="JSON config file; flags override it")
-    _add_flags(p_extract, {name: SETTING_TYPES[name] for name in EXTRACT_SETTINGS})
+    p_extract.add_argument("--t-w-sem", type=float, default=Thresholds.t_w_sem)
 
     p_synth = sub.add_parser("synth", help="generate a planted-rule fixture")
     p_synth.add_argument("--out", required=True, help="output directory")
@@ -183,13 +178,12 @@ def cmd_rank(args) -> int:
 
 def cmd_extract(args) -> int:
     store = load_rules(args.rules)
-    # The DB's scoring settings are the defaults; a config file value that
-    # differs makes RootExtractor refuse.
-    cfg = _config_from_args(args, dataclasses.asdict(store.scoring))
-    table = load_embeddings(args.vectors, top_n=cfg.top_n)
-    extractor = RootExtractor(store, table, cfg.thresholds,
-                              sample_cap=cfg.sample_cap, seed=cfg.seed,
-                              limited=args.limited)
+    # Only t_w_sem is read; t_cos_sim is the DB's, which the extractor requires.
+    try:
+        thresholds = Thresholds(t_cos_sim=store.scoring.t_cos_sim, t_w_sem=args.t_w_sem)
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
+    extractor = RootExtractor(store, thresholds=thresholds, limited=args.limited)
     if args.word is not None:
         words = [args.word]
     else:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 PREFIX = "prefix"
 SUFFIX = "suffix"
 
-Pair = tuple[str, str]
+Pair = tuple[str, str]  # a support pair (w1, w2): its rule maps w1 to w2
 
 PAIR_BUDGET = 10_000_000  # support pairs one side of mining may build, ~150 B each
 

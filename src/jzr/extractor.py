@@ -67,28 +67,30 @@ class RootExtractor:
     no-step trace then too, any other word when asked for, and a pair word
     that `words_valid` refuses none. Traces and steps are NamedTuples: a
     trace compares equal to a plain tuple. At 7.2k words the traces take
-    about 1.8 MB (1.6 MB under `limited`). `table` is read only for its
-    words' `vocab_fingerprint`, the vocabulary the store was learned
-    from. The build runs with the cyclic garbage collector paused.
+    about 1.8 MB (1.6 MB under `limited`). The build reads the store
+    alone and runs with the cyclic garbage collector paused.
 
-    Of `thresholds`, only `t_w_sem` is read. `thresholds.t_cos_sim`,
-    `sample_cap` and `seed` change no trace, since the store holds every
-    w_sem already scored with them; giving one that differs from the
-    store's raises RuleDbError.
+    `table` is optional and changes no trace: when given, its words'
+    `vocab_fingerprint` must equal the store's `vocab_hash` (if it has
+    one), or RuleDbError is raised. Of `thresholds`, only `t_w_sem` is
+    read. `thresholds.t_cos_sim`, `sample_cap` and `seed` change no trace
+    either, since the store holds every w_sem already scored with them;
+    giving one that differs from the store's raises RuleDbError.
     """
 
     @collector_paused()
-    def __init__(self, store: RuleStore, table: EmbeddingTable,
+    def __init__(self, store: RuleStore, table: EmbeddingTable | None = None,
                  thresholds: Thresholds | None = None,
                  sample_cap: int | None = None, seed: int | None = None,
                  limited: bool = False):
         arrays = store.pair_arrays()
-        actual = vocab_fingerprint(table.words)
-        if store.vocab_hash and store.vocab_hash != actual:
-            raise RuleDbError(
-                "rule DB was learned from a different vocabulary "
-                f"(db hash {store.vocab_hash[:12]}..., vectors hash {actual[:12]}...)"
-            )
+        if table is not None and store.vocab_hash:
+            actual = vocab_fingerprint(table.words)
+            if store.vocab_hash != actual:
+                raise RuleDbError(
+                    "rule DB was learned from a different vocabulary "
+                    f"(db hash {store.vocab_hash[:12]}..., vectors hash {actual[:12]}...)"
+                )
         given = {"t_cos_sim": None if thresholds is None else thresholds.t_cos_sim,
                  "sample_cap": sample_cap, "seed": seed}
         for name, value in given.items():

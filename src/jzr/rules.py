@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .concat import ConcatRule
+from .concat import ConcatRule, Pair
 from .embeddings import (_NORM_EPS, EmbeddingTable, InvalidWordError, validate_word,
                          words_valid)
 from .fileio import load_cached, pack_lines, unpack_lines, write_atomic
@@ -22,7 +22,6 @@ CONCATENATIVE = "concatenative"
 TEMPLATIC = "templatic"
 
 RuleKey = ConcatRule | Template
-Pair = tuple[str, str]
 
 _DB_MAGIC = "#morphruledb 2"
 _V1_MAGIC = "#morphruledb 1"

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-Pair = tuple[str, str]
+from .concat import Pair
 
 _TEMPLATE_RE = re.compile(r"(.*?)<C1>(.*?)<C2>(.*?)<C3>(.*)", re.DOTALL)
 

@@ -230,7 +230,6 @@ def test_criterion_8_determinism(tmp_path, capsys):
         for mode, flag in (("full", []), ("limited", ["--limited"])):
             out = workdir / f"traces_{mode}.tsv"
             assert cli_main(["extract", "--rules", str(db),
-                             "--vectors", str(fix / "vectors.txt"),
                              "--words", str(words_file), "--out", str(out)]
                             + flag) == 0
             traces[mode] = out

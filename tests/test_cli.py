@@ -1,5 +1,8 @@
 import functools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +14,6 @@ from jzr.config import SETTING_TYPES
 from jzr.embeddings import load_embeddings
 from jzr.rules import load_rules
 from jzr.synthlang import SynthConfig, load_gold, write_fixture
-
-# The settings extraction reads; the rule DB fixes the scoring ones.
-EXTRACT_SETTINGS = {"t_w_sem", "top_n"}
 
 
 @pytest.fixture(scope="module")
@@ -165,18 +165,17 @@ class TestRank:
 
 class TestExtract:
     def test_invalid_word_is_data_error(self, workspace, tmp_path):
-        _, fix, db = workspace
+        _, _, db = workspace
         words = tmp_path / "words.txt"
         words.write_text("two words\n", encoding="utf-8")
-        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--words", str(words)]) == 2
+        assert main(["extract", "--rules", str(db), "--words", str(words)]) == 2
 
     @pytest.mark.parametrize("line", ["ab\x85cd", "\u3000ktb", "ab\x0bcd", "ab\x1ccd",
                                       "ab\u2028cd", "ab\rcd"])
     def test_words_file_line_is_checked_as_its_word_flag(self, workspace, tmp_path,
                                                          capsys, line):
-        _, fix, db = workspace
-        argv = ["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt")]
+        _, _, db = workspace
+        argv = ["extract", "--rules", str(db)]
         assert main(argv + ["--word", line]) == 2
         word_err = capsys.readouterr().err
         words = tmp_path / "words.txt"
@@ -190,8 +189,7 @@ class TestExtract:
         _, fix, db = workspace
         gold = load_gold(fix / "gold.tsv")
         word, entry = next((w, e) for w, e in gold.items() if len(e.chain) == 2)
-        assert main(["extract", "--rules", str(db),
-                     "--vectors", str(fix / "vectors.txt"), "--word", word]) == 0
+        assert main(["extract", "--rules", str(db), "--word", word]) == 0
         line = capsys.readouterr().out.strip()
         fields = line.split("\t")
         assert fields[0] == word
@@ -206,7 +204,6 @@ class TestExtract:
         words_file.write_text("\n".join(words) + "\n", encoding="utf-8")
         out_file = tmp_path / "traces.tsv"
         assert main(["extract", "--rules", str(db),
-                     "--vectors", str(fix / "vectors.txt"),
                      "--words", str(words_file), "--out", str(out_file)]) == 0
         got = [l.split("\t")[0] for l in
                out_file.read_text(encoding="utf-8").strip().splitlines()]
@@ -220,7 +217,7 @@ class TestExtract:
         derived = next(w for w, e in gold.items() if len(e.chain) == 2)
         root = next(w for w, e in gold.items() if not e.chain)
         words = [derived, root, derived, "notaword", derived, root, "ab"]
-        argv = ["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt")] + flags
+        argv = ["extract", "--rules", str(db)] + flags
         single = {}
         for word in set(words):
             assert main(argv + ["--word", word]) == 0
@@ -235,101 +232,58 @@ class TestExtract:
         gold = load_gold(fix / "gold.tsv")
         word = next(w for w, e in gold.items()
                     if len(e.chain) == 1 and e.chain[0].startswith("tmpl:"))
-        assert main(["extract", "--rules", str(db),
-                     "--vectors", str(fix / "vectors.txt"),
-                     "--word", word, "--limited"]) == 0
+        assert main(["extract", "--rules", str(db), "--word", word, "--limited"]) == 0
         line = capsys.readouterr().out.strip()
         assert line.split("\t")[2] == "infeasible_stop"
 
-    def test_vocab_hash_mismatch_refused(self, workspace, tmp_path, capsys):
-        _, fix, db = workspace
-        other = tmp_path / "other"
-        assert main(["synth", "--out", str(other), "--n-roots", "4",
-                     "--seed", "99"]) == 0
+    def test_db_learned_with_other_scoring_settings_extracts(self, workspace, tmp_path,
+                                                           capsys):
+        # The extractor checks the thresholds it is given against the DB's
+        # scoring settings; `extract` takes t_cos_sim from the DB.
+        _, fix, _ = workspace
+        db = tmp_path / "other.db"
+        assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db),
+                     "--t-cos-sim", "0.3", "--sample-cap", "50", "--seed", "7"]) == 0
         capsys.readouterr()
-        code = main(["extract", "--rules", str(db),
-                     "--vectors", str(other / "vectors.txt"), "--word", "abc"])
-        assert code == 2
-        assert "different vocabulary" in capsys.readouterr().err
+        word = next(iter(load_gold(fix / "gold.tsv")))
+        assert main(["extract", "--rules", str(db), "--word", word]) == 0
+        assert capsys.readouterr().out.startswith(word + "\t")
 
-    # Each setting the DB fixes, named by its `learn` flag. `extract` has no
-    # such flag, so the value comes from a config file.
-    @pytest.mark.parametrize("flag, value", [
-        ("--t-cos-sim", 0.3), ("--sample-cap", 50), ("--seed", 7),
-    ])
-    def test_setting_other_than_the_db_is_refused(self, workspace, tmp_path, capsys,
-                                                  flag, value):
-        _, fix, db = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}), encoding="utf-8")
-        code = main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", "--config", str(cfg)])
-        assert code == 2
-        assert "re-run `jzr learn`" in capsys.readouterr().err
-
-    def test_setting_equal_to_the_db_is_accepted(self, workspace, tmp_path):
-        _, fix, db = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_cos_sim": 0.5, "sample_cap": 100, "seed": 42}),
-                       encoding="utf-8")
-        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", "--config", str(cfg)]) == 0
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_invalid_t_w_sem_is_usage_error(self, workspace, capsys, value):
+        _, _, db = workspace
+        code = main(["extract", "--rules", str(db), "--word", "abcd", "--t-w-sem", value])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: invalid configuration: t_w_sem must lie in [0, 1]\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-r-sem", "0.2"), ("--t-r-orth", "5"), ("--max-affix", "1"),
         ("--min-stem", "3"), ("--max-derived-len", "10"),
         ("--t-cos-sim", "0.5"), ("--sample-cap", "100"), ("--seed", "42"),
+        ("--vectors", "vectors.txt"), ("--top-n", "5"), ("--config", "cfg.json"),
     ])
     def test_learn_only_flag_is_usage_error(self, workspace, capsys, flag, value):
-        _, fix, db = workspace
-        code = main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", flag, value])
+        _, _, db = workspace
+        code = main(["extract", "--rules", str(db), "--word", "abcd", flag, value])
         assert code == 1
         assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_config_file_may_hold_learn_only_settings(self, workspace, tmp_path):
-        # One config file serves both commands; extract ignores what it does not read.
-        _, fix, db = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_r_orth": 5, "max_affix": 1, "t_cos_sim": 0.5}),
-                       encoding="utf-8")
-        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", "--config", str(cfg)]) == 0
-
-    def test_config_file_null_keeps_the_db_value(self, workspace, tmp_path):
-        # null means "not given" in every source, so it does not reset the
-        # DB's seed to the default.
-        _, fix, _ = workspace
-        db = tmp_path / "seed7.db"
-        assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db),
-                     "--seed", "7"]) == 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": None}), encoding="utf-8")
-        assert main(["extract", "--rules", str(db), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd", "--config", str(cfg)]) == 0
-
-    def test_format_1_db_is_refused(self, workspace, tmp_path, capsys):
-        _, fix, _ = workspace
+    def test_format_1_db_is_refused(self, tmp_path, capsys):
         old = tmp_path / "old.db"
         old.write_text("#morphruledb 1\n#vocab-hash x\n", encoding="utf-8")
-        code = main(["extract", "--rules", str(old), "--vectors", str(fix / "vectors.txt"),
-                     "--word", "abcd"])
+        code = main(["extract", "--rules", str(old), "--word", "abcd"])
         assert code == 2
         assert "re-run `jzr learn`" in capsys.readouterr().err
 
     def test_db_without_vocab_hash_is_data_error(self, workspace, tmp_path, capsys):
-        # Without the line, the DB would extract against any vocabulary.
-        _, fix, db = workspace
-        other = tmp_path / "other"
-        assert main(["synth", "--out", str(other), "--n-roots", "4",
-                     "--seed", "99"]) == 0
-        capsys.readouterr()
+        # Without the line, the DB would not name the vocabulary it was learned from.
+        _, _, db = workspace
         edited = tmp_path / "edited.db"
         lines = db.read_text(encoding="utf-8").splitlines(keepends=True)
         edited.write_text("".join(x for x in lines if not x.startswith("#vocab-hash")),
                           encoding="utf-8")
-        code = main(["extract", "--rules", str(edited), "--vectors",
-                     str(other / "vectors.txt"), "--word", "abcd"])
+        code = main(["extract", "--rules", str(edited), "--word", "abcd"])
         assert code == 2
         assert "#vocab-hash" in capsys.readouterr().err
 
@@ -340,12 +294,11 @@ class TestExtract:
     def test_db_with_invalid_scoring_is_data_error(self, workspace, tmp_path, capsys,
                                                    old, new, name):
         # The DB is at fault, not the flags: exit 2, naming the #scoring line.
-        _, fix, db = workspace
+        _, _, db = workspace
         edited = tmp_path / "edited.db"
         edited.write_text(db.read_text(encoding="utf-8").replace(old, new),
                           encoding="utf-8")
-        code = main(["extract", "--rules", str(edited), "--vectors",
-                     str(fix / "vectors.txt"), "--word", "abcd"])
+        code = main(["extract", "--rules", str(edited), "--word", "abcd"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 4: {name}") and "usage error" not in err
@@ -369,11 +322,12 @@ class TestVectorCache:
             assert main(["learn", "--vectors", str(vectors), "--out", str(dbs[-1])]) == 0
         assert parses == [vectors] and cache.exists()
         cache.unlink()
-        for run in range(2):
+        for run in range(2):  # a DB parse, then a DB cache hit
             traces.append(tmp_path / f"traces{run}.txt")
-            assert main(["extract", "--rules", str(dbs[0]), "--vectors", str(vectors),
+            assert main(["extract", "--rules", str(dbs[0]),
                          "--words", str(words), "--out", str(traces[-1])]) == 0
-        assert parses == [vectors, vectors]
+        # Extraction reads the rule DB alone: no vector parse and no vector cache.
+        assert parses == [vectors] and not cache.exists()
         assert dbs[0].read_bytes() == dbs[1].read_bytes()
         assert traces[0].read_bytes() == traces[1].read_bytes()
         assert len(traces[0].read_text(encoding="utf-8").splitlines()) == len(gold_words)
@@ -447,6 +401,27 @@ class TestEval:
         pa = tmp_path / "a.tsv"
         pa.write_text("w1\tktb\n", encoding="utf-8")
         assert main(["eval", "--gold", str(gold), "--pred", f"a={pa}"]) == 2
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `jzr ...` command in README's fenced bash blocks,
+    with its `\\` continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("jzr ")]
+
+
+def test_readme_commands_parse():
+    # Stale docs fail here: every documented command line must still parse,
+    # and each command is shown at least once.
+    commands = readme_commands()
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"README's `jzr {shlex.join(argv)}`: {exc}")
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
 
 
 class TestUsageAndConfig:
@@ -535,15 +510,15 @@ class TestUsageAndConfig:
 
     @pytest.mark.parametrize("argv, own_dests", [
         (["learn", "--vectors", "v", "--out", "o"], {"vectors", "out"}),
-        (["extract", "--rules", "r", "--vectors", "v", "--word", "w"],
-         {"rules", "vectors", "word", "words", "limited", "out"}),
+        (["extract", "--rules", "r", "--word", "w"],
+         {"rules", "word", "words", "limited", "out"}),
     ])
     def test_config_flags_match_setting_names(self, argv, own_dests):
         # The config is read by setting name only, so a flag without a
         # setting would be parsed and then silently ignored. `learn` takes
-        # every setting; `extract` only those it reads.
+        # every setting; `extract` only t_w_sem, the one it reads.
         dests = set(vars(cli.build_parser().parse_args(argv)))
-        expected = {"learn": set(SETTING_TYPES), "extract": EXTRACT_SETTINGS}[argv[0]]
+        expected = {"learn": set(SETTING_TYPES), "extract": {"t_w_sem"}}[argv[0]]
         assert dests - own_dests - {"command", "config"} == expected
 
     def test_invalid_synth_flag_is_usage_error(self, tmp_path, capsys):

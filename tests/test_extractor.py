@@ -292,12 +292,23 @@ class TestStoredScores:
         return planted_world([(INSERT_WA, [("maktab", "wamaktab")], True)])
 
     def test_extraction_reads_no_vectors(self):
+        # A table only ties the store to its vocabulary: other vectors for
+        # the same words, or no table at all, give the same traces.
         store, table = self.world()
+        store.vocab_hash = vocab_fingerprint(table.words)
         rng = np.random.default_rng(3)
         other = EmbeddingTable(table.words, rng.standard_normal(table.matrix.shape))
+        extractors = [RootExtractor(store, table), RootExtractor(store, other),
+                      RootExtractor(store)]
         for word in table.words:
-            assert (RootExtractor(store, other).extract(word)
-                    == RootExtractor(store, table).extract(word))
+            assert len({ex.extract(word) for ex in extractors}) == 1
+
+    def test_vocab_hash_mismatch_refused(self):
+        store, table = self.world()
+        store.vocab_hash = vocab_fingerprint(table.words)
+        other = EmbeddingTable(table.words[1:], table.matrix[1:])
+        with pytest.raises(RuleDbError, match="different vocabulary"):
+            RootExtractor(store, other)
 
     def test_settings_equal_to_the_store_are_accepted(self):
         store, table = self.world()

@@ -31,7 +31,7 @@ def test_learn_and_extract_outputs_are_pinned(tmp_path):
     traces = {}
     for mode, flags in (("full", []), ("limited", ["--limited"])):
         traces[mode] = tmp_path / f"{mode}.txt"
-        assert cli.main(["extract", "--rules", str(db), "--vectors", str(vectors),
-                         "--words", str(words), "--out", str(traces[mode])] + flags) == 0
+        assert cli.main(["extract", "--rules", str(db), "--words", str(words),
+                         "--out", str(traces[mode])] + flags) == 0
     assert (sha256(db), sha256(traces["full"]), sha256(traces["limited"])) == (
         DB_SHA256, FULL_SHA256, LIMITED_SHA256)

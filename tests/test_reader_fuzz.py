@@ -102,7 +102,7 @@ def fixtures(tmp_path_factory):
         gold = [line.split("\t")[0] for line in
                 (fix / "gold.tsv").read_text(encoding="utf-8").splitlines()]
         (fix / "words.txt").write_text("\n".join(gold) + "\n", encoding="utf-8")
-        assert run("extract", "--rules", fix / "rules.db", "--vectors", fix / "vectors.txt",
+        assert run("extract", "--rules", fix / "rules.db",
                    "--words", fix / "words.txt", "--out", fix / "pred.tsv") == 0
         made[name] = fix
     (root / "mutated").mkdir()
@@ -116,8 +116,7 @@ def test_mutated_rule_db(fixtures, data):
     fix, db = made["db"], out / "rules.db"
     draw_mutated(data, fix / "rules.db", db)
     accepted = run("rank", "--rules", db) == 0
-    extracted = run("extract", "--rules", db, "--vectors", fix / "vectors.txt",
-                    "--words", fix / "words.txt") == 0
+    extracted = run("extract", "--rules", db, "--words", fix / "words.txt") == 0
     assert accepted or not extracted  # both read the DB with load_rules
     if not accepted:
         return
@@ -140,8 +139,6 @@ def test_mutated_vectors(fixtures, data):
     fix, vectors = made["small"], out / "vectors.txt"
     draw_mutated(data, fix / "vectors.txt", vectors)
     run("learn", "--vectors", vectors, "--out", out / "learned.db")
-    run("extract", "--rules", fix / "rules.db", "--vectors", vectors,
-        "--words", fix / "words.txt")
 
 
 @settings(max_examples=25)
