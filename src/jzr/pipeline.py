@@ -34,5 +34,6 @@ def learn_rules(table: EmbeddingTable,
     scored = (MorphRule(key, support, score_rule(key, support, table, scoring)
                         if len(support) > t_r_orth else gated(len(support)))
               for key, support in mined)
-    candidates = RuleStore.from_candidates(scored, vocab_fingerprint(table.words), scoring)
+    candidates = RuleStore(scored, vocab_fingerprint(table.words), scoring=scoring)
+    candidates.candidate_counts = candidates.count_by_kind()
     return candidates, prune_rules(candidates, cfg.thresholds)

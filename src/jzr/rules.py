@@ -197,14 +197,6 @@ def support_sample(key: RuleKey, orth: int, sample_cap: int, seed: int) -> list[
     return sorted(rng.choice(orth, size=sample_cap, replace=False).tolist())
 
 
-def _vectors(support: tuple[Pair, ...], table: EmbeddingTable,
-             positions) -> tuple[np.ndarray, np.ndarray]:
-    """Source and derived vectors of the support pairs at `positions`."""
-    index = table.index
-    return (table.matrix[[index[support[p][0]] for p in positions]],
-            table.matrix[[index[support[p][1]] for p in positions]])
-
-
 def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
                   t_cos: float) -> np.ndarray:
     """Per query pair (w1[q], w2[q]): the offsets o with cos(o + w1[q], w2[q]) > t_cos.
@@ -254,12 +246,14 @@ def score_rule(key: RuleKey, support: tuple[Pair, ...], table: EmbeddingTable,
         raise ValueError(f"rule {key.key_str} has an empty support, so no score")
     sample = support_sample(key, orth, sample_cap, scoring.seed)
     n = len(sample)
-    w1, w2 = _vectors(support, table, sample)
-    offsets = w2 - w1
+    index, matrix = table.index, table.matrix
+    rows = np.array([(index[a], index[b]) for a, b in support], np.intp)  # each pair's rows
+    offsets = matrix[rows[sample, 1]] - matrix[rows[sample, 0]]
     counts: list[int] = []
     for start in range(0, orth, sample_cap):
-        block = range(start, min(start + sample_cap, orth))
-        counts += _count_passes(*_vectors(support, table, block), offsets, t_cos).tolist()
+        block = rows[start:start + sample_cap]
+        counts += _count_passes(matrix[block[:, 0]], matrix[block[:, 1]], offsets,
+                                t_cos).tolist()
     sem = sum(counts[p] for p in sample) / (n * n)
     return RuleScores(orth, sem, n < orth, tuple(c / n for c in counts))
 
@@ -267,65 +261,41 @@ def score_rule(key: RuleKey, support: tuple[Pair, ...], table: EmbeddingTable,
 class RuleStore:
     """A list of scored rules in insertion order, no two with the same RuleKey.
 
-    Learn's candidate store (`from_candidates`) takes each rule as it is
-    mined, already scored. Nothing looks a rule up by key but `get`, which
-    scans key texts, so the store holds no map of its rules. A store from
-    `load_rules` holds its pairs only as `PairArrays`: each rule's support
-    and w_sem tuples are made on the first call that reads the rules
-    (iteration, `==`), once for the whole store, which from then on holds
-    them as a store built in memory does; `get` makes only those of the
-    rule it returns, and `len` none.
+    Distinct keys are checked where a store is packed (`pair_arrays`, which
+    `save_rules` and `RootExtractor` both call), not when it is built, so
+    learn's candidate store holds no set of its keys: the miners make each
+    key once, and a Template never equals a ConcatRule. Nothing looks a
+    rule up by key but `get`, which scans key texts, so the store holds no
+    map of its rules. A store from `load_rules` holds its pairs only as
+    `PairArrays`, for its whole life: each read of its rules (iteration,
+    `==`) makes their support and w_sem tuples afresh, `get` makes only
+    those of the rule it returns, and `len` none.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
                  scoring: ScoringSettings | None = None):
         self._rules: list[MorphRule] | None = list(rules)
-        seen: set[RuleKey] = set()
-        for rule in self._rules:
-            if rule.key in seen:
-                raise ValueError(f"duplicate rule key: {rule.key.key_str}")
-            seen.add(rule.key)
         self._arrays: PairArrays | None = None
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
         self.scoring = scoring
 
-    @classmethod
-    def from_candidates(cls, rules, vocab_hash: str, scoring: ScoringSettings) -> "RuleStore":
-        """The store of every mined candidate, each scored with `scoring`.
-
-        `rules` yields each candidate's MorphRule once, as learn makes them
-        while it mines. The store keeps them in that order, counting each
-        kind as they arrive, and builds no set of their keys: the miners
-        make each key once, and a Template never equals a ConcatRule.
-        """
-        kept, counts = [], {CONCATENATIVE: 0, TEMPLATIC: 0}
-        for rule in rules:
-            counts[rule_kind(rule.key)] += 1
-            kept.append(rule)
-        store = cls(vocab_hash=vocab_hash, candidate_counts=counts, scoring=scoring)
-        store._rules = kept
-        return store
-
-    @property
-    def _rule_list(self) -> list[MorphRule]:
-        if self._rules is None:
-            self._rules = _unpack(self._arrays)
-            self._arrays = None  # the rules may now be changed in place
-        return self._rules
-
     def pair_arrays(self) -> PairArrays:
         """The rules and their pairs in array form, for a bulk reader.
 
         A loaded store returns the arrays it holds; any other store packs
-        its support and w_sem tuples, and raises ValueError for a rule
-        without one w_sem per support pair, as one at or below t_r_orth.
+        its support and w_sem tuples, and raises ValueError for a repeated
+        key or for a rule without one w_sem per support pair, as one at or
+        below t_r_orth.
         """
         if self._arrays is not None:
             return self._arrays
-        rules = list(self)
+        rules, seen = self._rules, set()
         for rule in rules:
+            if rule.key in seen:
+                raise ValueError(f"duplicate rule key: {rule.key.key_str}")
+            seen.add(rule.key)
             if len(rule.scores.w_sem) != len(rule.support):
                 raise ValueError(f"rule {rule.key.key_str} is unscored: it has no w_sem "
                                  "per support pair")
@@ -337,7 +307,7 @@ class RuleStore:
                      [len(rule.support) for rule in rules])
 
     def __iter__(self):
-        return iter(self._rule_list)
+        return iter(_unpack(self._arrays) if self._rules is None else self._rules)
 
     def __len__(self) -> int:
         return len(self._arrays.rules if self._rules is None else self._rules)
@@ -351,7 +321,7 @@ class RuleStore:
         """Equal rules in the same order, and equal header fields."""
         if not isinstance(other, RuleStore):
             return NotImplemented
-        return (self._rule_list == other._rule_list
+        return (list(self) == list(other)
                 and self.vocab_hash == other.vocab_hash
                 and self.candidate_counts == other.candidate_counts
                 and self.scoring == other.scoring)
@@ -396,9 +366,11 @@ def save_rules(store: RuleStore, path) -> None:
 
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
     A store with no scoring settings, no vocab_hash or no non-negative
-    candidate count of each kind, or whose pairs fail load_rules' checks,
-    raises ValueError (InvalidWordError for a bad pair word) before anything
-    is written. A loaded store is not unpacked.
+    candidate count of each kind, with a repeated key, or whose pairs fail
+    load_rules' checks, raises ValueError (InvalidWordError for a bad pair
+    word) before anything is written. A loaded store is not unpacked.
+    Scores and settings are written as Python numbers, so numpy ones save
+    as they would.
     """
     sc = store.scoring
     if sc is None:
@@ -416,7 +388,8 @@ def save_rules(store: RuleStore, path) -> None:
         _DB_MAGIC,
         f"#vocab-hash {store.vocab_hash}",
         f"#candidates {CONCATENATIVE}={counts[CONCATENATIVE]} {TEMPLATIC}={counts[TEMPLATIC]}",
-        f"#scoring t_cos_sim={sc.t_cos_sim!r} sample_cap={sc.sample_cap} seed={sc.seed}",
+        f"#scoring t_cos_sim={float(sc.t_cos_sim)!r} sample_cap={sc.sample_cap} "
+        f"seed={sc.seed}",
     ]
     words, bounds = arrays.words, [0, *arrays.ends.tolist()]
     for (key, s), a, b in zip(arrays.rules, bounds, bounds[1:]):
@@ -424,7 +397,8 @@ def save_rules(store: RuleStore, path) -> None:
             fields = f"{CONCATENATIVE}\t{key.side}\t{key.old}\t{key.new}"
         else:
             fields = f"{TEMPLATIC}\t{key.pattern}"
-        lines.append(f"rule\t{fields}\t{s.orth}\t{s.sem!r}\t{'1' if s.sampled else '0'}")
+        lines.append(f"rule\t{fields}\t{s.orth}\t{float(s.sem)!r}\t"
+                     f"{'1' if s.sampled else '0'}")
         lines += [f"pair\t{words[i]}\t{words[j]}\t{w_sem!r}" for i, j, w_sem in zip(
             arrays.w1[a:b].tolist(), arrays.w2[a:b].tolist(), arrays.w_sem[a:b].tolist())]
     write_atomic(path, "\n".join(lines) + "\n")

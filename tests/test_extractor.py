@@ -465,8 +465,9 @@ class TestLoadedStore:
 
     def test_the_set_up_makes_no_pair_tuple(self, tmp_path):
         # Only reading a loaded store's rules unpacks its pairs into tuples,
-        # once per store; loading it, counting its rules and building an
-        # extractor do not.
+        # afresh on each read; loading it, counting its rules and building
+        # an extractor do not. Reading them leaves the store holding the
+        # arrays it was loaded with.
         store, table = planted_world([(INSERT_WA, [("maktab", "wamaktab")], True),
                                       (PLACE, [("ktb", "maktab")], True)])
         store.vocab_hash, store.candidate_counts = vocab_fingerprint(table.words), COUNTS
@@ -475,12 +476,14 @@ class TestLoadedStore:
         with mock.patch.object(rules_module, "_unpack", wraps=rules_module._unpack) as unpack:
             for _ in range(2):  # a text parse, then a cache hit
                 loaded = load_rules(path)
+                arrays = loaded.pair_arrays()
+                assert len(loaded) == 2 and unpack.call_count == 0
+                assert list(loaded) == list(store) and loaded == store
+                assert unpack.call_count == 2 and loaded.pair_arrays() is arrays
+                unpack.reset_mock()
                 for limited in (False, True):
                     RootExtractor(loaded, table, limited=limited)
                 assert unpack.call_count == 0
-            assert len(loaded) == 2 and unpack.call_count == 0
-            assert list(loaded) == list(store) and len(loaded) == 2
-            assert unpack.call_count == 1
 
 
 class TestExtraction:

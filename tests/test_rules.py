@@ -20,6 +20,7 @@ from oracles import (brute_concat_rules, brute_r_sem, brute_templatic_rules, bru
 from jzr.concat import ConcatRule, enumerate_concat_rules
 from jzr.config import Config
 from jzr.embeddings import _NORM_EPS, EmbeddingTable, InvalidWordError
+from jzr.extractor import RootExtractor
 from jzr.fileio import collector_paused
 from jzr.pipeline import learn_rules
 from jzr.rules import (
@@ -299,10 +300,25 @@ class TestStoreAndPrune:
             f"concat:prefix:>good{p}" for p in range(5)
         ]
 
-    def test_duplicate_rule_keys_rejected(self):
-        rule = self.scored(ConcatRule("prefix", "", "x"), 0, 0.0)
-        with pytest.raises(ValueError):
-            RuleStore([rule, self.scored(ConcatRule("prefix", "", "x"), 0, 0.0)])
+    def test_duplicate_rule_keys_rejected(self, tmp_path):
+        # The store is built as given; packing it, as saving it and building
+        # an extractor do, refuses the repeated key.
+        rules = [MorphRule(ConcatRule("prefix", "", "x"), ((root, "x" + root),),
+                           RuleScores(1, 1.0, False, (1.0,))) for root in ("abc", "def")]
+        store = RuleStore(rules, vocab_hash=vocab_fingerprint(["abc"]),
+                          candidate_counts=COUNTS, scoring=SCORING)
+        assert list(store) == rules
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError, match=r"^duplicate rule key: concat:prefix:>x$"):
+            save_rules(store, path)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match=r"^duplicate rule key: concat:prefix:>x$"):
+            RootExtractor(store)
+        other = replace(rules[1], key=ConcatRule("prefix", "", "y"))
+        store = RuleStore([rules[0], other], vocab_hash=store.vocab_hash,
+                          candidate_counts=COUNTS, scoring=SCORING)
+        save_rules(store, path)  # distinct keys save
+        assert load_rules(path) == store
 
     def test_rules_whose_affixes_hold_the_key_separator_print_apart(self):
         a = self.scored(ConcatRule("prefix", "a>b", ""), 0, 0.0)
@@ -464,7 +480,7 @@ class TestCountPasses:
         assert sides == {0, 1}
 
 
-class TestFromCandidates:
+class TestCandidateStore:
     @given(st.lists(st.text("abkt", min_size=2, max_size=6), min_size=1, max_size=40,
                     unique=True),
            st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
@@ -502,35 +518,40 @@ class TestFromCandidates:
         # all sharing one scores object as the gated ones of an orth do, may
         # swap each tuple for a MorphRule and add a slot's worth more per
         # candidate. A map or set of the candidates' keys adds about 35 bytes
-        # per candidate here. A full collection first empties the free
-        # lists, which would otherwise serve some tuples untraced, and
-        # learn_rules pauses the collector.
+        # per candidate, but it is built once mining has freed its index,
+        # below that peak: so the store is also built again from its own
+        # rules, which may add only its list of them. A full collection
+        # first empties the free lists, which would otherwise serve some
+        # tuples untraced, and learn_rules pauses the collector.
         _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
         templatic = enumerate_templatic_rules(table.words)
         gated = RuleScores(1, 0.0, False)
 
         def store_of(rules):
             mined = itertools.chain(rules, templatic.items())
-            return RuleStore.from_candidates((MorphRule(key, support, gated)
-                                              for key, support in mined), "", scoring())
+            return RuleStore((MorphRule(key, support, gated) for key, support in mined),
+                             scoring=scoring())
 
-        def peak(consume):
+        def peak(make):
             gc.collect()
             with collector_paused():
                 tracemalloc.start()
                 try:
                     before = tracemalloc.get_traced_memory()[0]
-                    kept = consume(enumerate_concat_rules(table.words))
+                    kept = make()
                     return tracemalloc.get_traced_memory()[1] - before, kept
                 finally:
                     tracemalloc.stop()
 
-        listed, stream = peak(list)
-        added, store = peak(store_of)
+        listed, stream = peak(lambda: list(enumerate_concat_rules(table.words)))
+        added, store = peak(lambda: store_of(enumerate_concat_rules(table.words)))
         n = len(stream)
         assert len(store) == n + len(templatic)
         record = sys.getsizeof(MorphRule(KEY, (), gated))
         assert added < listed + n * (record - sys.getsizeof((None, None)) + 8)
+        rules = list(store)
+        rebuilt, _ = peak(lambda: RuleStore(rules))
+        assert rebuilt < sys.getsizeof(rules) + 4096  # the store object itself
 
 
 SCORING = ScoringSettings(0.5, 100, 42)
@@ -571,6 +592,21 @@ class TestDbRoundTrip:
         save_rules(store, p1)
         save_rules(load_rules(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_scores_and_settings_save_as_python_numbers(self, tmp_path):
+        # numpy prints np.float64(0.5) as its repr, which no float() parses.
+        store = self.build()
+        np_store = RuleStore(
+            [replace(rule, scores=replace(rule.scores, orth=np.int64(rule.scores.orth),
+                                          sem=np.float64(rule.scores.sem)))
+             for rule in store],
+            vocab_hash=store.vocab_hash, candidate_counts=store.candidate_counts,
+            scoring=ScoringSettings(np.float64(0.5), np.int64(100), np.int64(42)))
+        path, np_path = tmp_path / "rules.db", tmp_path / "np.db"
+        save_rules(store, path)
+        save_rules(np_store, np_path)
+        assert np_path.read_bytes() == path.read_bytes()
+        assert load_rules(np_path) == store == np_store
 
     def test_load_holds_one_str_per_pair_word(self, tmp_path):
         path, _ = self.saved_lines(tmp_path)
