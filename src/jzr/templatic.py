@@ -71,17 +71,6 @@ def _alignments(derived: str, roots):
             yield root, Template(parts)
 
 
-def extract_templates(root: str, derived: str) -> set[Template]:
-    """All templates aligning `root`'s letters as an in-order subsequence of `derived`.
-
-    Returns the empty set when no alignment exists. Words with repeated
-    letters can align several ways and then contribute several templates.
-    """
-    if len(root) != 3:
-        raise ValueError(f"root must have exactly 3 code points, got {root!r}")
-    return {template for _, template in _alignments(derived, (root,))}
-
-
 def enumerate_templatic_rules(
     vocab,
     max_derived_len: int = 12,

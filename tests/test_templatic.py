@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_templates, brute_templatic_rules
-from jzr.templatic import (
-    Template,
-    enumerate_templatic_rules,
-    extract_templates,
-    parse_template,
-)
+from oracles import brute_templatic_rules
+from jzr.templatic import Template, enumerate_templatic_rules, parse_template
 
 AGENT = Template(("", "A", "i", ""))        # <C1>A<C2>i<C3>
 PLACE = Template(("ma", "", "a", ""))       # ma<C1><C2>a<C3>
@@ -59,38 +54,46 @@ class TestTemplate:
         if not any(parts):
             return
         template = Template(parts)
-        assert template in extract_templates(root, template.render(root))
+        word = template.render(root)
+        got = enumerate_templatic_rules([root, word], max_derived_len=len(word))
+        assert got[template] == ((root, word),)
 
 
 class TestExtractTemplates:
+    """The templates extracted from one root and one derived word: those
+    mined from the two-word vocabulary [root, derived]."""
+
     def test_agentive_form(self):
-        assert AGENT in extract_templates("ktb", "kAtib")
+        assert enumerate_templatic_rules(["ktb", "kAtib"])[AGENT] == (("ktb", "kAtib"),)
 
     def test_place_form(self):
-        assert PLACE in extract_templates("ktb", "maktab")
+        assert enumerate_templatic_rules(["ktb", "maktab"])[PLACE] == (("ktb", "maktab"),)
 
     def test_order_violation_gives_empty_set(self):
-        assert extract_templates("ktb", "bkta") == set()
+        assert enumerate_templatic_rules(["ktb", "bkta"]) == {}
 
     def test_multi_alignment_word(self):
         # Frozen from the exhaustive alignment oracle: "ata" embeds into
         # "atata" four distinct ways.
-        got = extract_templates("ata", "atata")
-        assert got == brute_templates("ata", "atata")
+        got = enumerate_templatic_rules(["ata", "atata"])
+        assert got == brute_templatic_rules(["ata", "atata"])
         assert {t.pattern for t in got} == {
             "<C1><C2><C3>ta",
             "<C1><C2>at<C3>",
             "<C1>ta<C2><C3>",
             "at<C1><C2><C3>",
         }
+        assert set(got.values()) == {(("ata", "atata"),)}
 
     def test_root_must_be_triliteral(self):
-        with pytest.raises(ValueError):
-            extract_templates("kt", "ktab")
+        assert enumerate_templatic_rules(["kt", "ktab"]) == {}
+        assert enumerate_templatic_rules(["ktab", "kAtabi"]) == {}
 
     @given(roots, derived_words)
     def test_matches_brute_force(self, root, derived):
-        assert extract_templates(root, derived) == brute_templates(root, derived)
+        got = enumerate_templatic_rules([root, derived])
+        assert got == brute_templatic_rules([root, derived])
+        assert set(got.values()) <= {((root, derived),)}
 
 
 class TestEnumerate:
