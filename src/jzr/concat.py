@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 PREFIX = "prefix"
@@ -11,11 +11,15 @@ SUFFIX = "suffix"
 
 Pair = tuple[str, str]  # a support pair (w1, w2): its rule maps w1 to w2
 
-PAIR_BUDGET = 10_000_000  # support pairs one side of mining may build, ~150 B each
+# Support pairs one side's rules may hold, counted from the side's index before
+# its first rule. Mining builds none of them; a caller that reads a support
+# builds its pairs, each a 56 B tuple plus its slot in the support tuple.
+PAIR_BUDGET = 10_000_000
 
 
 class PairBudgetError(ValueError):
-    """A side of concatenative mining would build more than PAIR_BUDGET support pairs."""
+    """A side of concatenative mining whose rules would hold more than
+    PAIR_BUDGET support pairs."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -59,11 +63,50 @@ class ConcatRule:
         return word[: len(word) - len(self.old)] + self.new
 
 
+class SupportView(Sequence):
+    """A concatenative rule's support pairs, read from the mining index.
+
+    Holds only the rule's two affix maps, stem -> word: its pairs are
+    (stems1[s], stems2[s]) for each stem s in both, in sorted order. It
+    reads as the sorted tuple of those pairs does (`len`, iteration,
+    indexing and slicing, `==`, `hash` and `repr`), but each read builds
+    the pairs afresh and keeps none, so an unread support costs one small
+    object and no pair.
+    """
+
+    __slots__ = ("_stems1", "_stems2")
+
+    def __init__(self, stems1: dict[str, str], stems2: dict[str, str]):
+        self._stems1, self._stems2 = stems1, stems2
+
+    def _pairs(self) -> tuple[Pair, ...]:
+        stems1, stems2 = self._stems1, self._stems2
+        return tuple(sorted((stems1[s], stems2[s]) for s in stems1.keys() & stems2.keys()))
+
+    def __len__(self) -> int:
+        return len(self._stems1.keys() & self._stems2.keys())
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __getitem__(self, index):
+        return self._pairs()[index]
+
+    def __eq__(self, other) -> bool:
+        return self._pairs() == other  # a view on the right reads as its tuple
+
+    def __hash__(self) -> int:
+        return hash(self._pairs())
+
+    def __repr__(self) -> str:
+        return repr(self._pairs())
+
+
 def enumerate_concat_rules(
     vocab,
     max_affix: int = 6,
     min_stem: int = 2,
-) -> Iterator[tuple[ConcatRule, tuple[Pair, ...]]]:
+) -> Iterator[tuple[ConcatRule, SupportView]]:
     """Yield every canonical edge rule once, with its stem-sharing word pairs.
 
     Each side indexes every split of a word into affix + stem (at most
@@ -73,8 +116,10 @@ def enumerate_concat_rules(
     affixes carry; that stem is the pair's longest shared run, so each
     ordered pair lands under one rule per side. Both orientations are
     yielded; the extractor's length constraint picks the direction later.
-    No rule is yielded twice; prefix rules come first, and only one side's
-    index is alive at a time.
+    No rule is yielded twice, and prefix rules come first. Each support is
+    a `SupportView` over its two affix maps, which it keeps alive: the stem
+    index of a side is freed once the side is mined, its affix maps only
+    with the last support that reads them.
 
     Bad settings raise ValueError at the call. Nothing is skipped: a side
     whose rules would hold more than `PAIR_BUDGET` support pairs raises
@@ -107,12 +152,10 @@ def _side_rules(words: list[str], side: str, max_affix: int, min_stem: int):
                 - sum(n * (n - 1) for n in Counter(a[edge] for a in affixes if a).values())
                 for affixes in by_stem.values() if len(affixes) > 1)
     if pairs > PAIR_BUDGET:
-        raise PairBudgetError(f"{side} side of concatenative mining would build {pairs:,} "
-                              f"support pairs, over the budget of {PAIR_BUDGET:,}")
+        raise PairBudgetError(f"{side} side of concatenative mining: its rules would hold "
+                              f"{pairs:,} support pairs, over the budget of {PAIR_BUDGET:,}")
     for a1, stems1 in by_affix.items():
         for a2 in dict.fromkeys(a for stem in stems1 for a in by_stem[stem]):
             if a1 == a2 or (a1 and a2 and a1[edge] == a2[edge]):
                 continue  # identity, or a longer shared run exists
-            stems2 = by_affix[a2]
-            yield ConcatRule(side, a1, a2), tuple(sorted(
-                (stems1[s], stems2[s]) for s in stems1.keys() & stems2.keys()))
+            yield ConcatRule(side, a1, a2), SupportView(stems1, by_affix[a2])

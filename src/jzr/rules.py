@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -94,8 +95,12 @@ class Thresholds:
 
 @dataclass(slots=True)
 class MorphRule:
+    """A rule with its support and scores. The support is a read-only sequence
+    of pairs in sorted order: a tuple, or an unscored concatenative
+    candidate's `SupportView`, which reads as that tuple."""
+
     key: RuleKey
-    support: tuple[Pair, ...]
+    support: Sequence[Pair]
     scores: RuleScores
 
 

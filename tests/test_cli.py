@@ -94,8 +94,8 @@ class TestLearn:
         db = tmp_path / "refused.db"
         assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db)]) == 2
         assert capsys.readouterr().err == (
-            f"error: prefix side of concatenative mining would build {pairs:,} support "
-            f"pairs, over the budget of {pairs - 1:,}\n")
+            f"error: prefix side of concatenative mining: its rules would hold {pairs:,} "
+            f"support pairs, over the budget of {pairs - 1:,}\n")
         assert not db.exists()
 
     def test_malformed_vectors_is_data_error(self, tmp_path, capsys):

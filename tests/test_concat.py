@@ -114,7 +114,28 @@ class TestEnumeration:
         assert len(got) == len(stream)  # no rule is yielded twice
         assert got == brute_concat_rules(vocab)
         for pairs in got.values():
-            assert type(pairs) is tuple and list(pairs) == sorted(pairs)
+            listed = tuple(pairs)
+            assert list(listed) == sorted(listed)
+            assert pairs == listed and hash(pairs) == hash(listed)
+
+    @given(small_vocab, st.data())
+    def test_support_reads_as_the_oracle_tuple(self, vocab, data):
+        # Each read builds the pairs afresh, so a second read must agree.
+        oracle = brute_concat_rules(vocab)
+        for rule, view in enumerate_concat_rules(vocab):
+            pairs = oracle[rule]
+            n = len(pairs)
+            i = data.draw(st.integers(-n, n - 1))
+            a, b = data.draw(st.integers(-n - 1, n + 1)), data.draw(st.integers(-n - 1, n + 1))
+            for _ in range(2):
+                assert len(view) == n
+                assert tuple(view) == pairs
+                assert view[i] == pairs[i]
+                assert view[a:b] == pairs[a:b]
+                assert view == pairs and pairs == view
+                assert not view != pairs and not pairs != view
+                assert hash(view) == hash(pairs)
+                assert repr(view) == repr(pairs)
 
     @given(small_vocab, st.integers(min_value=0, max_value=3),
            st.integers(min_value=1, max_value=3))
@@ -143,7 +164,7 @@ class TestEnumeration:
                     got = dict(stream)
                 else:
                     over = sides[len(mined)]
-                    message = (f"{over} side of concatenative mining would build "
+                    message = (f"{over} side of concatenative mining: its rules would hold "
                                f"{counts[over]:,} support pairs, over the budget of {budget:,}")
                     with pytest.raises(PairBudgetError, match=f"^{re.escape(message)}$"):
                         for rule, pairs in stream:

@@ -512,9 +512,10 @@ class TestCandidateStore:
                 assert rule.scores == score_rule(rule.key, rule.support, table, cfg.scoring)
 
     def test_mining_into_the_store_adds_a_record_and_a_slot_per_candidate(self):
-        # Mining peaks with one side's index alive and every key and support
-        # mined so far kept. Kept as a list of the stream's (key, support)
-        # tuples, that peak is the baseline: the store of the mined rules,
+        # Mining peaks with one side's stem index alive and every key and
+        # support view mined so far kept, with the affix maps the views read.
+        # Kept as a list of the stream's (key, support) tuples, that peak is
+        # the baseline: the store of the mined rules,
         # all sharing one scores object as the gated ones of an orth do, may
         # swap each tuple for a MorphRule and add a slot's worth more per
         # candidate. A map or set of the candidates' keys adds about 35 bytes
@@ -552,6 +553,28 @@ class TestCandidateStore:
         rules = list(store)
         rebuilt, _ = peak(lambda: RuleStore(rules))
         assert rebuilt < sys.getsizeof(rules) + 4096  # the store object itself
+
+    def test_a_gated_candidate_keeps_no_pair(self):
+        # What learn keeps is mostly one record per gated candidate: its
+        # MorphRule, its key and its support view, 56 + 56 + 48 bytes on
+        # CPython 3.11, plus its slot in the store and a share of the index
+        # the views read. That came to 228-232 bytes per gated candidate on
+        # three seeds of this language; a support kept as a tuple of its
+        # pairs came to 334-338.
+        _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
+        gc.collect()  # empties the free lists, which would serve some objects untraced
+        with collector_paused():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                candidates, _ = learn_rules(table)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        t_r_orth = Config().thresholds.t_r_orth
+        gated = sum(1 for rule in candidates if rule.scores.orth <= t_r_orth)
+        assert gated > 10_000
+        assert kept / gated < 280
 
 
 SCORING = ScoringSettings(0.5, 100, 42)

@@ -1,7 +1,7 @@
 """The 36k-word planted language in a child process under a 1 GiB address-space limit.
 
-Its concatenative mining would build 19.4M support pairs on the prefix
-side and 27.5M on the suffix side, so `learn_rules` must refuse it with
+The rules of its concatenative mining would hold 19.4M support pairs on
+the prefix side and 27.5M on the suffix side, so `learn_rules` must refuse it with
 `PairBudgetError` before the prefix side makes its first rule. Running out
 of memory, running past the deadline or any other end is a scale
 regression in the program: the limit, the deadline and the language are
@@ -53,5 +53,5 @@ def test_36k_is_refused_on_the_prefix_side_within_1_gib():
     end = lines[-1] if lines else f"no outcome (exit {proc.returncode}): {proc.stderr[-500:]}"
     if end.startswith("MemoryError"):
         pytest.fail(f"MemoryError under RLIMIT_AS {LIMIT_BYTES:,} bytes: {end}")
-    assert end == ("PairBudgetError prefix side of concatenative mining would build "
-                   f"19,417,504 support pairs, over the budget of {PAIR_BUDGET:,}"), end
+    assert end == ("PairBudgetError prefix side of concatenative mining: its rules would "
+                   f"hold 19,417,504 support pairs, over the budget of {PAIR_BUDGET:,}"), end
