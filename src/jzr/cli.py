@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal bug. Warnings go 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import traceback
@@ -69,11 +68,12 @@ def _add_flags(parser: argparse.ArgumentParser, types: dict) -> None:
 def _config_from_args(args) -> Config:
     """The run's Config: defaults, then the config file, then flags.
 
-    Each source overrides the ones before it; a None value counts as not
-    given. An unreadable config file is a data error; an invalid setting is
-    a usage error.
+    Each flag and config-file key names a Config field. Each source
+    overrides the ones before it; a None value counts as not given. An
+    unreadable config file is a data error; an invalid setting is a usage
+    error.
     """
-    file_values = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    file_values = json.loads(Path(args.config).read_text("utf-8-sig")) if args.config else {}
     flag_values = {name: getattr(args, name, None) for name in SETTING_TYPES}
     merged: dict = {}
     try:
@@ -91,9 +91,7 @@ def _config_from_args(args) -> Config:
                 if isinstance(value, bool) or not isinstance(value, (int, kind)):
                     raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
                 merged[name] = value
-        thresholds = Thresholds(**{f.name: merged.pop(f.name)
-                                   for f in dataclasses.fields(Thresholds) if f.name in merged})
-        return Config(thresholds=thresholds, **merged)
+        return Config(**merged)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
 
@@ -177,19 +175,17 @@ def cmd_rank(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    store = load_rules(args.rules)
-    # Only t_w_sem is read; t_cos_sim is the DB's, which the extractor requires.
     try:
-        thresholds = Thresholds(t_cos_sim=store.scoring.t_cos_sim, t_w_sem=args.t_w_sem)
+        thresholds = Thresholds(t_w_sem=args.t_w_sem)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
-    extractor = RootExtractor(store, thresholds=thresholds, limited=args.limited)
+    extractor = RootExtractor(load_rules(args.rules), thresholds=thresholds, limited=args.limited)
     if args.word is not None:
         words = [args.word]
     else:
         # Split and strip only at characters no word holds, so that every
         # other one reaches the word check, as a --word value does.
-        text = Path(args.words).read_bytes().decode("utf-8")
+        text = Path(args.words).read_bytes().decode("utf-8-sig")
         words = [w for w in (line.strip(" \t\r") for line in text.split("\n")) if w]
     lines = [extractor.extract(w).format_line() for w in words]
     _emit("".join(line + "\n" for line in lines), args.out)

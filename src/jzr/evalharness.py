@@ -83,7 +83,7 @@ def read_records(path, width: int) -> dict[str, list[str]]:
     repeat; a repeat with another root is refused, as is a short line.
     """
     found: dict[str, tuple[list[str], int]] = {}  # word -> (fields, first line)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

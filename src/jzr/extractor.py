@@ -73,9 +73,9 @@ class RootExtractor:
     `table` is optional and changes no trace: when given, its words'
     `vocab_fingerprint` must equal the store's `vocab_hash` (if it has
     one), or RuleDbError is raised. Of `thresholds`, only `t_w_sem` is
-    read. `thresholds.t_cos_sim`, `sample_cap` and `seed` change no trace
-    either, since the store holds every w_sem already scored with them;
-    giving one that differs from the store's raises RuleDbError.
+    read. `sample_cap` and `seed` change no trace either, since the store
+    holds every w_sem already scored with them; giving one that differs
+    from the store's raises RuleDbError.
     """
 
     @collector_paused()
@@ -91,9 +91,7 @@ class RootExtractor:
                     "rule DB was learned from a different vocabulary "
                     f"(db hash {store.vocab_hash[:12]}..., vectors hash {actual[:12]}...)"
                 )
-        given = {"t_cos_sim": None if thresholds is None else thresholds.t_cos_sim,
-                 "sample_cap": sample_cap, "seed": seed}
-        for name, value in given.items():
+        for name, value in (("sample_cap", sample_cap), ("seed", seed)):
             learned = None if store.scoring is None else getattr(store.scoring, name)
             if None not in (value, learned) and value != learned:
                 raise RuleDbError(

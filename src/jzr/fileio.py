@@ -77,11 +77,11 @@ class _HashingReader(io.RawIOBase):
 
 
 # Bump when what `load_cached` stores changes; an older cache is then a miss.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 def load_cached(path: Path, tag: str, parse, decode):
-    """What `parse` reads from the UTF-8 text file at `path`, through a cache.
+    """What `parse` reads from the UTF-8 file at `path`, past any BOM, through a cache.
 
     `parse(fh)` gives the result and a function that encodes it as a dict
     of arrays; `decode(npz)` gives the result back from those arrays,
@@ -95,7 +95,7 @@ def load_cached(path: Path, tag: str, parse, decode):
     """
     with open(path, "rb", buffering=0) as raw:
         if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
+            with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig") as fh:
                 return parse(fh)[0]
         cache = path.with_name(f".{path.name}.jzrcache.npz")
         try:
@@ -111,7 +111,7 @@ def load_cached(path: Path, tag: str, parse, decode):
             pass
         raw.seek(0)
         reader = _HashingReader(raw)
-        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8-sig") as fh:
             value, encode = parse(fh)
             # A parse may stop early (a `top_n` cap); the key covers every byte.
             digest = reader.drain()

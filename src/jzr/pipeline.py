@@ -28,7 +28,7 @@ def learn_rules(table: EmbeddingTable,
     automatic collection would only re-traverse them.
     """
     cfg = config or Config()
-    t_r_orth, scoring = cfg.thresholds.t_r_orth, cfg.scoring
+    t_r_orth, scoring = cfg.t_r_orth, cfg.scoring
     gated = functools.cache(lambda orth: RuleScores(orth, 0.0, False))  # frozen: one per orth
 
     def candidate(key, support) -> MorphRule:

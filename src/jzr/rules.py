@@ -77,14 +77,14 @@ class ScoringSettings:
 
 @dataclass(frozen=True)
 class Thresholds:
-    t_cos_sim: float = 0.5
+    """What pruning (t_r_sem, t_r_orth) and extraction (t_w_sem) read; the
+    analogy test's t_cos_sim shapes scores, so it is a ScoringSettings field."""
+
     t_r_sem: float = 0.1
     t_r_orth: int = 20
     t_w_sem: float = 0.1
 
     def __post_init__(self):
-        if not -1.0 < self.t_cos_sim < 1.0:
-            raise ValueError("t_cos_sim must lie strictly inside (-1, 1)")
         if not 0.0 <= self.t_r_sem <= 1.0:
             raise ValueError("t_r_sem must lie in [0, 1]")
         if not 0.0 <= self.t_w_sem <= 1.0:
@@ -370,42 +370,46 @@ def save_rules(store: RuleStore, path) -> None:
     """Write the rule DB: header lines, then one rule record plus its pairs.
 
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
-    A store with no scoring settings, no vocab_hash or no non-negative
-    candidate count of each kind, with a repeated key, or whose pairs fail
-    load_rules' checks, raises ValueError (InvalidWordError for a bad pair
-    word) before anything is written. A loaded store is not unpacked.
-    Scores and settings are written as Python numbers, so numpy ones save
-    as they would.
+    Nothing is written that load_rules would refuse: the pairs get its
+    checks (`_check_pairs`), and the other lines are read back as it reads
+    them (`_DbRecords`). A failure raises ValueError (InvalidWordError for
+    a bad pair word) with load's reason and line. A loaded store is not
+    unpacked. Scores and settings are written as Python numbers, so numpy
+    ones save as they would.
     """
-    sc = store.scoring
-    if sc is None:
-        raise ValueError("store has no scoring settings; set them to those it was scored with")
-    if not store.vocab_hash:
-        raise ValueError("store has no vocab_hash; set it to vocab_fingerprint of "
-                         "the words it was learned from")
-    counts = store.candidate_counts
-    if sorted(counts) != [CONCATENATIVE, TEMPLATIC] or min(counts.values()) < 0:
-        raise ValueError("store has no non-negative candidate_counts of both "
-                         f"{CONCATENATIVE} and {TEMPLATIC} rules: {counts!r}")
     arrays = store.pair_arrays()
     _check_pairs(arrays, lambda r, p: f"rule {arrays.rules[r][0].key_str}")
-    lines = [
-        _DB_MAGIC,
-        f"#vocab-hash {store.vocab_hash}",
-        f"#candidates {CONCATENATIVE}={counts[CONCATENATIVE]} {TEMPLATIC}={counts[TEMPLATIC]}",
-        f"#scoring t_cos_sim={float(sc.t_cos_sim)!r} sample_cap={sc.sample_cap} "
-        f"seed={sc.seed}",
-    ]
+    sc, counts = store.scoring, sorted(store.candidate_counts.items())
+    lines = [_DB_MAGIC, f"#vocab-hash {store.vocab_hash}",
+             "#candidates " + " ".join(f"{kind}={n}" for kind, n in counts)]
+    if sc is not None:
+        lines.append(f"#scoring t_cos_sim={float(sc.t_cos_sim)!r} sample_cap={sc.sample_cap} "
+                     f"seed={sc.seed}")
+    records = list(range(1, len(lines)))  # the lines but the magic and the pairs
     words, bounds = arrays.words, [0, *arrays.ends.tolist()]
     for (key, s), a, b in zip(arrays.rules, bounds, bounds[1:]):
         if isinstance(key, ConcatRule):
             fields = f"{CONCATENATIVE}\t{key.side}\t{key.old}\t{key.new}"
         else:
             fields = f"{TEMPLATIC}\t{key.pattern}"
+        records.append(len(lines))
         lines.append(f"rule\t{fields}\t{s.orth}\t{float(s.sem)!r}\t"
                      f"{'1' if s.sampled else '0'}")
         lines += [f"pair\t{words[i]}\t{words[j]}\t{w_sem!r}" for i, j, w_sem in zip(
             arrays.w1[a:b].tolist(), arrays.w2[a:b].tolist(), arrays.w_sem[a:b].tolist())]
+    # Read them back as load does (`\r` ends a line too); line number = index + shift.
+    db, shift = _DbRecords(), 1
+    for i in records:
+        for lineno, line in enumerate(lines[i].replace("\r", "\n").split("\n"), i + shift):
+            try:
+                db.add(line, line.split("\t"), lineno)
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"load_rules refuses line {lineno}, {line!r}: {exc}") from None
+        shift = lineno - i
+    try:
+        db.store(arrays)
+    except RuleDbError as exc:
+        raise ValueError(f"load_rules refuses the DB: {exc}") from None
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -418,14 +422,6 @@ def _parse_fields(header: str, text: str, names) -> dict[str, str]:
             raise ValueError(f"{header} {problem} field {name!r}")
         values[name] = value
     return values
-
-
-def _parse_scoring(text: str) -> ScoringSettings:
-    values = _parse_fields("#scoring", text, ("t_cos_sim", "sample_cap", "seed"))
-    if len(values) != 3:
-        raise ValueError(f"#scoring needs t_cos_sim, sample_cap and seed: {text!r}")
-    return ScoringSettings(float(values["t_cos_sim"]), int(values["sample_cap"]),
-                           int(values["seed"]))
 
 
 class _DbRecords:
@@ -474,7 +470,11 @@ class _DbRecords:
                 if len(given) != 2 or min(self.counts.values()) < 0:
                     raise ValueError(f"#candidates count is negative or missing: {value!r}")
             else:
-                self.scoring = _parse_scoring(value)
+                given = _parse_fields(name, value, ("t_cos_sim", "sample_cap", "seed"))
+                if len(given) != 3:
+                    raise ValueError(f"#scoring needs t_cos_sim, sample_cap and seed: {value!r}")
+                self.scoring = ScoringSettings(float(given["t_cos_sim"]),
+                                               int(given["sample_cap"]), int(given["seed"]))
         elif line and not line.startswith("#"):
             raise ValueError(f"unknown record type {record!r}")
 

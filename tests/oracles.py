@@ -152,10 +152,11 @@ def brute_learn(table, config):
             continue
         sample = support_sample(key, orth, config.sample_cap, config.seed)
         sample_pairs = [support[i] for i in sample]
-        sem = brute_r_sem(table, sample_pairs, th.t_cos_sim)
+        sem = brute_r_sem(table, sample_pairs, config.t_cos_sim)
         if sem <= th.t_r_sem:
             continue
-        w_sem = tuple(brute_w_sem(table, pair, sample_pairs, th.t_cos_sim) for pair in support)
+        w_sem = tuple(brute_w_sem(table, pair, sample_pairs, config.t_cos_sim)
+                      for pair in support)
         rules.append((key, support, orth, sem, len(sample) < orth, w_sem))
     rules.sort(key=lambda rule: (-rule[3], -rule[2], rule[0].key_str))
     return rules, {"concatenative": len(mined[0]), "templatic": len(mined[1])}

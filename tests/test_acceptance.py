@@ -176,7 +176,7 @@ def test_criterion_5_termination_and_monotonicity(depth1, depth2,
         Thresholds(t_r_sem=0.2), Thresholds(t_r_sem=0.7),
         Thresholds(t_r_orth=25), Thresholds(t_r_orth=100),
         Thresholds(t_r_sem=0.5, t_r_orth=50),
-        Thresholds(t_w_sem=0.5), Thresholds(t_cos_sim=0.5),
+        Thresholds(t_w_sem=0.5),
     ):
         assert len(prune_rules(depth1.candidates, raised)) <= baseline
 

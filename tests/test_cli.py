@@ -196,6 +196,19 @@ class TestExtract:
         assert fields[1] == entry.root
         assert fields[2] == "reached_triliteral"
 
+    def test_words_file_skips_a_leading_byte_order_mark(self, workspace, tmp_path, capsys):
+        _, fix, db = workspace
+        words = list(load_gold(fix / "gold.tsv"))[:3]
+        words_file = tmp_path / "words.txt"
+        text = "\n".join(words) + "\n"
+        words_file.write_text(text, encoding="utf-8")
+        assert main(["extract", "--rules", str(db), "--words", str(words_file)]) == 0
+        plain = capsys.readouterr().out
+        words_file.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert main(["extract", "--rules", str(db), "--words", str(words_file)]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.startswith(words[0] + "\t")
+
     def test_words_file_preserves_order(self, workspace, tmp_path, capsys):
         _, fix, db = workspace
         gold = load_gold(fix / "gold.tsv")
@@ -238,8 +251,8 @@ class TestExtract:
 
     def test_db_learned_with_other_scoring_settings_extracts(self, workspace, tmp_path,
                                                            capsys):
-        # The extractor checks the thresholds it is given against the DB's
-        # scoring settings; `extract` takes t_cos_sim from the DB.
+        # `extract` reads only t_w_sem and passes no scoring settings, so the
+        # DB's own are never checked against another's.
         _, fix, _ = workspace
         db = tmp_path / "other.db"
         assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db),
@@ -455,6 +468,15 @@ class TestUsageAndConfig:
                      "--out", str(out), "--config", str(cfg)]) == 0
         assert len(load_rules(out)) == 0
         assert "#scoring t_cos_sim=0.0 " in out.read_text(encoding="utf-8")
+
+    def test_config_file_skips_a_leading_byte_order_mark(self, workspace, tmp_path):
+        root, fix, db = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"t_cos_sim": 0.25}).encode("utf-8"))
+        out = tmp_path / "bom.db"
+        assert main(["learn", "--vectors", str(fix / "vectors.txt"),
+                     "--out", str(out), "--config", str(cfg)]) == 0
+        assert "#scoring t_cos_sim=0.25 " in out.read_text(encoding="utf-8")
 
     def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         root, fix, _ = workspace

@@ -68,6 +68,17 @@ class TestLoad:
         table = load_embeddings(write(tmp_path, "7 3 4\n", "int_word.txt"))
         assert table.words == ["7"] and table.dim == 2
 
+    @pytest.mark.parametrize("text", ["2 3\nfoo 1 0 0\nbar 0 1 0\n", "foo 1 0 0\nbar 0 1 0\n"],
+                             ids=["headered", "headerless"])
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain = load_embeddings(write(tmp_path, text, "plain.txt"))
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for _ in range(2):  # a text parse, then a cache hit
+            table = load_embeddings(path)
+            assert table.words == plain.words == ["foo", "bar"]
+            assert np.array_equal(table.matrix, plain.matrix)
+
     def test_headered_dim_mismatch(self, tmp_path):
         path = write(tmp_path, "1 4\nfoo 1 0 0\n")
         with pytest.raises(DimensionMismatchError):

@@ -128,6 +128,11 @@ class TestIo:
         path.write_text("w1\tktb\t\nw2\tdrs\tchain;stuff\n", encoding="utf-8")
         assert read_predictions(path) == {"w1": "ktb", "w2": "drs"}
 
+    def test_read_skips_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + "fnr\tfnr\nw2\tdrs\n".encode("utf-8"))
+        assert read_predictions(path) == {"fnr": "fnr", "w2": "drs"}
+
     def test_read_refuses_a_word_given_two_roots(self, tmp_path):
         # `jzr extract --words` prints one identical line per repeat of a word.
         path = tmp_path / "preds.tsv"

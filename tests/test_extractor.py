@@ -116,7 +116,8 @@ def assert_matches_brute_extract(store, table, limited, th=Thresholds()):
     for word in table.words:
         trace = extractor.extract(word)
         got = (trace.final, trace.status, [(s.rule, s.word, s.w_sem) for s in trace.steps])
-        assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem, limited)
+        assert got == brute_extract(store, table, word, store.scoring.t_cos_sim, th.t_w_sem,
+                                    limited)
     return extractor
 
 
@@ -218,8 +219,8 @@ class TestDeepChain:
             trace = extractor.extract(word)
             got = (trace.final, trace.status,
                    [(s.rule, s.word, s.w_sem) for s in trace.steps])
-            assert got == brute_extract(store, table, word, th.t_cos_sim, th.t_w_sem,
-                                        limited)
+            assert got == brute_extract(store, table, word, store.scoring.t_cos_sim,
+                                        th.t_w_sem, limited)
 
 
 class TestHandBuiltChain:
@@ -312,11 +313,9 @@ class TestStoredScores:
 
     def test_settings_equal_to_the_store_are_accepted(self):
         store, table = self.world()
-        RootExtractor(store, table, Thresholds(t_cos_sim=0.5), sample_cap=100, seed=42)
+        RootExtractor(store, table, Thresholds(), sample_cap=100, seed=42)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"thresholds": Thresholds(t_cos_sim=0.3)}, {"sample_cap": 50}, {"seed": 7},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"sample_cap": 50}, {"seed": 7}])
     def test_settings_other_than_the_store_are_refused(self, kwargs):
         store, table = self.world()
         with pytest.raises(RuleDbError, match="re-run `jzr learn`"):
@@ -355,10 +354,9 @@ def small_stores(draw):
     pairs = [(a, b) for a in words for b in words if a != b]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = EmbeddingTable(words, rng.standard_normal((len(words), 2)))
-    thresholds = Thresholds(t_cos_sim=draw(st.sampled_from([0.0, 0.3, 0.5])),
-                            t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
+    thresholds = Thresholds(t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
     seed = draw(st.integers(0, 3))
-    scoring = ScoringSettings(thresholds.t_cos_sim, SAMPLE_CAP, seed)
+    scoring = ScoringSettings(draw(st.sampled_from([0.0, 0.3, 0.5])), SAMPLE_CAP, seed)
     rules = []
     for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
         support = tuple(sorted(draw(st.lists(st.sampled_from(pairs), min_size=1,
@@ -406,7 +404,7 @@ class TestOracle:
                     with pytest.raises(InvalidWordError):
                         extractor.extract(word)
                     continue
-                final, status, steps = brute_extract(store, table, word, th.t_cos_sim,
+                final, status, steps = brute_extract(store, table, word, sc.t_cos_sim,
                                                      th.t_w_sem, limited, sc.sample_cap,
                                                      sc.seed)
                 assert extractor.extract(word) == ExtractionTrace(
@@ -598,7 +596,7 @@ class TestExtraction:
             trace = small_world_limited.extract(w)
             got = (trace.final, trace.status,
                    [(s.rule, s.word, s.w_sem) for s in trace.steps])
-            assert got == brute_extract(validated, table, w, th.t_cos_sim, th.t_w_sem,
+            assert got == brute_extract(validated, table, w, sc.t_cos_sim, th.t_w_sem,
                                         True, sc.sample_cap, sc.seed)
 
     def test_unknown_word_is_not_stored(self, small_world):

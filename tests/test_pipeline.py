@@ -8,7 +8,7 @@ from jzr.config import Config
 from jzr.embeddings import EmbeddingTable, load_embeddings
 from jzr.extractor import ExtractionTrace, RootExtractor, TraceStep
 from jzr.pipeline import learn_rules
-from jzr.rules import Thresholds, load_rules, save_rules
+from jzr.rules import load_rules, save_rules
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
     DEFAULT_TEMPLATES,
@@ -49,8 +49,7 @@ def planted_languages(draw):
         _, table, _ = generate(synth)
     except SurfaceCollisionError:
         reject()
-    config = Config(thresholds=Thresholds(t_r_orth=draw(st.integers(1, 5))),
-                    sample_cap=draw(st.sampled_from([4, 30])))
+    config = Config(t_r_orth=draw(st.integers(1, 5)), sample_cap=draw(st.sampled_from([4, 30])))
     return table, config
 
 
@@ -76,7 +75,7 @@ class TestBruteLearn:
             extractor = RootExtractor(loaded, table, th, sample_cap=sc.sample_cap,
                                       seed=sc.seed, limited=limited)
             for word in table.words:
-                final, status, steps = brute_extract(validated, table, word, th.t_cos_sim,
+                final, status, steps = brute_extract(validated, table, word, sc.t_cos_sim,
                                                      th.t_w_sem, limited, sc.sample_cap,
                                                      sc.seed)
                 assert extractor.extract(word) == ExtractionTrace(

@@ -1,10 +1,13 @@
-"""The names `jzr` exports, and README's library example that imports them."""
+"""The names `jzr` exports, README's library example that imports them, and
+README's table of the settings."""
 
+import json
 import re
 import types
 from pathlib import Path
 
 import jzr
+from jzr.config import SETTING_TYPES, Config
 from jzr.synthlang import SynthConfig, write_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,3 +29,15 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(example, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("fnr reached_triliteral ") for line in lines)
+
+
+def test_readme_configuration_table_is_config():
+    # The table lists every setting, in SETTING_TYPES' order (which is the
+    # order of Config's fields and of `jzr learn`'s flags), with its default.
+    readme = README.read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Configuration\n"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = re.findall(r"^\| `(\w+)` +\| (\S+) +\|", section, re.M)
+    assert [name for name, _ in rows] == list(SETTING_TYPES)
+    for name, default in rows:
+        assert (None if default == "none" else json.loads(default)) == getattr(Config(), name)

@@ -90,15 +90,31 @@ def random_rule(n_pairs, dim=64, seed=0):
 class TestThresholds:
     def test_defaults(self):
         th = Thresholds()
-        assert (th.t_cos_sim, th.t_r_sem, th.t_r_orth, th.t_w_sem) == (0.5, 0.1, 20, 0.1)
+        assert (th.t_r_sem, th.t_r_orth, th.t_w_sem) == (0.1, 20, 0.1)
 
     @pytest.mark.parametrize("kwargs", [
-        {"t_cos_sim": 1.0}, {"t_cos_sim": -1.0}, {"t_r_sem": 1.5},
-        {"t_w_sem": -0.1}, {"t_r_orth": 0},
+        {"t_r_sem": 1.5}, {"t_w_sem": -0.1}, {"t_r_orth": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             Thresholds(**kwargs)
+
+
+class TestConfig:
+    def test_thresholds_are_its_threshold_fields(self):
+        assert Config(t_r_orth=3).thresholds == Thresholds(t_r_orth=3)
+        assert Config().thresholds == Thresholds()
+
+    def test_scoring_is_its_scoring_fields(self):
+        assert Config(t_cos_sim=0.3).scoring == ScoringSettings(0.3, 100, 42)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_cos_sim": 1.0}, {"t_cos_sim": -1.0}, {"t_r_sem": 1.5},
+        {"t_w_sem": -0.1}, {"t_r_orth": 0}, {"sample_cap": 0},
+    ])
+    def test_validation(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            Config(**kwargs)
 
 
 class TestRuleScores:
@@ -425,7 +441,7 @@ class TestStoredWSem:
         stems = ["ab", "cd", "ef"]
         words = stems + [f"x{w}" for w in stems] + [f"{w}y" for w in stems]
         table = EmbeddingTable(words, np.random.default_rng(2).standard_normal((9, 8)))
-        candidates, _ = learn_rules(table, Config(thresholds=Thresholds(t_r_orth=3)))
+        candidates, _ = learn_rules(table, Config(t_r_orth=3))
         scores = {rule.key: rule.scores for rule in candidates}
         prefix = scores[ConcatRule("prefix", "", "x")]
         assert prefix == RuleScores(3, 0.0, False)
@@ -491,7 +507,7 @@ class TestCandidateStore:
         # and at or below it sem 0.0 and no w_sem, one object per orth.
         vectors = np.random.default_rng(seed).standard_normal((len(words), 8))
         table = EmbeddingTable(words, vectors)
-        cfg = Config(thresholds=Thresholds(t_r_orth=t_r_orth))
+        cfg = Config(t_r_orth=t_r_orth)
         candidates, _ = learn_rules(table, cfg)
         concat = brute_concat_rules(words, cfg.max_affix, cfg.min_stem)
         templatic = brute_templatic_rules(words, cfg.max_derived_len)
@@ -806,7 +822,7 @@ class TestDbRoundTrip:
         store = self.build()
         store.scoring = None
         path = tmp_path / "rules.db"
-        with pytest.raises(ValueError, match="no scoring settings"):
+        with pytest.raises(ValueError, match="no #scoring header line"):
             save_rules(store, path)
         assert not path.exists()
 
@@ -814,7 +830,7 @@ class TestDbRoundTrip:
         store = self.build()
         store.vocab_hash = ""
         path = tmp_path / "rules.db"
-        with pytest.raises(ValueError, match="vocab_hash"):
+        with pytest.raises(ValueError, match="no #vocab-hash header line"):
             save_rules(store, path)
         assert not path.exists()
 
@@ -826,9 +842,56 @@ class TestDbRoundTrip:
         store = self.build()
         store.candidate_counts = counts
         path = tmp_path / "rules.db"
-        with pytest.raises(ValueError, match="candidate_counts"):
+        with pytest.raises(ValueError, match="#candidates count is negative or missing"):
             save_rules(store, path)
         assert not path.exists()
+
+    # Each change to a store that saves, the line load would refuse and its
+    # reason. The "at" -> "u" rule is line 8; the vocab hash's newline makes
+    # line 3 a #scoring line, which line 5 repeats.
+    @pytest.mark.parametrize("target, name, value, line, message", [
+        ("store", "candidate_counts", {CONCATENATIVE: 1.5, TEMPLATIC: 0},
+         "line 3, '#candidates concatenative=1.5 templatic=0'", "invalid literal for int"),
+        ("store", "candidate_counts", {CONCATENATIVE: True, TEMPLATIC: 0},
+         "line 3, '#candidates concatenative=True templatic=0'", "invalid literal for int"),
+        ("store", "scoring", ScoringSettings(0.5, 100.0, 42),
+         "line 4, '#scoring t_cos_sim=0.5 sample_cap=100.0 seed=42'", "invalid literal"),
+        ("store", "scoring", ScoringSettings(0.5, 100, 4.2),
+         "line 4, '#scoring t_cos_sim=0.5 sample_cap=100 seed=4.2'", "invalid literal"),
+        ("store", "vocab_hash", "0" * 64 + "\n#scoring t_cos_sim=0.5 sample_cap=100 seed=42",
+         "line 5, '#scoring t_cos_sim=0.5 sample_cap=100 seed=42'",
+         "repeats #scoring of line 3$"),
+        ("rule", "scores", RuleScores(1.0, 0.25, True, (0.25,)),
+         "line 8, 'rule\\tconcatenative\\tsuffix\\tat\\tu\\t1.0\\t0.25\\t1'",
+         "invalid literal for int"),
+        ("rule", "key", ConcatRule("suffix", "a\tt", "u"),
+         "line 8, 'rule\\tconcatenative\\tsuffix\\ta\\tt\\tu\\t1\\t0.3333333333333333\\t1'",
+         "too many values to unpack"),
+        ("store", "vocab_hash", "0" * 64 + "\rjunk", "line 3, 'junk'",
+         "unknown record type 'junk'"),
+    ], ids=["count-1.5", "count-True", "sample_cap-100.0", "seed-4.2", "vocab_hash-newline",
+            "orth-1.0", "affix-tab", "vocab_hash-return"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, target, name, value, line,
+                                                 message):
+        # Each store passes the pair checks; only reading its other lines
+        # back as load does finds the defect. The refusal is a plain
+        # ValueError, not a RuleDbError: no input file is at fault.
+        store = self.build()
+        setattr(store if target == "store" else list(store)[1], name, value)
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError,
+                           match=f"^load_rules refuses {re.escape(line)}: {message}") as info:
+            save_rules(store, path)
+        assert type(info.value) is ValueError
+        assert not path.exists()
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        store = self.build()
+        path = tmp_path / "rules.db"
+        save_rules(store, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for _ in range(2):  # a text parse, then a cache hit
+            assert load_rules(path) == store
 
     def test_stores_compare_their_rules_in_order(self, tmp_path):
         store = self.build()
@@ -848,7 +911,7 @@ class TestDbRoundTrip:
         words = ["a>bxyz", "xyz", "axyz", "b>xyz", "a>bpqr", "pqr", "apqr", "b>pqr"]
         rng = np.random.default_rng(5)
         table = EmbeddingTable(words, rng.standard_normal((len(words), 16)))
-        _, validated = learn_rules(table, Config(thresholds=Thresholds(t_r_orth=1)))
+        _, validated = learn_rules(table, Config(t_r_orth=1))
         keys = [r.key for r in validated]
         assert ConcatRule("prefix", "a>b", "") in keys
         assert ConcatRule("prefix", "a", "b>") in keys
