@@ -6,7 +6,7 @@ extractor over the validated rules.
 """
 
 from .concat import ConcatRule, enumerate_concat_rules
-from .config import Config
+from .config import Config, Thresholds
 from .embeddings import EmbeddingTable, load_embeddings
 from .evalharness import evaluate
 from .pipeline import learn_rules
@@ -15,7 +15,6 @@ from .rules import (
     MorphRule,
     RuleScores,
     RuleStore,
-    Thresholds,
     load_rules,
     prune_rules,
     rank_rules,

@@ -14,7 +14,7 @@ from typing import get_type_hints
 
 from . import evalharness, synthlang
 from .concat import PairBudgetError
-from .config import SETTING_TYPES, Config
+from .config import SETTING_TYPES, Config, Thresholds
 from .embeddings import EmbeddingError, InvalidWordError, load_embeddings
 from .evalharness import CoverageError, PredictionFormatError
 from .extractor import RootExtractor
@@ -24,7 +24,6 @@ from .rules import (
     CONCATENATIVE,
     TEMPLATIC,
     RuleDbError,
-    Thresholds,
     load_rules,
     rank_rules,
     save_rules,
@@ -83,14 +82,7 @@ def _config_from_args(args) -> Config:
             unknown = sorted(set(source) - set(SETTING_TYPES))
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-            for name, value in source.items():
-                if value is None:
-                    continue
-                kind = SETTING_TYPES[name]
-                # An integer is a valid float; a bool, though an int, is not.
-                if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                    raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
-                merged[name] = value
+            merged.update((name, value) for name, value in source.items() if value is not None)
         return Config(**merged)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None

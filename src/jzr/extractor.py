@@ -9,7 +9,8 @@ import numpy as np
 
 from .embeddings import EmbeddingTable, validate_word, words_valid
 from .fileio import collector_paused
-from .rules import RuleDbError, RuleKey, RuleStore, Thresholds, _order_key, vocab_fingerprint
+from .config import Thresholds
+from .rules import RuleDbError, RuleKey, RuleStore, _order_key, vocab_fingerprint
 from .templatic import Template
 
 REACHED_TRILITERAL = "reached_triliteral"
@@ -92,7 +93,7 @@ class RootExtractor:
                     f"(db hash {store.vocab_hash[:12]}..., vectors hash {actual[:12]}...)"
                 )
         for name, value in (("sample_cap", sample_cap), ("seed", seed)):
-            learned = None if store.scoring is None else getattr(store.scoring, name)
+            learned = None if store.config is None else getattr(store.config, name)
             if None not in (value, learned) and value != learned:
                 raise RuleDbError(
                     f"rule DB was scored with {name}={learned!r}, not {value!r}; "

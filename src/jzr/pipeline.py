@@ -28,7 +28,7 @@ def learn_rules(table: EmbeddingTable,
     automatic collection would only re-traverse them.
     """
     cfg = config or Config()
-    t_r_orth, scoring = cfg.t_r_orth, cfg.scoring
+    t_r_orth = cfg.t_r_orth
     gated = functools.cache(lambda orth: RuleScores(orth, 0.0, False))  # frozen: one per orth
 
     def candidate(key, support) -> MorphRule:
@@ -36,12 +36,12 @@ def learn_rules(table: EmbeddingTable,
         if orth <= t_r_orth:
             return MorphRule(key, support, gated(orth))
         support = tuple(support)
-        return MorphRule(key, support, score_rule(key, support, table, scoring))
+        return MorphRule(key, support, score_rule(key, support, table, cfg))
 
     mined = itertools.chain(
         enumerate_concat_rules(table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem),
         enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len).items())
     candidates = RuleStore(itertools.starmap(candidate, mined), vocab_fingerprint(table.words),
-                           scoring=scoring)
+                           config=cfg)
     candidates.candidate_counts = candidates.count_by_kind()
     return candidates, prune_rules(candidates, cfg.thresholds)

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .concat import ConcatRule, Pair
+from .config import SETTING_TYPES, Config, Thresholds
 from .embeddings import (_NORM_EPS, EmbeddingTable, InvalidWordError, validate_word,
                          words_valid)
 from .fileio import load_cached, pack_lines, unpack_lines, write_atomic
@@ -24,8 +25,8 @@ TEMPLATIC = "templatic"
 
 RuleKey = ConcatRule | Template
 
-_DB_MAGIC = "#morphruledb 2"
-_V1_MAGIC = "#morphruledb 1"
+_DB_MAGIC = "#morphruledb 3"
+_OLD_MAGICS = ("#morphruledb 1", "#morphruledb 2")
 
 # `_count_passes` trusts an expanded |o + w1|² only above `_NORM_EPS`² plus
 # this fraction of |o|² + |w1|², which bounds its rounding many times over.
@@ -58,39 +59,6 @@ class RuleScores:
             raise ValueError("orth score is a support size and cannot be negative")
         if not 0.0 <= self.sem <= 1.0:
             raise ValueError(f"sem score out of [0, 1]: {self.sem}")
-
-
-@dataclass(frozen=True)
-class ScoringSettings:
-    """The settings semantic scores are computed with; a rule DB records them."""
-
-    t_cos_sim: float
-    sample_cap: int
-    seed: int
-
-    def __post_init__(self):
-        if not -1.0 < self.t_cos_sim < 1.0:
-            raise ValueError("t_cos_sim must lie strictly inside (-1, 1)")
-        if self.sample_cap < 1:
-            raise ValueError("sample_cap must be at least 1")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """What pruning (t_r_sem, t_r_orth) and extraction (t_w_sem) read; the
-    analogy test's t_cos_sim shapes scores, so it is a ScoringSettings field."""
-
-    t_r_sem: float = 0.1
-    t_r_orth: int = 20
-    t_w_sem: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.t_r_sem <= 1.0:
-            raise ValueError("t_r_sem must lie in [0, 1]")
-        if not 0.0 <= self.t_w_sem <= 1.0:
-            raise ValueError("t_w_sem must lie in [0, 1]")
-        if self.t_r_orth < 1:
-            raise ValueError("t_r_orth must be at least 1")
 
 
 @dataclass(slots=True)
@@ -233,23 +201,24 @@ def _count_passes(w1: np.ndarray, w2: np.ndarray, offsets: np.ndarray,
 
 
 def score_rule(key: RuleKey, support: tuple[Pair, ...], table: EmbeddingTable,
-               scoring: ScoringSettings) -> RuleScores:
+               config: Config) -> RuleScores:
     """orth, sem (r_sem) and every support pair's w_sem, from one seeded sample.
 
     Every support word must be a table word, as every mined one is. For
     query pair (w1, w2) and sample pair (w3, w4) the analogy test reads
-    cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim. A pair's w_sem is the
-    fraction of sample offsets it passes against; sem is the mean of the
-    sample's own w_sem values, the diagonal included, so a singleton
-    support scores 1.0. Every pair is counted against the sample's offsets
-    in one pass over blocks of at most `sample_cap` queries, so that no
-    block is larger than the sample. An empty support raises ValueError.
+    cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim; it, `sample_cap` and `seed`
+    are `config`'s. A pair's w_sem is the fraction of sample offsets it
+    passes against; sem is the mean of the sample's own w_sem values, the
+    diagonal included, so a singleton support scores 1.0. Every pair is
+    counted against the sample's offsets in one pass over blocks of at most
+    `sample_cap` queries, so that no block is larger than the sample. An
+    empty support raises ValueError.
     """
-    t_cos, sample_cap = scoring.t_cos_sim, scoring.sample_cap
+    t_cos, sample_cap = config.t_cos_sim, config.sample_cap
     orth = len(support)
     if not orth:
         raise ValueError(f"rule {key.key_str} has an empty support, so no score")
-    sample = support_sample(key, orth, sample_cap, scoring.seed)
+    sample = support_sample(key, orth, sample_cap, config.seed)
     n = len(sample)
     index, matrix = table.index, table.matrix
     rows = np.array([(index[a], index[b]) for a, b in support], np.intp)  # each pair's rows
@@ -279,12 +248,12 @@ class RuleStore:
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
-                 scoring: ScoringSettings | None = None):
+                 config: Config | None = None):
         self._rules: list[MorphRule] | None = list(rules)
         self._arrays: PairArrays | None = None
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
-        self.scoring = scoring
+        self.config = config
 
     def pair_arrays(self) -> PairArrays:
         """The rules and their pairs in array form, for a bulk reader.
@@ -329,7 +298,7 @@ class RuleStore:
         return (list(self) == list(other)
                 and self.vocab_hash == other.vocab_hash
                 and self.candidate_counts == other.candidate_counts
-                and self.scoring == other.scoring)
+                and self.config == other.config)
 
     def count_by_kind(self) -> dict[str, int]:
         counts = {CONCATENATIVE: 0, TEMPLATIC: 0}
@@ -354,7 +323,7 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
     ]
     survivors.sort(key=lambda rule: _order_key(rule.key, rule.scores))
     return RuleStore(survivors, vocab_hash=store.vocab_hash,
-                     candidate_counts=store.candidate_counts, scoring=store.scoring)
+                     candidate_counts=store.candidate_counts, config=store.config)
 
 
 def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[MorphRule]:
@@ -372,19 +341,21 @@ def save_rules(store: RuleStore, path) -> None:
     Each pair line carries the pair's w_sem, so extraction needs no vectors.
     Nothing is written that load_rules would refuse: the pairs get its
     checks (`_check_pairs`), and the other lines are read back as it reads
-    them (`_DbRecords`). A failure raises ValueError (InvalidWordError for
-    a bad pair word) with load's reason and line. A loaded store is not
-    unpacked. Scores and settings are written as Python numbers, so numpy
-    ones save as they would.
+    them (`_DbRecords`), which must give back the store's vocab hash,
+    candidate counts and config. A failure raises ValueError
+    (InvalidWordError for a bad pair word) with load's reason and line. A
+    loaded store is not unpacked. Scores and settings are written as Python
+    numbers, so numpy ones save as they would.
     """
     arrays = store.pair_arrays()
     _check_pairs(arrays, lambda r, p: f"rule {arrays.rules[r][0].key_str}")
-    sc, counts = store.scoring, sorted(store.candidate_counts.items())
+    cfg, counts = store.config, sorted(store.candidate_counts.items())
     lines = [_DB_MAGIC, f"#vocab-hash {store.vocab_hash}",
              "#candidates " + " ".join(f"{kind}={n}" for kind, n in counts)]
-    if sc is not None:
-        lines.append(f"#scoring t_cos_sim={float(sc.t_cos_sim)!r} sample_cap={sc.sample_cap} "
-                     f"seed={sc.seed}")
+    if cfg is not None:
+        lines.append("#config " + " ".join(
+            f"{name}={'none' if (v := getattr(cfg, name)) is None else repr(kind(v))}"
+            for name, kind in SETTING_TYPES.items()))
     records = list(range(1, len(lines)))  # the lines but the magic and the pairs
     words, bounds = arrays.words, [0, *arrays.ends.tolist()]
     for (key, s), a, b in zip(arrays.rules, bounds, bounds[1:]):
@@ -407,9 +378,13 @@ def save_rules(store: RuleStore, path) -> None:
                 raise ValueError(f"load_rules refuses line {lineno}, {line!r}: {exc}") from None
         shift = lineno - i
     try:
-        db.store(arrays)
+        loaded = db.store(arrays)
     except RuleDbError as exc:
         raise ValueError(f"load_rules refuses the DB: {exc}") from None
+    for name in ("vocab_hash", "candidate_counts", "config"):
+        if getattr(loaded, name) != getattr(store, name):
+            raise ValueError(f"load_rules would read {name} back as "
+                             f"{getattr(loaded, name)!r}, not {getattr(store, name)!r}")
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -435,7 +410,7 @@ class _DbRecords:
         self.rules: list[tuple[RuleKey, RuleScores]] = []
         self.vocab_hash = ""
         self.counts: dict[str, int] = {}
-        self.scoring: ScoringSettings | None = None
+        self.config: Config | None = None
         self.rule_lines: dict[RuleKey, int] = {}  # each rule's line, in order
         self._header_lines: dict[str, int] = {}
 
@@ -458,7 +433,7 @@ class _DbRecords:
             if sampled not in ("0", "1"):
                 raise ValueError(f"sampled must be 0 or 1: {sampled!r}")
             self.rules.append((key, RuleScores(int(orth), float(sem), sampled == "1")))
-        elif line.startswith(("#vocab-hash ", "#candidates ", "#scoring ")):
+        elif line.startswith(("#vocab-hash ", "#candidates ", "#config ")):
             name, _, value = line.partition(" ")
             if self._header_lines.setdefault(name, lineno) != lineno:
                 raise ValueError(f"repeats {name} of line {self._header_lines[name]}")
@@ -470,24 +445,26 @@ class _DbRecords:
                 if len(given) != 2 or min(self.counts.values()) < 0:
                     raise ValueError(f"#candidates count is negative or missing: {value!r}")
             else:
-                given = _parse_fields(name, value, ("t_cos_sim", "sample_cap", "seed"))
-                if len(given) != 3:
-                    raise ValueError(f"#scoring needs t_cos_sim, sample_cap and seed: {value!r}")
-                self.scoring = ScoringSettings(float(given["t_cos_sim"]),
-                                               int(given["sample_cap"]), int(given["seed"]))
+                given = _parse_fields(name, value, SETTING_TYPES)
+                missing = [field for field in SETTING_TYPES if field not in given]
+                if missing:
+                    raise ValueError(f"#config lacks {', '.join(missing)}")
+                self.config = Config(**{field: None if text == "none" else
+                                        SETTING_TYPES[field](text)
+                                        for field, text in given.items()})
         elif line and not line.startswith("#"):
             raise ValueError(f"unknown record type {record!r}")
 
     def store(self, arrays: PairArrays) -> RuleStore:
         """The store of these records and of `arrays`, which holds their pairs."""
-        if self.scoring is None:
-            raise RuleDbError("rule DB has no #scoring header line")
+        if self.config is None:
+            raise RuleDbError("rule DB has no #config header line")
         if not self.vocab_hash:
             raise RuleDbError("rule DB has no #vocab-hash header line, or it is empty")
         if not self.counts:
             raise RuleDbError("rule DB has no #candidates header line")
         store = RuleStore(vocab_hash=self.vocab_hash, candidate_counts=self.counts,
-                          scoring=self.scoring)
+                          config=self.config)
         store._rules, store._arrays = None, arrays
         return store
 
@@ -510,8 +487,10 @@ def load_rules(path) -> RuleStore:
     repeated rule or header line, a header field that is repeated or that
     its line does not name, a `#candidates` count that is negative or
     missing, and then for pairs failing save_rules' checks too
-    (`_check_pairs`); also for a DB with no `#scoring` or `#candidates`
-    line, or a missing or empty `#vocab-hash` line.
+    (`_check_pairs`); also for a DB of an older format, one with no
+    `#config` or `#candidates` line, or a missing or empty `#vocab-hash`
+    line. A `#config` line must name every setting, each with a value
+    Config accepts.
 
     The store holds its pairs as `PairArrays`, which is also what
     `load_cached` caches, with the text of every non-pair line: no pair
@@ -524,8 +503,8 @@ def load_rules(path) -> RuleStore:
 def _parse_db(fh):
     """The store of the rule DB open as text in `fh`, and its cache encoder."""
     first = fh.readline().rstrip("\n")
-    if first == _V1_MAGIC:
-        raise RuleDbError("rule DB format 1 stores no per-pair w_sem; "
+    if first in _OLD_MAGICS:
+        raise RuleDbError(f"rule DB format {first[-1]} is no longer read; "
                           "re-run `jzr learn` to rebuild it")
     if first != _DB_MAGIC:
         raise RuleDbError(f"not a rule DB (bad magic line): {first!r}")

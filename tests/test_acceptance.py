@@ -24,7 +24,6 @@ from jzr.config import Config
 from jzr.evalharness import evaluate
 from jzr.pipeline import learn_rules
 from jzr.rules import (
-    ScoringSettings,
     Thresholds,
     prune_rules,
     score_rule,
@@ -127,7 +126,7 @@ def test_criterion_3_scoring_oracle_equivalence():
             (f"w{2 * i}", f"w{2 * i + 1}") for i in range(n_pairs)
         )
         scores = score_rule(ConcatRule("prefix", "", "x"), pairs, table,
-                            ScoringSettings(0.5, 100, 42))
+                            Config())
         assert scores.sem == brute_r_sem(table, pairs, 0.5)
         for i in rng.integers(0, n_pairs, size=min(3, n_pairs)).tolist():
             assert scores.w_sem[i] == brute_w_sem(table, pairs[i], pairs, 0.5)
@@ -149,7 +148,7 @@ def test_criterion_4_analogy_identities():
         ks = rule.key_str
         pairs = tuple(sorted((e.root, w) for w, e in gold.items() if e.chain == (ks,)))
         assert len(pairs) == 60
-        sem = score_rule(rule, pairs, planted_table, ScoringSettings(0.5, 100, 42)).sem
+        sem = score_rule(rule, pairs, planted_table, Config()).sem
         assert abs(sem - 1.0) < 1e-6
 
 

@@ -1,9 +1,12 @@
 import functools
+import hashlib
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import fail_writes_halfway
@@ -289,6 +292,35 @@ class TestExtract:
         assert code == 2
         assert "re-run `jzr learn`" in capsys.readouterr().err
 
+    def test_format_2_db_is_refused_with_or_without_its_cache(self, workspace, tmp_path,
+                                                              capsys):
+        # Format 2 recorded three settings in a #scoring line. A cache of such
+        # a DB holds its lines, so it has no #config line: its decode fails,
+        # which is a miss, and the parse refuses the magic line.
+        _, _, db = workspace
+        old = tmp_path / "old.db"
+        old.write_bytes(db.read_bytes())
+        load_rules(old)  # caches it
+        lines = db.read_text(encoding="utf-8").split("\n")
+        config_line, scoring_line = lines[3], "#scoring t_cos_sim=0.5 sample_cap=100 seed=42"
+        lines[0], lines[3] = "#morphruledb 2", scoring_line
+        text = "\n".join(lines).encode("utf-8")
+        old.write_bytes(text)
+        cache = tmp_path / ".old.db.jzrcache.npz"
+        with np.load(cache) as npz:
+            arrays = dict(npz)
+        arrays["digest"] = np.frombuffer(hashlib.sha256(text).digest(), np.uint8)
+        np.savez(cache, **arrays)
+        assert load_rules(old) == load_rules(db)  # a hit: the parse would refuse it
+        arrays["lines"] = np.frombuffer(arrays["lines"].tobytes().replace(
+            config_line.encode("utf-8"), scoring_line.encode("utf-8")), np.uint8)
+        np.savez(cache, **arrays)
+        for _ in range(2):  # with the cache, then without it
+            assert main(["extract", "--rules", str(old), "--word", "abcd"]) == 2
+            assert capsys.readouterr().err == (
+                "error: rule DB format 2 is no longer read; re-run `jzr learn` to rebuild it\n")
+            cache.unlink(missing_ok=True)
+
     def test_db_without_vocab_hash_is_data_error(self, workspace, tmp_path, capsys):
         # Without the line, the DB would not name the vocabulary it was learned from.
         _, _, db = workspace
@@ -306,7 +338,7 @@ class TestExtract:
     ])
     def test_db_with_invalid_scoring_is_data_error(self, workspace, tmp_path, capsys,
                                                    old, new, name):
-        # The DB is at fault, not the flags: exit 2, naming the #scoring line.
+        # The DB is at fault, not the flags: exit 2, naming the #config line.
         _, _, db = workspace
         edited = tmp_path / "edited.db"
         edited.write_text(db.read_text(encoding="utf-8").replace(old, new),
@@ -447,7 +479,8 @@ class TestUsageAndConfig:
 
     def test_flag_beats_config_file(self, workspace, tmp_path):
         # File caps the vocabulary at 5 words; the flag restores the full
-        # fixture, so the learned DB must match the no-config run.
+        # fixture, so the learned DB must match the no-config run in every
+        # line but #config, which records the flag's top_n.
         root, fix, db = workspace
         n_words = len(load_embeddings(fix / "vectors.txt"))
         cfg = tmp_path / "cfg.json"
@@ -456,7 +489,10 @@ class TestUsageAndConfig:
         assert main(["learn", "--vectors", str(fix / "vectors.txt"),
                      "--out", str(out), "--config", str(cfg),
                      "--top-n", str(n_words)]) == 0
-        assert out.read_bytes() == db.read_bytes()
+        assert load_rules(out).config == replace(load_rules(db).config, top_n=n_words)
+        flagged, plain = (p.read_text(encoding="utf-8").split("\n") for p in (out, db))
+        assert flagged[3].startswith("#config ") and plain[3].startswith("#config ")
+        assert flagged[:3] + flagged[4:] == plain[:3] + plain[4:]
 
     def test_config_file_applies_without_flag(self, workspace, tmp_path):
         root, fix, db = workspace
@@ -467,7 +503,7 @@ class TestUsageAndConfig:
         assert main(["learn", "--vectors", str(fix / "vectors.txt"),
                      "--out", str(out), "--config", str(cfg)]) == 0
         assert len(load_rules(out)) == 0
-        assert "#scoring t_cos_sim=0.0 " in out.read_text(encoding="utf-8")
+        assert "\n#config t_cos_sim=0.0 " in out.read_text(encoding="utf-8")
 
     def test_config_file_skips_a_leading_byte_order_mark(self, workspace, tmp_path):
         root, fix, db = workspace
@@ -476,7 +512,7 @@ class TestUsageAndConfig:
         out = tmp_path / "bom.db"
         assert main(["learn", "--vectors", str(fix / "vectors.txt"),
                      "--out", str(out), "--config", str(cfg)]) == 0
-        assert "#scoring t_cos_sim=0.25 " in out.read_text(encoding="utf-8")
+        assert "\n#config t_cos_sim=0.25 " in out.read_text(encoding="utf-8")
 
     def test_unknown_config_key_is_usage_error(self, workspace, tmp_path, capsys):
         root, fix, _ = workspace

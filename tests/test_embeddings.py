@@ -14,6 +14,7 @@ from conftest import random_table
 from oracles import brute_valid_word
 from jzr import embeddings, fileio
 from jzr.concat import ConcatRule
+from jzr.config import Config
 from jzr.embeddings import (
     DimensionMismatchError,
     EmbeddingError,
@@ -25,7 +26,7 @@ from jzr.embeddings import (
     validate_word,
     words_valid,
 )
-from jzr.rules import ScoringSettings, _count_passes, score_rule
+from jzr.rules import _count_passes, score_rule
 
 
 def write(tmp_path, text, name="vecs.txt"):
@@ -430,7 +431,7 @@ def kernel_cosine_is(target, query, expected, tol=1e-12):
 
 def singleton_sem(table, w1, w2, t_cos):
     return score_rule(ConcatRule("prefix", "", "x"), ((w1, w2),), table,
-                      ScoringSettings(t_cos, 100, 42)).sem
+                      Config(t_cos_sim=t_cos)).sem
 
 
 class TestCosine:
@@ -480,7 +481,7 @@ class TestAnalogy:
         a, c, o = rng.standard_normal((3, 12))
         table = EmbeddingTable(["a", "b", "c", "d"], [a, a + o, c, c + o])
         scores = score_rule(ConcatRule("prefix", "", "x"), (("a", "b"), ("c", "d")), table,
-                            ScoringSettings(1.0 - 1e-12, 100, 42))
+                            Config(t_cos_sim=1.0 - 1e-12))
         assert (scores.sem, scores.w_sem) == (1.0, (1.0, 1.0))
 
     def test_random_words_rarely_analogous(self):

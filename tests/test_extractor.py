@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import brute_extract, brute_valid_word
 from jzr import rules as rules_module
 from jzr.concat import ConcatRule
+from jzr.config import Config
 from jzr.embeddings import EmbeddingTable, InvalidWordError
 from jzr.extractor import (
     INFEASIBLE_STOP,
@@ -24,7 +25,6 @@ from jzr.rules import (
     RuleDbError,
     RuleScores,
     RuleStore,
-    ScoringSettings,
     Thresholds,
     load_rules,
     save_rules,
@@ -66,9 +66,9 @@ def planted_world(rules, n_genuine=4, dim=64, seed=0):
         rules_out.append((key, tuple(sorted(support))))
     words = list(vecs)
     table = EmbeddingTable(words, np.array([vecs[w] for w in words]))
-    sc = ScoringSettings(0.5, 100, 42)
+    sc = Config()
     return RuleStore([MorphRule(key, support, score_rule(key, support, table, sc))
-                      for key, support in rules_out], scoring=sc), table
+                      for key, support in rules_out], config=sc), table
 
 
 class TestStepKinds:
@@ -116,7 +116,7 @@ def assert_matches_brute_extract(store, table, limited, th=Thresholds()):
     for word in table.words:
         trace = extractor.extract(word)
         got = (trace.final, trace.status, [(s.rule, s.word, s.w_sem) for s in trace.steps])
-        assert got == brute_extract(store, table, word, store.scoring.t_cos_sim, th.t_w_sem,
+        assert got == brute_extract(store, table, word, store.config.t_cos_sim, th.t_w_sem,
                                     limited)
     return extractor
 
@@ -128,7 +128,7 @@ def with_sem(store, sems):
     rules = {rule.key: rule for rule in store}
     return RuleStore([MorphRule(key, rules[key].support,
                                 replace(rules[key].scores, sem=sem)) for key, sem in sems],
-                     scoring=store.scoring)
+                     config=store.config)
 
 
 class TestRankTieBreaks:
@@ -219,7 +219,7 @@ class TestDeepChain:
             trace = extractor.extract(word)
             got = (trace.final, trace.status,
                    [(s.rule, s.word, s.w_sem) for s in trace.steps])
-            assert got == brute_extract(store, table, word, store.scoring.t_cos_sim,
+            assert got == brute_extract(store, table, word, store.config.t_cos_sim,
                                         th.t_w_sem, limited)
 
 
@@ -356,13 +356,14 @@ def small_stores(draw):
     table = EmbeddingTable(words, rng.standard_normal((len(words), 2)))
     thresholds = Thresholds(t_w_sem=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5])))
     seed = draw(st.integers(0, 3))
-    scoring = ScoringSettings(draw(st.sampled_from([0.0, 0.3, 0.5])), SAMPLE_CAP, seed)
+    cfg = Config(t_cos_sim=draw(st.sampled_from([0.0, 0.3, 0.5])), sample_cap=SAMPLE_CAP,
+                 seed=seed)
     rules = []
     for key in draw(st.lists(st.sampled_from(KEYS), min_size=2, unique=True)):
         support = tuple(sorted(draw(st.lists(st.sampled_from(pairs), min_size=1,
                                              max_size=3 * SAMPLE_CAP, unique=True))))
         rules.append(MorphRule(key, support, replace(
-            score_rule(key, support, table, scoring),
+            score_rule(key, support, table, cfg),
             sem=draw(st.sampled_from([0.5, 1.0])), orth=draw(st.integers(21, 23)))))
     sources = [w for w in words if len(w) >= 3]
     if sources and draw(st.booleans()):
@@ -370,7 +371,7 @@ def small_stores(draw):
         invalid_pair = (source, source + draw(st.sampled_from(BAD_CHARS)))
         rules.append(MorphRule(INVALID_KEY, (invalid_pair,), RuleScores(
             draw(st.integers(21, 23)), draw(st.sampled_from([0.5, 1.0])), False, (1.0,))))
-    return RuleStore(rules, scoring=scoring), table, thresholds
+    return RuleStore(rules, config=cfg), table, thresholds
 
 
 # Words outside the vocabulary: valid ones of three letters or more,
@@ -394,7 +395,7 @@ class TestOracle:
         # gets the oracle's trace, which for a word with no step is its
         # no-step trace.
         store, table, th = world
-        sc = store.scoring
+        sc = store.config
         derived = [w2 for rule in store for _, w2 in rule.support]
         for limited in (False, True):
             extractor = RootExtractor(store, table, th, sample_cap=sc.sample_cap,
@@ -416,7 +417,7 @@ class TestStoreOrder:
     @given(small_stores())
     def test_build_does_not_depend_on_store_order(self, world):
         store, table, th = world
-        reverse = RuleStore(list(store)[::-1], scoring=store.scoring)
+        reverse = RuleStore(list(store)[::-1], config=store.config)
         derived = [w2 for rule in store for _, w2 in rule.support]
         for limited in (False, True):
             forward_ex = RootExtractor(store, table, th, limited=limited)
@@ -435,7 +436,7 @@ def savable(store, table):
         rules.append(MorphRule(rule.key, tuple(rule.support[i] for i in keep), replace(
             rule.scores, orth=len(keep), w_sem=tuple(rule.scores.w_sem[i] for i in keep))))
     return RuleStore(rules, vocab_hash=vocab_fingerprint(table.words),
-                     candidate_counts=COUNTS, scoring=store.scoring)
+                     candidate_counts=COUNTS, config=store.config)
 
 
 class TestLoadedStore:
@@ -553,7 +554,7 @@ class TestExtraction:
                 assert len(step.word) < len(current)
                 assert (step.word, current) in rule.support
                 recomputed = score_rule(rule.key, rule.support, table,
-                                        validated.scoring).w_sem
+                                        validated.config).w_sem
                 assert recomputed[rule.support.index((step.word, current))] == step.w_sem
                 assert step.w_sem > th.t_w_sem
                 current = step.word
@@ -591,7 +592,7 @@ class TestExtraction:
 
     def test_limited_matches_brute_extract(self, small_world, small_world_limited):
         _, words, table, _, validated, _ = small_world
-        th, sc = Thresholds(), validated.scoring
+        th, sc = Thresholds(), validated.config
         for w in words:
             trace = small_world_limited.extract(w)
             got = (trace.final, trace.status,

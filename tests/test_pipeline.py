@@ -61,7 +61,7 @@ class TestBruteLearn:
         # loads back equal; and the loaded DB's extractors give every word
         # brute_extract's trace, in both modes.
         table, config = language
-        th, sc = config.thresholds, config.scoring
+        th = config.thresholds
         _, validated = learn_rules(table, config)
         rules, counts = brute_learn(table, config)
         assert [(r.key, r.support, r.scores.orth, r.scores.sem, r.scores.sampled,
@@ -70,14 +70,14 @@ class TestBruteLearn:
         path = tmp_path_factory.mktemp("learn") / "rules.db"
         save_rules(validated, path)
         loaded = load_rules(path)
-        assert loaded == validated
+        assert loaded == validated and loaded.config == config
         for limited in (False, True):
-            extractor = RootExtractor(loaded, table, th, sample_cap=sc.sample_cap,
-                                      seed=sc.seed, limited=limited)
+            extractor = RootExtractor(loaded, table, th, sample_cap=config.sample_cap,
+                                      seed=config.seed, limited=limited)
             for word in table.words:
-                final, status, steps = brute_extract(validated, table, word, sc.t_cos_sim,
-                                                     th.t_w_sem, limited, sc.sample_cap,
-                                                     sc.seed)
+                final, status, steps = brute_extract(validated, table, word, config.t_cos_sim,
+                                                     th.t_w_sem, limited, config.sample_cap,
+                                                     config.seed)
                 assert extractor.extract(word) == ExtractionTrace(
                     word, tuple(TraceStep(*step) for step in steps), final, status)
 

@@ -6,8 +6,13 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import jzr
 from jzr.config import SETTING_TYPES, Config
+from jzr.embeddings import EmbeddingTable
+from jzr.pipeline import learn_rules
+from jzr.rules import save_rules
 from jzr.synthlang import SynthConfig, write_fixture
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,9 +36,10 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert any(line.startswith("fnr reached_triliteral ") for line in lines)
 
 
-def test_readme_configuration_table_is_config():
+def test_readme_configuration_table_is_config(tmp_path):
     # The table lists every setting, in SETTING_TYPES' order (which is the
-    # order of Config's fields and of `jzr learn`'s flags), with its default.
+    # order of Config's fields, of `jzr learn`'s flags and of a rule DB's
+    # #config line), with its default.
     readme = README.read_text(encoding="utf-8")
     section = readme[readme.index("\n## Configuration\n"):]
     section = section[:section.index("\n## ", 1)]
@@ -41,3 +47,10 @@ def test_readme_configuration_table_is_config():
     assert [name for name, _ in rows] == list(SETTING_TYPES)
     for name, default in rows:
         assert (None if default == "none" else json.loads(default)) == getattr(Config(), name)
+    words = ["abc", "xabc", "abd", "xabd"]
+    _, validated = learn_rules(EmbeddingTable(words, np.eye(4)), Config())
+    save_rules(validated, tmp_path / "rules.db")
+    line = (tmp_path / "rules.db").read_text(encoding="utf-8").split("\n")[3]
+    header, *fields = line.split(" ")
+    assert header == "#config"
+    assert [field.split("=")[0] for field in fields] == [name for name, _ in rows]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from jzr import rules
 from jzr.cli import main
+from jzr.config import SETTING_TYPES
 from jzr.rules import load_rules, save_rules
 from jzr.synthlang import SynthConfig, write_fixture
 
@@ -29,6 +30,11 @@ ODD_VALUES = ("nan", "1e400", "-0.0", "", "\t", "\x01")
 
 # A field: a run of characters between tabs, spaces and the `=` of a header.
 FIELD = re.compile(r"[^\t =]+")
+
+# A value each setting refuses; seed takes any int, so its own is a float.
+OUT_OF_RANGE = {"t_cos_sim": "1.0", "t_r_sem": "1.5", "t_r_orth": "0", "t_w_sem": "-0.1",
+                "max_affix": "-1", "min_stem": "0", "max_derived_len": "-1",
+                "sample_cap": "0", "seed": "4.2", "top_n": "-1"}
 
 
 def edits(lines: list[str]):
@@ -130,6 +136,27 @@ def test_mutated_rule_db(fixtures, data):
     assert again == first
     save_rules(again, out / "resaved.db")
     assert (out / "resaved.db").read_bytes() == (out / "saved.db").read_bytes()
+
+
+def test_mutated_config_line(fixtures):
+    # Each setting of the #config line dropped, repeated, renamed, out of
+    # range, or `none` where a number must be: every one a data error.
+    made, out = fixtures
+    lines = (made["db"] / "rules.db").read_text(encoding="utf-8").split("\n")
+    header, *fields = lines[3].split(" ")
+    assert header == "#config" and [f.split("=")[0] for f in fields] == list(SETTING_TYPES)
+    for i, field in enumerate(fields):
+        name, value = field.split("=")
+        edits = [fields[:i] + fields[i + 1:], fields[:i + 1] + fields[i:],
+                 fields[:i] + [f"{name}x={value}"] + fields[i + 1:],
+                 fields[:i] + [f"{name}={OUT_OF_RANGE[name]}"] + fields[i + 1:]]
+        if value != "none":
+            edits.append(fields[:i] + [f"{name}=none"] + fields[i + 1:])
+        for edited in edits:
+            lines[3] = " ".join([header, *edited])
+            (out / "config.db").write_text("\n".join(lines), encoding="utf-8")
+            assert run("rank", "--rules", out / "config.db") == 2, edited
+            assert run("extract", "--rules", out / "config.db", "--word", "abcd") == 2, edited
 
 
 @settings(max_examples=25)

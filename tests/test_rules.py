@@ -30,7 +30,6 @@ from jzr.rules import (
     RuleDbError,
     RuleScores,
     RuleStore,
-    ScoringSettings,
     Thresholds,
     _count_passes,
     load_rules,
@@ -66,7 +65,7 @@ def offset_rule(n_pairs, dim=32, seed=0, noise=0.0):
 
 
 def scoring(t_cos=0.5, sample_cap=100, seed=42):
-    return ScoringSettings(t_cos, sample_cap, seed)
+    return Config(t_cos_sim=t_cos, sample_cap=sample_cap, seed=seed)
 
 
 def score(support, table, **kwargs):
@@ -105,16 +104,25 @@ class TestConfig:
         assert Config(t_r_orth=3).thresholds == Thresholds(t_r_orth=3)
         assert Config().thresholds == Thresholds()
 
-    def test_scoring_is_its_scoring_fields(self):
-        assert Config(t_cos_sim=0.3).scoring == ScoringSettings(0.3, 100, 42)
-
+    # A wrongly typed value is refused, not truncated or left to fail later.
     @pytest.mark.parametrize("kwargs", [
         {"t_cos_sim": 1.0}, {"t_cos_sim": -1.0}, {"t_r_sem": 1.5},
         {"t_w_sem": -0.1}, {"t_r_orth": 0}, {"sample_cap": 0},
+        {"sample_cap": -5}, {"seed": 4.2}, {"sample_cap": 2.5}, {"t_r_orth": 20.5},
+        {"top_n": True}, {"max_affix": 2.5}, {"t_cos_sim": "0.5"}, {"t_r_sem": None},
+        {"min_stem": np.float64(2.0)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Config(**kwargs)
+
+    def test_extremes_accepted(self):
+        assert Config(t_cos_sim=-0.999, sample_cap=1, seed=-7).sample_cap == 1
+
+    def test_numpy_numbers_and_an_int_for_a_float_are_accepted(self):
+        cfg = Config(t_cos_sim=np.float32(0.25), t_r_sem=0, sample_cap=np.int64(3),
+                     seed=np.uint8(7), top_n=np.int32(10))
+        assert cfg == Config(t_cos_sim=0.25, t_r_sem=0.0, sample_cap=3, seed=7, top_n=10)
 
 
 class TestRuleScores:
@@ -127,19 +135,6 @@ class TestRuleScores:
     def test_validation(self, args, message):
         with pytest.raises(ValueError, match=message):
             RuleScores(*args)
-
-
-class TestScoringSettings:
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"t_cos": 1.0}, "t_cos_sim"), ({"t_cos": -1.0}, "t_cos_sim"),
-        ({"sample_cap": 0}, "sample_cap"), ({"sample_cap": -5}, "sample_cap"),
-    ])
-    def test_validation(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            scoring(**kwargs)
-
-    def test_extremes_accepted(self):
-        assert scoring(t_cos=-0.999, sample_cap=1, seed=-7).sample_cap == 1
 
 
 class TestScoreRSem:
@@ -322,7 +317,7 @@ class TestStoreAndPrune:
         rules = [MorphRule(ConcatRule("prefix", "", "x"), ((root, "x" + root),),
                            RuleScores(1, 1.0, False, (1.0,))) for root in ("abc", "def")]
         store = RuleStore(rules, vocab_hash=vocab_fingerprint(["abc"]),
-                          candidate_counts=COUNTS, scoring=SCORING)
+                          candidate_counts=COUNTS, config=CONFIG)
         assert list(store) == rules
         path = tmp_path / "rules.db"
         with pytest.raises(ValueError, match=r"^duplicate rule key: concat:prefix:>x$"):
@@ -332,7 +327,7 @@ class TestStoreAndPrune:
             RootExtractor(store)
         other = replace(rules[1], key=ConcatRule("prefix", "", "y"))
         store = RuleStore([rules[0], other], vocab_hash=store.vocab_hash,
-                          candidate_counts=COUNTS, scoring=SCORING)
+                          candidate_counts=COUNTS, config=CONFIG)
         save_rules(store, path)  # distinct keys save
         assert load_rules(path) == store
 
@@ -412,7 +407,7 @@ class TestStoredWSem:
         # vector norms on both sides of the zero-norm guard.
         support, unit = random_rule(n, dim=16, seed=seed)
         table = EmbeddingTable(unit.words, unit.matrix * 10.0 ** scale_exp)
-        scores = score_rule(KEY, support, table, ScoringSettings(t_cos, cap, seed))
+        scores = score_rule(KEY, support, table, scoring(t_cos, cap, seed))
         sample = support_sample(KEY, n, cap, seed)
         sample_pairs = [support[i] for i in sample]
         assert scores.sampled == (n > cap)
@@ -517,7 +512,7 @@ class TestCandidateStore:
         assert candidates.candidate_counts == {CONCATENATIVE: len(concat),
                                                TEMPLATIC: len(templatic)}
         assert candidates.vocab_hash == vocab_fingerprint(words)
-        assert candidates.scoring == cfg.scoring
+        assert candidates.config == cfg
         gated: dict[int, RuleScores] = {}
         for rule in candidates:
             orth = len(rule.support)
@@ -525,7 +520,7 @@ class TestCandidateStore:
                 assert rule.scores is gated.setdefault(orth, rule.scores)
                 assert rule.scores == RuleScores(orth, 0.0, False)
             else:
-                assert rule.scores == score_rule(rule.key, rule.support, table, cfg.scoring)
+                assert rule.scores == score_rule(rule.key, rule.support, table, cfg)
 
     def test_mining_into_the_store_adds_a_record_and_a_slot_per_candidate(self):
         # Mining peaks with one side's stem index alive and every key and
@@ -547,7 +542,7 @@ class TestCandidateStore:
         def store_of(rules):
             mined = itertools.chain(rules, templatic.items())
             return RuleStore((MorphRule(key, support, gated) for key, support in mined),
-                             scoring=scoring())
+                             config=scoring())
 
         def peak(make):
             gc.collect()
@@ -593,7 +588,9 @@ class TestCandidateStore:
         assert kept / gated < 280
 
 
-SCORING = ScoringSettings(0.5, 100, 42)
+CONFIG = Config()
+CONFIG_LINE = ("#config t_cos_sim=0.5 t_r_sem=0.1 t_r_orth=20 t_w_sem=0.1 max_affix=6 "
+               "min_stem=2 max_derived_len=12 sample_cap=100 seed=42 top_n=none")
 COUNTS = {CONCATENATIVE: 1, TEMPLATIC: 0}
 
 
@@ -612,7 +609,7 @@ class TestDbRoundTrip:
         ]
         return RuleStore(rules, vocab_hash=vocab_fingerprint(["a", "b"]),
                          candidate_counts={"concatenative": 10, "templatic": 3},
-                         scoring=SCORING)
+                         config=CONFIG)
 
     def saved_lines(self, tmp_path):
         path = tmp_path / "rules.db"
@@ -640,7 +637,8 @@ class TestDbRoundTrip:
                                           sem=np.float64(rule.scores.sem)))
              for rule in store],
             vocab_hash=store.vocab_hash, candidate_counts=store.candidate_counts,
-            scoring=ScoringSettings(np.float64(0.5), np.int64(100), np.int64(42)))
+            config=Config(t_cos_sim=np.float64(0.5), sample_cap=np.int64(100),
+                          seed=np.int64(42)))
         path, np_path = tmp_path / "rules.db", tmp_path / "np.db"
         save_rules(store, path)
         save_rules(np_store, np_path)
@@ -670,8 +668,8 @@ class TestDbRoundTrip:
 
     def test_header_records_scoring_and_pairs_their_w_sem(self, tmp_path):
         _, lines = self.saved_lines(tmp_path)
-        assert lines[0] == "#morphruledb 2"
-        assert lines[3] == "#scoring t_cos_sim=0.5 sample_cap=100 seed=42"
+        assert lines[0] == "#morphruledb 3"
+        assert lines[3] == CONFIG_LINE
         assert lines[4:7] == ["rule\tconcatenative\tprefix\t\tal\t2\t1.0\t0",
                               "pair\tjaras\taljaras\t1.0",
                               "pair\tmaktab\talmaktab\t0.5"]
@@ -697,15 +695,22 @@ class TestDbRoundTrip:
         (lambda ls: ls[:5] + [ls[5].replace("\tjaras", "\tja\u3000ras")] + ls[6:], 6,
          re.escape("character: 'ja\\u3000ras'")),
         (lambda ls: ls[:4] + [ls[4][:-1] + "yes"] + ls[5:], 5, "sampled must be 0 or 1"),
-        (lambda ls: ls[:3] + ["#scoring t_cos_sim=0.5 seed=42"] + ls[4:], 4, "#scoring"),
+        (lambda ls: ls[:3] + [ls[3].replace(" seed=42", "")] + ls[4:], 4,
+         "#config lacks seed$"),
+        (lambda ls: ls[:3] + [ls[3] + " bogus=3"] + ls[4:], 4,
+         "#config has unknown field 'bogus'$"),
+        (lambda ls: ls[:3] + [ls[3].replace("top_n=none", "top_n=0.5")] + ls[4:], 4,
+         "invalid literal for int"),
+        (lambda ls: ls[:3] + [ls[3].replace("seed=42", "seed=none")] + ls[4:], 4,
+         "seed must be int, got None$"),
         (lambda ls: ls[:3] + [ls[3].replace("=0.5", "=5.0")] + ls[4:], 4, "t_cos_sim"),
         (lambda ls: ls[:3] + [ls[3].replace("=100", "=0")] + ls[4:], 4, "sample_cap"),
         (lambda ls: ls[:4] + ["#vocab-hash " + "0" * 64] + ls[4:], 5,
          "repeats #vocab-hash of line 2$"),
-        (lambda ls: ls[:4] + ["#scoring t_cos_sim=0.5 sample_cap=100 seed=7"] + ls[4:], 5,
-         "repeats #scoring of line 4$"),
+        (lambda ls: ls[:4] + [ls[3].replace("seed=42", "seed=7")] + ls[4:], 5,
+         "repeats #config of line 4$"),
         (lambda ls: ls[:3] + [ls[3] + " seed=7"] + ls[4:], 4,
-         "#scoring repeats field 'seed'$"),
+         "#config repeats field 'seed'$"),
         (lambda ls: ls[:2] + ["#candidates concatenative=5 concatenative=9"] + ls[3:], 3,
          "#candidates repeats field 'concatenative'$"),
         (lambda ls: ls[:2] + [ls[2] + " bogus=3"] + ls[3:], 3,
@@ -756,7 +761,7 @@ class TestDbRoundTrip:
         store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), (pair,),
                                      RuleScores(1, 1.0, False, (1.0,)))],
                           vocab_hash=vocab_fingerprint(["a"]), candidate_counts=COUNTS,
-                          scoring=SCORING)
+                          config=CONFIG)
         path = tmp_path / "rules.db"
         with pytest.raises(InvalidWordError):
             save_rules(store, path)
@@ -775,7 +780,7 @@ class TestDbRoundTrip:
                                                        message):
         store = RuleStore([MorphRule(ConcatRule("prefix", "", "wa"), support, scores)],
                           vocab_hash=vocab_fingerprint(["a"]), candidate_counts=COUNTS,
-                          scoring=SCORING)
+                          config=CONFIG)
         path = tmp_path / "rules.db"
         with pytest.raises(ValueError, match=f"^rule concat:prefix:>wa: {message}"):
             save_rules(store, path)
@@ -806,7 +811,7 @@ class TestDbRoundTrip:
     def test_missing_scoring_header(self, tmp_path):
         path, lines = self.saved_lines(tmp_path)
         path.write_text("\n".join(lines[:3] + lines[4:]) + "\n", encoding="utf-8")
-        with pytest.raises(RuleDbError, match="#scoring"):
+        with pytest.raises(RuleDbError, match="^rule DB has no #config header line$"):
             load_rules(path)
 
     @pytest.mark.parametrize("edit", [lambda ls: ls[:1] + ls[2:],
@@ -820,9 +825,9 @@ class TestDbRoundTrip:
 
     def test_save_refuses_a_store_without_scoring(self, tmp_path):
         store = self.build()
-        store.scoring = None
+        store.config = None
         path = tmp_path / "rules.db"
-        with pytest.raises(ValueError, match="no #scoring header line"):
+        with pytest.raises(ValueError, match="no #config header line"):
             save_rules(store, path)
         assert not path.exists()
 
@@ -848,19 +853,14 @@ class TestDbRoundTrip:
 
     # Each change to a store that saves, the line load would refuse and its
     # reason. The "at" -> "u" rule is line 8; the vocab hash's newline makes
-    # line 3 a #scoring line, which line 5 repeats.
+    # line 3 a #config line, which line 5 repeats.
     @pytest.mark.parametrize("target, name, value, line, message", [
         ("store", "candidate_counts", {CONCATENATIVE: 1.5, TEMPLATIC: 0},
          "line 3, '#candidates concatenative=1.5 templatic=0'", "invalid literal for int"),
         ("store", "candidate_counts", {CONCATENATIVE: True, TEMPLATIC: 0},
          "line 3, '#candidates concatenative=True templatic=0'", "invalid literal for int"),
-        ("store", "scoring", ScoringSettings(0.5, 100.0, 42),
-         "line 4, '#scoring t_cos_sim=0.5 sample_cap=100.0 seed=42'", "invalid literal"),
-        ("store", "scoring", ScoringSettings(0.5, 100, 4.2),
-         "line 4, '#scoring t_cos_sim=0.5 sample_cap=100 seed=4.2'", "invalid literal"),
-        ("store", "vocab_hash", "0" * 64 + "\n#scoring t_cos_sim=0.5 sample_cap=100 seed=42",
-         "line 5, '#scoring t_cos_sim=0.5 sample_cap=100 seed=42'",
-         "repeats #scoring of line 3$"),
+        ("store", "vocab_hash", "0" * 64 + "\n" + CONFIG_LINE, f"line 5, '{CONFIG_LINE}'",
+         "repeats #config of line 3$"),
         ("rule", "scores", RuleScores(1.0, 0.25, True, (0.25,)),
          "line 8, 'rule\\tconcatenative\\tsuffix\\tat\\tu\\t1.0\\t0.25\\t1'",
          "invalid literal for int"),
@@ -869,8 +869,8 @@ class TestDbRoundTrip:
          "too many values to unpack"),
         ("store", "vocab_hash", "0" * 64 + "\rjunk", "line 3, 'junk'",
          "unknown record type 'junk'"),
-    ], ids=["count-1.5", "count-True", "sample_cap-100.0", "seed-4.2", "vocab_hash-newline",
-            "orth-1.0", "affix-tab", "vocab_hash-return"])
+    ], ids=["count-1.5", "count-True", "vocab_hash-newline", "orth-1.0", "affix-tab",
+            "vocab_hash-return"])
     def test_save_refuses_what_load_would_refuse(self, tmp_path, target, name, value, line,
                                                  message):
         # Each store passes the pair checks; only reading its other lines
@@ -885,6 +885,34 @@ class TestDbRoundTrip:
         assert type(info.value) is ValueError
         assert not path.exists()
 
+    # Each store would load as another store: a hash that loses its line
+    # end, or a count that comes back an int.
+    @pytest.mark.parametrize("name, value, message", [
+        ("vocab_hash", "0" * 64 + "\n", "vocab_hash back as '0{64}', not '0{64}\\\\n'$"),
+        ("candidate_counts", {CONCATENATIVE: "1", TEMPLATIC: 0},
+         "candidate_counts back as {'concatenative': 1, "),
+    ], ids=["vocab_hash-line-end", "count-str"])
+    def test_save_refuses_a_store_that_would_read_back_unequal(self, tmp_path, name, value,
+                                                              message):
+        store = self.build()
+        setattr(store, name, value)
+        path = tmp_path / "rules.db"
+        with pytest.raises(ValueError, match=f"^load_rules would read {message}") as info:
+            save_rules(store, path)
+        assert type(info.value) is ValueError
+        assert not path.exists()
+
+    def test_a_learned_db_records_its_whole_config(self, tmp_path):
+        _, table, _ = generate(SynthConfig(n_roots=12, chain_depth=2, seed=3))
+        cfg = Config(t_cos_sim=0.25, t_r_sem=0.05, t_r_orth=2, t_w_sem=0.3, max_affix=4,
+                     min_stem=3, max_derived_len=10, sample_cap=7, seed=9, top_n=len(table))
+        _, validated = learn_rules(table, cfg)
+        assert len(validated) and validated.config == cfg
+        path = tmp_path / "rules.db"
+        save_rules(validated, path)
+        for _ in range(2):  # a text parse, then a cache hit
+            assert load_rules(path) == validated
+
     def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
         store = self.build()
         path = tmp_path / "rules.db"
@@ -897,7 +925,7 @@ class TestDbRoundTrip:
         store = self.build()
         first, second, *rest = store
         swapped = RuleStore([second, first, *rest], vocab_hash=store.vocab_hash,
-                            candidate_counts=store.candidate_counts, scoring=store.scoring)
+                            candidate_counts=store.candidate_counts, config=store.config)
         assert swapped != store and store != list(store)
         path = tmp_path / "rules.db"
         save_rules(swapped, path)
@@ -923,7 +951,7 @@ class TestDbRoundTrip:
         rule = MorphRule(ConcatRule("prefix", "al", ""), (("almaktab", "maktab"),),
                          RuleScores(1, 1.0, False, (1.0,)))
         store = RuleStore([rule], vocab_hash=vocab_fingerprint(["almaktab", "maktab"]),
-                          candidate_counts=COUNTS, scoring=SCORING)
+                          candidate_counts=COUNTS, config=CONFIG)
         path = tmp_path / "rules.db"
         save_rules(store, path)
         loaded = load_rules(path)
@@ -970,6 +998,13 @@ _KEY = st.one_of(
               st.text("abk>\\é", min_size=1, max_size=3)),
     st.sampled_from([Template(("ma", "", "a", "")), Template(("i", "a", "i", "e"))]),
 )
+# Any Config: every setting across its range, top_n set or not.
+_CONFIGS = st.builds(
+    Config, t_cos_sim=st.floats(-0.999, 0.999), t_r_sem=st.floats(0.0, 1.0),
+    t_r_orth=st.integers(1, 10**6), t_w_sem=st.floats(0.0, 1.0),
+    max_affix=st.integers(0, 10**6), min_stem=st.integers(1, 10**6),
+    max_derived_len=st.integers(0, 10**6), sample_cap=st.integers(1, 10**6),
+    seed=st.integers(-2**70, 2**70), top_n=st.none() | st.integers(0, 10**9))
 
 
 @st.composite
@@ -987,7 +1022,7 @@ def saved_stores(draw):
     counts = draw(st.fixed_dictionaries({CONCATENATIVE: st.integers(0, 10**6),
                                          TEMPLATIC: st.integers(0, 10**6)}))
     return RuleStore(rules_, vocab_hash=vocab_fingerprint(["a"]), candidate_counts=counts,
-                     scoring=SCORING)
+                     config=draw(_CONFIGS))
 
 
 @st.composite
@@ -1018,7 +1053,7 @@ def defective_stores(draw):
         support[j] = (draw(st.sampled_from(["", "a b", "a\x07b", "\x85"])), support[j][1])
     rules_[i] = MorphRule(key, tuple(support), replace(scores, orth=orth, w_sem=tuple(w_sem)))
     return RuleStore(rules_, vocab_hash=store.vocab_hash,
-                     candidate_counts=store.candidate_counts, scoring=store.scoring)
+                     candidate_counts=store.candidate_counts, config=store.config)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,9 @@ import pytest
 from conftest import fail_writes_halfway
 from oracles import analogy_score
 from jzr.concat import PREFIX, ConcatRule
+from jzr.config import Config
 from jzr.evalharness import PredictionFormatError
-from jzr.rules import ScoringSettings, score_rule
+from jzr.rules import score_rule
 from jzr.synthlang import (
     DEFAULT_AFFIXES,
     DEFAULT_TEMPLATES,
@@ -133,7 +134,7 @@ class TestGenerate:
             pairs = tuple(sorted(
                 (e.root, w) for w, e in gold.items() if e.chain == (ks,)
             ))
-            sem = score_rule(rule, pairs, table, ScoringSettings(0.5, 100, 42)).sem
+            sem = score_rule(rule, pairs, table, Config()).sem
             assert sem == pytest.approx(1.0, abs=1e-6)
 
     def test_alphabet_too_small(self):
@@ -180,7 +181,7 @@ class TestGenerate:
                     pairs.append((w1, w2))
             fake = ConcatRule(PREFIX, "", "zz")
             if score_rule(fake, tuple(sorted(pairs)), table,
-                          ScoringSettings(0.5, 100, 42)).sem >= 0.3:
+                          Config()).sem >= 0.3:
                 failures += 1
         assert failures <= 1
 
