@@ -7,9 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import Thresholds
 from .embeddings import EmbeddingTable, validate_word, words_valid
 from .fileio import collector_paused
-from .config import Thresholds
 from .rules import RuleDbError, RuleKey, RuleStore, _order_key, vocab_fingerprint
 from .templatic import Template
 

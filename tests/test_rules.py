@@ -119,11 +119,6 @@ class TestConfig:
     def test_extremes_accepted(self):
         assert Config(t_cos_sim=-0.999, sample_cap=1, seed=-7).sample_cap == 1
 
-    def test_numpy_numbers_and_an_int_for_a_float_are_accepted(self):
-        cfg = Config(t_cos_sim=np.float32(0.25), t_r_sem=0, sample_cap=np.int64(3),
-                     seed=np.uint8(7), top_n=np.int32(10))
-        assert cfg == Config(t_cos_sim=0.25, t_r_sem=0.0, sample_cap=3, seed=7, top_n=10)
-
 
 class TestRuleScores:
     @pytest.mark.parametrize("args, message", [
