@@ -206,13 +206,13 @@ def score_rule(key: RuleKey, support: tuple[Pair, ...], table: EmbeddingTable,
 
     Every support word must be a table word, as every mined one is. For
     query pair (w1, w2) and sample pair (w3, w4) the analogy test reads
-    cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim; it, `sample_cap` and `seed`
-    are `config`'s. A pair's w_sem is the fraction of sample offsets it
-    passes against; sem is the mean of the sample's own w_sem values, the
-    diagonal included, so a singleton support scores 1.0. Every pair is
-    counted against the sample's offsets in one pass over blocks of at most
-    `sample_cap` queries, so that no block is larger than the sample. An
-    empty support raises ValueError.
+    cos(v_w2, v_w4 - v_w3 + v_w1) > t_cos_sim, with the threshold and the
+    sample's settings read from `config`. A pair's w_sem is the fraction of
+    sample offsets it passes against; sem is the mean of the sample's own
+    w_sem values, the diagonal included, so a singleton support scores 1.0.
+    Every pair is counted against the sample's offsets in one pass over
+    blocks of at most `sample_cap` queries, so that no block is larger than
+    the sample. An empty support raises ValueError.
     """
     t_cos, sample_cap = config.t_cos_sim, config.sample_cap
     orth = len(support)
