@@ -116,9 +116,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Config(**kwargs)
 
-    def test_extremes_accepted(self):
-        assert Config(t_cos_sim=-0.999, sample_cap=1, seed=-7).sample_cap == 1
-
 
 class TestRuleScores:
     @pytest.mark.parametrize("args, message", [
@@ -130,6 +127,21 @@ class TestRuleScores:
     def test_validation(self, args, message):
         with pytest.raises(ValueError, match=message):
             RuleScores(*args)
+
+
+# The scoring settings are the Config fields score_rule reads:
+# t_cos_sim, sample_cap and seed.
+class TestScoringSettings:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t_cos": 1.0}, "t_cos_sim"), ({"t_cos": -1.0}, "t_cos_sim"),
+        ({"sample_cap": 0}, "sample_cap"), ({"sample_cap": -5}, "sample_cap"),
+    ])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            scoring(**kwargs)
+
+    def test_extremes_accepted(self):
+        assert scoring(t_cos=-0.999, sample_cap=1, seed=-7).sample_cap == 1
 
 
 class TestScoreRSem:
