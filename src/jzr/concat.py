@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 PREFIX = "prefix"
@@ -63,50 +63,49 @@ class ConcatRule:
         return word[: len(word) - len(self.old)] + self.new
 
 
-class SupportView(Sequence):
-    """A concatenative rule's support pairs, read from the mining index.
+class MinedRule:
+    """A concatenative rule as mined: its key, its support read from the
+    mining index, and its scores, None until learn gates it.
 
-    Holds only the rule's two affix maps, stem -> word: its pairs are
-    (stems1[s], stems2[s]) for each stem s in both, in sorted order. It
-    reads as the sorted tuple of those pairs does (`len`, iteration,
-    indexing and slicing, `==`, `hash` and `repr`), but each read builds
-    the pairs afresh and keeps none, so an unread support costs one small
-    object and no pair.
+    Holds the rule's two affix maps, stem -> word: its support pairs are
+    (stems1[s], stems2[s]) for each stem s in both. `support` builds them
+    afresh at each read, as the sorted tuple of a `MorphRule`, and keeps
+    none, so an unread support costs no pair; `len` of the record is their
+    count, which builds none. Learn keeps the record of a rule at or below
+    t_r_orth as its candidate, with its orth's shared gated scores. It
+    reads as a `MorphRule` with its key, support and scores does, and
+    compares equal to one with equal fields.
     """
 
-    __slots__ = ("_stems1", "_stems2")
+    __slots__ = ("key", "scores", "_stems1", "_stems2")
 
-    def __init__(self, stems1: dict[str, str], stems2: dict[str, str]):
-        self._stems1, self._stems2 = stems1, stems2
+    def __init__(self, key: ConcatRule, stems1: dict[str, str], stems2: dict[str, str]):
+        self.key, self.scores, self._stems1, self._stems2 = key, None, stems1, stems2
 
-    def _pairs(self) -> tuple[Pair, ...]:
+    @property
+    def support(self) -> tuple[Pair, ...]:
         stems1, stems2 = self._stems1, self._stems2
         return tuple(sorted((stems1[s], stems2[s]) for s in stems1.keys() & stems2.keys()))
 
     def __len__(self) -> int:
         return len(self._stems1.keys() & self._stems2.keys())
 
-    def __iter__(self):
-        return iter(self._pairs())
-
-    def __getitem__(self, index):
-        return self._pairs()[index]
-
     def __eq__(self, other) -> bool:
-        return self._pairs() == other  # a view on the right reads as its tuple
-
-    def __hash__(self) -> int:
-        return hash(self._pairs())
+        try:
+            fields = other.key, other.support, other.scores
+        except AttributeError:
+            return NotImplemented
+        return (self.key, self.support, self.scores) == fields
 
     def __repr__(self) -> str:
-        return repr(self._pairs())
+        return f"MinedRule(key={self.key!r}, support={self.support!r}, scores={self.scores!r})"
 
 
 def enumerate_concat_rules(
     vocab,
     max_affix: int = 6,
     min_stem: int = 2,
-) -> Iterator[tuple[ConcatRule, SupportView]]:
+) -> Iterator[MinedRule]:
     """Yield every canonical edge rule once, with its stem-sharing word pairs.
 
     Each side indexes every split of a word into affix + stem (at most
@@ -116,10 +115,10 @@ def enumerate_concat_rules(
     affixes carry; that stem is the pair's longest shared run, so each
     ordered pair lands under one rule per side. Both orientations are
     yielded; the extractor's length constraint picks the direction later.
-    No rule is yielded twice, and prefix rules come first. Each support is
-    a `SupportView` over its two affix maps, which it keeps alive: the stem
+    No rule is yielded twice, and prefix rules come first. Each rule is a
+    `MinedRule` over its two affix maps, which it keeps alive: the stem
     index of a side is freed once the side is mined, its affix maps only
-    with the last support that reads them.
+    with the last rule that reads them.
 
     Bad settings raise ValueError at the call. Nothing is skipped: a side
     whose rules would hold more than `PAIR_BUDGET` support pairs raises
@@ -158,4 +157,4 @@ def _side_rules(words: list[str], side: str, max_affix: int, min_stem: int):
         for a2 in dict.fromkeys(a for stem in stems1 for a in by_stem[stem]):
             if a1 == a2 or (a1 and a2 and a1[edge] == a2[edge]):
                 continue  # identity, or a longer shared run exists
-            yield ConcatRule(side, a1, a2), SupportView(stems1, by_affix[a2])
+            yield MinedRule(ConcatRule(side, a1, a2), stems1, by_affix[a2])

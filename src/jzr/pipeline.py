@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .concat import enumerate_concat_rules
+from .concat import MinedRule, enumerate_concat_rules
 from .config import Config
 from .embeddings import EmbeddingTable
 from .fileio import collector_paused
@@ -20,28 +20,36 @@ def learn_rules(table: EmbeddingTable,
 
     Returns (candidates, validated). Each candidate is scored as it streams
     out of mining, concatenative rules first. One above t_r_orth has its
-    support read once into a tuple of pairs, which it keeps, and gets
-    `score_rule`'s scores. One at or below it cannot be validated: it keeps
-    the support as mined, a concatenative rule's a `SupportView` that holds
-    no pair, with sem 0.0 and no w_sem. The cyclic garbage collector is
-    paused throughout: the candidates stay alive until the end, so each
-    automatic collection would only re-traverse them.
+    support read once into a tuple of pairs, which its `MorphRule` keeps,
+    and gets `score_rule`'s scores. One at or below it cannot be validated:
+    it gets sem 0.0 and no w_sem, in one `RuleScores` shared by every such
+    candidate of its orth. A concatenative one is kept as mined, a
+    `MinedRule` that holds no pair; a templatic one as a `MorphRule`. The
+    cyclic garbage collector is paused throughout: the candidates stay
+    alive until the end, so each automatic collection would only
+    re-traverse them.
     """
     cfg = config or Config()
     t_r_orth = cfg.t_r_orth
     gated = functools.cache(lambda orth: RuleScores(orth, 0.0, False))  # frozen: one per orth
 
-    def candidate(key, support) -> MorphRule:
+    def candidate(key, support: tuple) -> MorphRule:
         orth = len(support)
-        if orth <= t_r_orth:
-            return MorphRule(key, support, gated(orth))
-        support = tuple(support)
-        return MorphRule(key, support, score_rule(key, support, table, cfg))
+        return MorphRule(key, support, gated(orth) if orth <= t_r_orth
+                         else score_rule(key, support, table, cfg))
+
+    def concatenative(rule: MinedRule) -> MinedRule | MorphRule:
+        orth = len(rule)
+        if orth > t_r_orth:
+            return candidate(rule.key, rule.support)
+        rule.scores = gated(orth)
+        return rule
 
     mined = itertools.chain(
-        enumerate_concat_rules(table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem),
-        enumerate_templatic_rules(table.words, max_derived_len=cfg.max_derived_len).items())
-    candidates = RuleStore(itertools.starmap(candidate, mined), vocab_fingerprint(table.words),
-                           config=cfg)
+        map(concatenative, enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
+                                                  min_stem=cfg.min_stem)),
+        itertools.starmap(candidate, enumerate_templatic_rules(
+            table.words, max_derived_len=cfg.max_derived_len).items()))
+    candidates = RuleStore(mined, vocab_fingerprint(table.words), config=cfg)
     candidates.candidate_counts = candidates.count_by_kind()
     return candidates, prune_rules(candidates, cfg.thresholds)

@@ -63,9 +63,10 @@ class RuleScores:
 
 @dataclass(slots=True)
 class MorphRule:
-    """A rule with its support and scores. The support is a read-only sequence
-    of pairs in sorted order: a tuple, or an unscored concatenative
-    candidate's `SupportView`, which reads as that tuple."""
+    """A rule with its support, a tuple of pairs in sorted order, and its
+    scores. Learn keeps an unscored concatenative candidate as the
+    `concat.MinedRule` it was mined as, which reads and compares as a
+    MorphRule does but builds its support tuple at each read."""
 
     key: RuleKey
     support: Sequence[Pair]
@@ -281,14 +282,18 @@ class RuleStore:
                      [len(rule.support) for rule in rules])
 
     def __iter__(self):
-        return iter(_unpack(self._arrays) if self._rules is None else self._rules)
+        return iter(self._rules if self._rules is not None
+                    else _unpack(self._arrays, range(len(self._arrays.rules))))
 
     def __len__(self) -> int:
         return len(self._arrays.rules if self._rules is None else self._rules)
 
     def get(self, ks: str) -> MorphRule | None:
         """The rule whose key text is `ks`; a loaded store unpacks only that rule."""
-        rules = _unpack(self._arrays, ks) if self._rules is None else self._rules
+        rules = self._rules
+        if rules is None:
+            rules = _unpack(self._arrays, (r for r, (key, _) in enumerate(self._arrays.rules)
+                                           if key.key_str == ks))
         return next((rule for rule in rules if rule.key.key_str == ks), None)
 
     def __eq__(self, other) -> bool:
@@ -327,12 +332,19 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
 
 
 def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[MorphRule]:
-    """Top rules by semantic score under a kind filter, deterministically tie-broken."""
+    """Top rules by semantic score under a kind filter, deterministically tie-broken.
+
+    Rules are ranked by key and scores alone, so a loaded store unpacks only
+    the rules returned.
+    """
     if kind not in ("all", CONCATENATIVE, TEMPLATIC):
         raise ValueError(f"unknown kind filter: {kind!r}")
-    rules = [r for r in store if kind == "all" or rule_kind(r.key) == kind]
-    rules.sort(key=lambda rule: _order_key(rule.key, rule.scores))
-    return rules[: max(top_k, 0)]
+    loaded = store._rules is None
+    scored = store._arrays.rules if loaded else [(rule.key, rule.scores) for rule in store]
+    ranked = sorted((r for r, (key, _) in enumerate(scored)
+                     if kind == "all" or rule_kind(key) == kind),
+                    key=lambda r: _order_key(*scored[r]))[: max(top_k, 0)]
+    return _unpack(store._arrays, ranked) if loaded else [store._rules[r] for r in ranked]
 
 
 def save_rules(store: RuleStore, path) -> None:
@@ -469,15 +481,15 @@ class _DbRecords:
         return store
 
 
-def _unpack(arrays: PairArrays, ks: str | None = None) -> list[MorphRule]:
-    """Each rule of `arrays`, or the one whose key text is `ks`, with its tuples."""
+def _unpack(arrays: PairArrays, positions) -> list[MorphRule]:
+    """The rules of `arrays` at `positions`, in that order, with their tuples."""
     words, w1, w2, w_sem, ends = arrays[1:]
     bounds = [0, *ends.tolist()]
     return [MorphRule(key, tuple(zip(map(words.__getitem__, w1[a:b].tolist()),
                                      map(words.__getitem__, w2[a:b].tolist()))),
                       replace(scores, w_sem=tuple(w_sem[a:b].tolist())))
-            for (key, scores), a, b in zip(arrays.rules, bounds, bounds[1:])
-            if ks is None or key.key_str == ks]
+            for r in positions
+            for (key, scores), a, b in [(arrays.rules[r], bounds[r], bounds[r + 1])]]
 
 
 def load_rules(path) -> RuleStore:

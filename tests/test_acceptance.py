@@ -193,7 +193,8 @@ def test_criterion_6_orthographic_oracles():
                                                      int(rng.integers(1, 9))))
             for _ in range(n_words)
         ))
-        assert dict(enumerate_concat_rules(vocab)) == brute_concat_rules(vocab)
+        assert ({rule.key: rule.support for rule in enumerate_concat_rules(vocab)}
+                == brute_concat_rules(vocab))
         assert enumerate_templatic_rules(vocab) == brute_templatic_rules(vocab)
 
 
@@ -205,7 +206,7 @@ def test_criterion_7_worked_examples():
     assert templates[Template(("ma", "", "a", ""))] == (("ktb", "maktab"),)
 
     vocab = ["maktab", "almaktab", "wamaktab", "jaras", "aljaras"]
-    rules = dict(enumerate_concat_rules(vocab))
+    rules = {rule.key: rule.support for rule in enumerate_concat_rules(vocab)}
     assert ("maktab", "almaktab") in rules[ConcatRule("prefix", "", "al")]
     assert ("almaktab", "wamaktab") in rules[ConcatRule("prefix", "al", "wa")]
 

@@ -91,8 +91,8 @@ class TestLearn:
         # made, with one error line, and no DB is written.
         _, fix, _ = workspace
         words = load_embeddings(fix / "vectors.txt").words
-        pairs = sum(len(support) for rule, support in enumerate_concat_rules(words)
-                    if rule.side == PREFIX)
+        pairs = sum(len(rule.support) for rule in enumerate_concat_rules(words)
+                    if rule.key.side == PREFIX)
         monkeypatch.setattr(concat, "PAIR_BUDGET", pairs - 1)
         db = tmp_path / "refused.db"
         assert main(["learn", "--vectors", str(fix / "vectors.txt"), "--out", str(db)]) == 2

@@ -9,6 +9,11 @@ from oracles import brute_concat_rules
 from jzr import concat
 from jzr.concat import PREFIX, SUFFIX, ConcatRule, PairBudgetError, enumerate_concat_rules
 
+def supports(vocab, **settings) -> dict:
+    """The miner's rules as the oracle gives them: each key's support tuple."""
+    return {rule.key: rule.support for rule in enumerate_concat_rules(vocab, **settings)}
+
+
 small_vocab = st.lists(
     st.text(alphabet="abcd", min_size=1, max_size=7),
     min_size=1,
@@ -58,23 +63,23 @@ class TestConcatRule:
 
 class TestEnumeration:
     def test_definite_article_pair(self):
-        rules = dict(enumerate_concat_rules(["maktab", "almaktab", "jaras", "aljaras"]))
+        rules = supports(["maktab", "almaktab", "jaras", "aljaras"])
         rule = ConcatRule("prefix", "", "al")
         assert rule in rules
         assert set(rules[rule]) == {("maktab", "almaktab"), ("jaras", "aljaras")}
 
     def test_prefix_replacement_pair(self):
-        rules = dict(enumerate_concat_rules(["almaktab", "wamaktab"]))
+        rules = supports(["almaktab", "wamaktab"])
         rule = ConcatRule("prefix", "al", "wa")
         assert rules[rule] == (("almaktab", "wamaktab"),)
 
     def test_singleton_vocab_empty(self):
-        assert dict(enumerate_concat_rules(["ab"])) == {}
+        assert supports(["ab"]) == {}
 
     def test_three_word_family_min_stem_3(self):
         # Hand case checked against the brute-force oracle: every ordered
         # pair shares only the stem "tab", so six rules with one pair each.
-        got = dict(enumerate_concat_rules(["tab", "xtab", "ytab"], min_stem=3))
+        got = supports(["tab", "xtab", "ytab"], min_stem=3)
         expected = {
             ConcatRule("prefix", "", "x"): (("tab", "xtab"),),
             ConcatRule("prefix", "", "y"): (("tab", "ytab"),),
@@ -89,12 +94,12 @@ class TestEnumeration:
     def test_max_affix_bounds_each_affix_independently(self):
         # 6-char prefix on one side, empty on the other: allowed at the limit.
         words = ["stemma", "abcdefstemma"]
-        rules = dict(enumerate_concat_rules(words, max_affix=6))
+        rules = supports(words, max_affix=6)
         assert ConcatRule("prefix", "", "abcdef") in rules
-        assert dict(enumerate_concat_rules(words, max_affix=5)) == {}
+        assert supports(words, max_affix=5) == {}
 
     def test_min_stem_respected(self):
-        for rule, pairs in enumerate_concat_rules(["ab", "xb", "axb"], min_stem=2):
+        for rule, pairs in supports(["ab", "xb", "axb"], min_stem=2).items():
             for w1, w2 in pairs:
                 assert len(w1) - len(rule.old) >= 2
 
@@ -105,30 +110,30 @@ class TestEnumeration:
             enumerate_concat_rules(["ab"], min_stem=0)
 
     def test_empty_vocab(self):
-        assert dict(enumerate_concat_rules([])) == {}
+        assert supports([]) == {}
 
     @given(small_vocab)
     def test_matches_brute_force(self, vocab):
         stream = list(enumerate_concat_rules(vocab))
-        got = dict(stream)
+        got = {rule.key: rule.support for rule in stream}
         assert len(got) == len(stream)  # no rule is yielded twice
         assert got == brute_concat_rules(vocab)
-        for pairs in got.values():
-            listed = tuple(pairs)
-            assert list(listed) == sorted(listed)
-            assert pairs == listed and hash(pairs) == hash(listed)
+        for rule in stream:
+            assert rule.scores is None and len(rule) == len(rule.support)
+            assert list(rule.support) == sorted(rule.support)
 
     @given(small_vocab, st.data())
     def test_support_reads_as_the_oracle_tuple(self, vocab, data):
         # Each read builds the pairs afresh, so a second read must agree.
         oracle = brute_concat_rules(vocab)
-        for rule, view in enumerate_concat_rules(vocab):
-            pairs = oracle[rule]
+        for rule in enumerate_concat_rules(vocab):
+            pairs = oracle[rule.key]
             n = len(pairs)
             i = data.draw(st.integers(-n, n - 1))
             a, b = data.draw(st.integers(-n - 1, n + 1)), data.draw(st.integers(-n - 1, n + 1))
             for _ in range(2):
-                assert len(view) == n
+                view = rule.support
+                assert len(view) == len(rule) == n
                 assert tuple(view) == pairs
                 assert view[i] == pairs[i]
                 assert view[a:b] == pairs[a:b]
@@ -141,7 +146,7 @@ class TestEnumeration:
            st.integers(min_value=1, max_value=3))
     @settings(max_examples=40)
     def test_matches_brute_force_parametrized(self, vocab, max_affix, min_stem):
-        got = dict(enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem))
+        got = supports(vocab, max_affix=max_affix, min_stem=min_stem)
         assert got == brute_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
 
     @given(small_vocab, st.integers(min_value=0, max_value=3),
@@ -161,19 +166,19 @@ class TestEnumeration:
                 mp.setattr(concat, "PAIR_BUDGET", budget)
                 stream = enumerate_concat_rules(vocab, max_affix=max_affix, min_stem=min_stem)
                 if mined == sides:
-                    got = dict(stream)
+                    got = {rule.key: rule.support for rule in stream}
                 else:
                     over = sides[len(mined)]
                     message = (f"{over} side of concatenative mining: its rules would hold "
                                f"{counts[over]:,} support pairs, over the budget of {budget:,}")
                     with pytest.raises(PairBudgetError, match=f"^{re.escape(message)}$"):
-                        for rule, pairs in stream:
-                            got[rule] = pairs
+                        for rule in stream:
+                            got[rule.key] = rule.support
             assert got == {rule: pairs for rule, pairs in oracle.items() if rule.side in mined}
 
     @given(small_vocab)
     def test_symmetry(self, vocab):
-        rules = dict(enumerate_concat_rules(vocab))
+        rules = supports(vocab)
         for rule, pairs in rules.items():
             mirror = ConcatRule(rule.side, rule.new, rule.old)
             for w1, w2 in pairs:
@@ -181,7 +186,7 @@ class TestEnumeration:
 
     @given(small_vocab)
     def test_pairs_reconstruct_from_rule(self, vocab):
-        for rule, pairs in enumerate_concat_rules(vocab):
+        for rule, pairs in supports(vocab).items():
             for w1, w2 in pairs:
                 assert w1 != w2
                 if rule.side == "prefix":

@@ -17,7 +17,7 @@ from conftest import fail_writes_halfway, random_table
 from jzr import rules
 from oracles import (brute_concat_rules, brute_r_sem, brute_templatic_rules, brute_w_sem,
                      tensor_count_passes)
-from jzr.concat import ConcatRule, enumerate_concat_rules
+from jzr.concat import ConcatRule, MinedRule, enumerate_concat_rules
 from jzr.config import Config
 from jzr.embeddings import _NORM_EPS, EmbeddingTable, InvalidWordError
 from jzr.extractor import RootExtractor
@@ -359,7 +359,7 @@ class TestStoreAndPrune:
     def test_records_have_no_instance_dict(self):
         records = [ConcatRule("prefix", "", "x"), Template(("m", "", "", "")),
                    self.scored(ConcatRule("prefix", "", "x"), 0, 0.0),
-                   RuleScores(0, 0.0, False)]
+                   MinedRule(ConcatRule("prefix", "", "x"), {}, {}), RuleScores(0, 0.0, False)]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
 
@@ -529,27 +529,81 @@ class TestCandidateStore:
             else:
                 assert rule.scores == score_rule(rule.key, rule.support, table, cfg)
 
+    @given(st.lists(st.text("abkt", min_size=2, max_size=6), min_size=1, max_size=40,
+                    unique=True),
+           st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4),
+           st.data())
+    @settings(max_examples=30)
+    def test_a_gated_record_reads_and_compares_as_a_rule(self, words, seed, t_r_orth, data):
+        # A gated concatenative candidate is kept as its mined record. Its
+        # support reads as the oracle's tuple, built afresh at each read, and
+        # the record compares as a MorphRule of its fields, so the store and
+        # its copies prune and rank alike.
+        vectors = np.random.default_rng(seed).standard_normal((len(words), 8))
+        cfg = Config(t_r_orth=t_r_orth)
+        candidates, _ = learn_rules(EmbeddingTable(words, vectors), cfg)
+        oracle = brute_concat_rules(words, cfg.max_affix, cfg.min_stem)
+        records = [rule for rule in candidates if isinstance(rule, MinedRule)]
+        assert sorted(rule.key for rule in records) == sorted(
+            key for key, pairs in oracle.items() if len(pairs) <= t_r_orth)
+        shared: dict[int, RuleScores] = {}
+        for rule in records:
+            pairs, n = oracle[rule.key], len(oracle[rule.key])
+            i = data.draw(st.integers(-n, n - 1))
+            a, b = data.draw(st.integers(-n - 1, n + 1)), data.draw(st.integers(-n - 1, n + 1))
+            for _ in range(2):
+                support = rule.support
+                assert len(support) == len(rule) == n
+                assert tuple(iter(support)) == pairs
+                assert support[i] == pairs[i] and support[a:b] == pairs[a:b]
+                assert support == pairs and pairs == support
+                assert not support != pairs and not pairs != support
+                assert hash(support) == hash(pairs) and repr(support) == repr(pairs)
+            assert rule.scores is shared.setdefault(n, rule.scores)
+            assert rule.scores == RuleScores(n, 0.0, False)
+            with pytest.raises(TypeError):
+                hash(rule)  # as a MorphRule
+        copies = RuleStore([MorphRule(rule.key, tuple(rule.support), rule.scores)
+                            for rule in candidates], candidates.vocab_hash,
+                           candidates.candidate_counts, cfg)
+        assert candidates == copies and copies == candidates
+        assert not candidates != copies and not copies != candidates
+        assert [rule == copy and copy == rule for rule, copy in zip(candidates, copies)] == [
+            True] * len(copies)
+        assert repr(records) == repr([MorphRule(rule.key, rule.support, rule.scores)
+                                      for rule in records]).replace("MorphRule(", "MinedRule(")
+        thresholds = cfg.thresholds
+        assert prune_rules(candidates, thresholds) == prune_rules(copies, thresholds)
+        for kind in ("all", CONCATENATIVE, TEMPLATIC):
+            for top_k in (0, 1, 3, len(copies)):
+                assert (rank_rules(candidates, kind, top_k)
+                        == rank_rules(copies, kind, top_k))
+
     def test_mining_into_the_store_adds_a_record_and_a_slot_per_candidate(self):
-        # Mining peaks with one side's stem index alive and every key and
-        # support view mined so far kept, with the affix maps the views read.
-        # Kept as a list of the stream's (key, support) tuples, that peak is
-        # the baseline: the store of the mined rules,
-        # all sharing one scores object as the gated ones of an orth do, may
-        # swap each tuple for a MorphRule and add a slot's worth more per
-        # candidate. A map or set of the candidates' keys adds about 35 bytes
-        # per candidate, but it is built once mining has freed its index,
-        # below that peak: so the store is also built again from its own
-        # rules, which may add only its list of them. A full collection
-        # first empties the free lists, which would otherwise serve some
-        # tuples untraced, and learn_rules pauses the collector.
+        # Mining peaks with one side's stem index alive and every record
+        # mined so far kept, with its key and the affix maps it reads. Kept
+        # as a list of the stream's records, that peak is the baseline: the
+        # store of the mined rules, each given one shared scores object as
+        # learn gates those of an orth, keeps each record as its rule, and
+        # may add only a slot's worth more per candidate. A map or set of
+        # the candidates' keys adds about 35 bytes per candidate, but it is
+        # built once mining has freed its index, below that peak: so the
+        # store is also built again from its own rules, which may add only
+        # its list of them. A full collection first empties the free lists,
+        # which would otherwise serve some objects untraced, and learn_rules
+        # pauses the collector.
         _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
         templatic = enumerate_templatic_rules(table.words)
         gated = RuleScores(1, 0.0, False)
 
+        def gate(rule):
+            rule.scores = gated
+            return rule
+
         def store_of(rules):
-            mined = itertools.chain(rules, templatic.items())
-            return RuleStore((MorphRule(key, support, gated) for key, support in mined),
-                             config=scoring())
+            mined = itertools.starmap(lambda key, support: MorphRule(key, support, gated),
+                                      templatic.items())
+            return RuleStore(itertools.chain(map(gate, rules), mined), config=scoring())
 
         def peak(make):
             gc.collect()
@@ -566,19 +620,20 @@ class TestCandidateStore:
         added, store = peak(lambda: store_of(enumerate_concat_rules(table.words)))
         n = len(stream)
         assert len(store) == n + len(templatic)
-        record = sys.getsizeof(MorphRule(KEY, (), gated))
-        assert added < listed + n * (record - sys.getsizeof((None, None)) + 8)
+        assert added < listed + n * 8
         rules = list(store)
         rebuilt, _ = peak(lambda: RuleStore(rules))
         assert rebuilt < sys.getsizeof(rules) + 4096  # the store object itself
 
     def test_a_gated_candidate_keeps_no_pair(self):
-        # What learn keeps is mostly one record per gated candidate: its
-        # MorphRule, its key and its support view, 56 + 56 + 48 bytes on
+        # What learn keeps is mostly two objects per gated candidate: its
+        # record as mined, which holds the key, the shared scores and the
+        # two affix maps its support reads, and its key, 64 + 56 bytes on
         # CPython 3.11, plus its slot in the store and a share of the index
-        # the views read. That came to 228-232 bytes per gated candidate on
-        # three seeds of this language; a support kept as a tuple of its
-        # pairs came to 334-338.
+        # the records read. That came to 188-192 bytes per gated candidate
+        # on three seeds of this language; a MorphRule holding the key, the
+        # scores and a view of the maps came to 228-232, and a support kept
+        # as a tuple of its pairs to 334-338.
         _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
         gc.collect()  # empties the free lists, which would serve some objects untraced
         with collector_paused():
@@ -592,7 +647,7 @@ class TestCandidateStore:
         t_r_orth = Config().thresholds.t_r_orth
         gated = sum(1 for rule in candidates if rule.scores.orth <= t_r_orth)
         assert gated > 10_000
-        assert kept / gated < 280
+        assert kept / gated < 210
 
 
 CONFIG = Config()
@@ -1073,6 +1128,29 @@ def test_save_writes_only_what_load_reads_back(tmp_path_factory, store):
         assert not path.exists()
     else:
         assert load_rules(path) == store
+
+
+@settings(max_examples=60, deadline=None)
+@given(saved_stores())
+def test_ranking_a_loaded_store_unpacks_only_the_rules_it_returns(tmp_path_factory, store):
+    path = tmp_path_factory.mktemp("db") / "rules.db"
+    save_rules(store, path)
+    loaded = load_rules(path)
+    listed = RuleStore(list(loaded))
+    real, unpacked = rules._unpack, []
+
+    def unpack(*args):
+        found = real(*args)
+        unpacked.extend(found)
+        return found
+
+    with mock.patch.object(rules, "_unpack", side_effect=unpack):
+        for kind in ("all", CONCATENATIVE, TEMPLATIC):
+            for top_k in (-1, 0, 1, 2, 5):
+                unpacked.clear()
+                ranked = rank_rules(loaded, kind, top_k)
+                assert ranked == rank_rules(listed, kind, top_k)
+                assert unpacked == ranked
 
 
 def one_str_per_word(store) -> bool:
