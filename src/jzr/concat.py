@@ -64,17 +64,14 @@ class ConcatRule:
 
 
 class MinedRule:
-    """A concatenative rule as mined: its key, its support read from the
-    mining index, and its scores, None until learn gates it.
+    """A concatenative rule as mined: its key, its two affix maps in the
+    mining index, and its scores, None until learn gates the rule.
 
-    Holds the rule's two affix maps, stem -> word: its support pairs are
-    (stems1[s], stems2[s]) for each stem s in both. `support` builds them
-    afresh at each read, as the sorted tuple of a `MorphRule`, and keeps
-    none, so an unread support costs no pair; `len` of the record is their
-    count, which builds none. Learn keeps the record of a rule at or below
-    t_r_orth as its candidate, with its orth's shared gated scores. It
-    reads as a `MorphRule` with its key, support and scores does, and
-    compares equal to one with equal fields.
+    The maps are stem -> word, and the support pairs are (stems1[s],
+    stems2[s]) for each stem s in both. `support` builds them afresh at
+    each read, as the sorted tuple of a `MorphRule`, and keeps none; `len`
+    counts them without building any. The record reads, and compares
+    equal, as a `MorphRule` of the same fields does.
     """
 
     __slots__ = ("key", "scores", "_stems1", "_stems2")

@@ -22,11 +22,10 @@ def learn_rules(table: EmbeddingTable,
     out of mining, concatenative rules first. One above t_r_orth has its
     support read once into a tuple of pairs, which its `MorphRule` keeps,
     and gets `score_rule`'s scores. One at or below it cannot be validated:
-    it gets sem 0.0 and no w_sem, in one `RuleScores` shared by every such
-    candidate of its orth. A concatenative one is kept as mined, a
-    `MinedRule` that holds no pair; a templatic one as a `MorphRule`. The
-    cyclic garbage collector is paused throughout: the candidates stay
-    alive until the end, so each automatic collection would only
+    it gets sem 0.0 and no w_sem, in one `RuleScores` per orth, and a
+    concatenative one stays the `MinedRule` it was mined as, which holds no
+    pair. The cyclic garbage collector is paused throughout: the candidates
+    stay alive until the end, so each automatic collection would only
     re-traverse them.
     """
     cfg = config or Config()

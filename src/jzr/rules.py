@@ -243,8 +243,8 @@ class RuleStore:
     rule up by key but `get`, which scans key texts, so the store holds no
     map of its rules. A store from `load_rules` holds its pairs only as
     `PairArrays`, for its whole life: each read of its rules (iteration,
-    `==`) makes their support and w_sem tuples afresh, `get` makes only
-    those of the rule it returns, and `len` none.
+    `==`) makes their support and w_sem tuples afresh, `get` and
+    `rank_rules` make only those of the rules they return, and `len` none.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
@@ -282,19 +282,18 @@ class RuleStore:
                      [len(rule.support) for rule in rules])
 
     def __iter__(self):
-        return iter(self._rules if self._rules is not None
-                    else _unpack(self._arrays, range(len(self._arrays.rules))))
+        rules = self._rules
+        return iter(_unpack(self._arrays, range(len(self))) if rules is None else rules)
 
     def __len__(self) -> int:
         return len(self._arrays.rules if self._rules is None else self._rules)
 
     def get(self, ks: str) -> MorphRule | None:
         """The rule whose key text is `ks`; a loaded store unpacks only that rule."""
-        rules = self._rules
-        if rules is None:
-            rules = _unpack(self._arrays, (r for r, (key, _) in enumerate(self._arrays.rules)
-                                           if key.key_str == ks))
-        return next((rule for rule in rules if rule.key.key_str == ks), None)
+        if self._rules is not None:
+            return next((rule for rule in self._rules if rule.key.key_str == ks), None)
+        found = [r for r, (key, _) in enumerate(self._arrays.rules) if key.key_str == ks]
+        return next(iter(_unpack(self._arrays, found)), None)
 
     def __eq__(self, other) -> bool:
         """Equal rules in the same order, and equal header fields."""
@@ -332,11 +331,8 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
 
 
 def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[MorphRule]:
-    """Top rules by semantic score under a kind filter, deterministically tie-broken.
-
-    Rules are ranked by key and scores alone, so a loaded store unpacks only
-    the rules returned.
-    """
+    """Top rules by semantic score under a kind filter, deterministically
+    tie-broken. A loaded store unpacks only the rules returned."""
     if kind not in ("all", CONCATENATIVE, TEMPLATIC):
         raise ValueError(f"unknown kind filter: {kind!r}")
     loaded = store._rules is None
