@@ -568,8 +568,7 @@ class TestCandidateStore:
                            candidates.candidate_counts, cfg)
         assert candidates == copies and copies == candidates
         assert not candidates != copies and not copies != candidates
-        assert [rule == copy and copy == rule for rule, copy in zip(candidates, copies)] == [
-            True] * len(copies)
+        assert all(rule == copy and copy == rule for rule, copy in zip(candidates, copies))
         assert repr(records) == repr([MorphRule(rule.key, rule.support, rule.scores)
                                       for rule in records]).replace("MorphRule(", "MinedRule(")
         thresholds = cfg.thresholds
