@@ -28,7 +28,7 @@ def main() -> int:
     synth = SynthConfig(n_roots=args.n_roots, seed=args.seed,
                         noise_sigma=args.noise_sigma, chain_depth=2)
     words, table, gold = generate(synth)
-    _, validated = learn_rules(table, Config())
+    validated = learn_rules(table, Config())[1]
     print(f"vocab {len(words)} words, {len(validated)} validated rules")
 
     full = RootExtractor(validated)

@@ -36,7 +36,7 @@ def main() -> int:
     gold = load_gold(gold_path)
     print(f"fixture: {len(table)} words  ->  {vectors_path}, {gold_path}")
 
-    _, validated = learn_rules(table, Config())
+    validated = learn_rules(table, Config())[1]
     db_path = Path(args.workdir) / "rules.db"
     save_rules(validated, db_path)
     counts = validated.count_by_kind()

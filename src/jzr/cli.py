@@ -143,7 +143,7 @@ def cmd_learn(args) -> int:
     if len(table) == 0:
         print("warning: vocabulary is empty after the cap; writing an empty rule DB",
               file=sys.stderr)
-    _, validated = learn_rules(table, cfg)
+    validated = learn_rules(table, cfg)[1]  # the candidates are freed before the save
     save_rules(validated, args.out)
     c_counts = validated.candidate_counts
     v_counts = validated.count_by_kind()

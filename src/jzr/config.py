@@ -9,7 +9,7 @@ from typing import get_args, get_type_hints
 
 @dataclass(frozen=True)
 class Thresholds:
-    """What pruning (t_r_sem, t_r_orth) and extraction (t_w_sem) read."""
+    """What pruning (t_r_sem, t_r_orth, from Config) and extraction (t_w_sem) read."""
 
     t_r_sem: float = 0.1
     t_r_orth: int = 20
@@ -26,14 +26,13 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class Config:
-    """Every setting, named as its flag and config-file key, each checked for
-    its type and range; `thresholds` groups those pruning and extraction
-    read. A learned rule store carries its Config, and its DB records it."""
+    """Every setting learn reads, named as its flag and config-file key, each
+    checked for its type and range. A learned rule store carries its
+    Config, and its DB records it."""
 
     t_cos_sim: float = 0.5
     t_r_sem: float = Thresholds.t_r_sem
     t_r_orth: int = Thresholds.t_r_orth
-    t_w_sem: float = Thresholds.t_w_sem
     max_affix: int = 6
     min_stem: int = 2
     max_derived_len: int = 12
@@ -66,7 +65,8 @@ class Config:
 
     @property
     def thresholds(self) -> Thresholds:
-        return Thresholds(self.t_r_sem, self.t_r_orth, self.t_w_sem)
+        """Pruning's thresholds; t_w_sem keeps extraction's default."""
+        return Thresholds(self.t_r_sem, self.t_r_orth)
 
 
 # Each Config field's type, which its config-file key and flag (`-` for `_`)

@@ -25,8 +25,8 @@ TEMPLATIC = "templatic"
 
 RuleKey = ConcatRule | Template
 
-_DB_MAGIC = "#morphruledb 3"
-_OLD_MAGICS = ("#morphruledb 1", "#morphruledb 2")
+_DB_MAGIC = "#morphruledb 4"
+_OLD_MAGICS = ("#morphruledb 1", "#morphruledb 2", "#morphruledb 3")
 
 # `_count_passes` trusts an expanded |o + w1|² only above `_NORM_EPS`² plus
 # this fraction of |o|² + |w1|², which bounds its rounding many times over.

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shlex
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +50,39 @@ class TestSynth:
                     == (tmp_path / "api" / name).read_bytes())
 
 
+# A noisy planted language in which every learn setting changes the rules
+# or pairs learned: `t_r_orth` is lowered so that rules validate, and
+# `sample_cap` so that the sample (and so `seed`) matters.
+NOISY = SynthConfig(n_roots=8, chain_depth=2, noise_sigma=0.2, seed=3)
+NOISY_BASE = {"t_r_orth": 3, "sample_cap": 3}
+# Per setting, a value other than NOISY_BASE's or the default; None stands
+# for half the vocabulary, which `top_n` must be under to cut it.
+NOISY_VALUES = {"t_cos_sim": 0.9, "t_r_sem": 0.5, "t_r_orth": 5, "max_affix": 1,
+                "min_stem": 4, "max_derived_len": 5, "sample_cap": 100, "seed": 7,
+                "top_n": None}
+
+
+@pytest.fixture(scope="module")
+def noisy(tmp_path_factory):
+    """learn(*flags): the rule and pair lines `jzr learn` writes for NOISY,
+    with NOISY_BASE as its config file; the vocabulary size; learn()."""
+    root = tmp_path_factory.mktemp("noisy")
+    vectors, _ = write_fixture(NOISY, root / "fix")
+    config = root / "base.json"
+    config.write_text(json.dumps(NOISY_BASE), encoding="utf-8")
+
+    def learn(*flags):
+        db = root / "rules.db"
+        assert main(["learn", "--vectors", str(vectors), "--out", str(db),
+                     "--config", str(config), *flags]) == 0
+        return [line for line in db.read_text(encoding="utf-8").split("\n")
+                if not line.startswith("#")]
+
+    base = learn()
+    assert any(line.startswith("rule\t") for line in base)
+    return learn, len(load_embeddings(vectors)), base
+
+
 class TestLearn:
     def test_summary_line(self, workspace, capsys):
         root, fix, db = workspace
@@ -78,6 +112,35 @@ class TestLearn:
         assert code == 0
         assert "empty" in captured.err
         assert len(load_rules(db)) == 0
+
+    @pytest.mark.parametrize("name", SETTING_TYPES)
+    def test_every_setting_changes_what_learn_writes(self, noisy, name):
+        # Not only the #config line: a setting that learn never reads fails here.
+        learn, n_words, base = noisy
+        value = NOISY_VALUES[name]
+        flag = "--" + name.replace("_", "-")
+        assert learn(flag, str(n_words // 2 if value is None else value)) != base
+
+    def test_candidates_are_freed_before_the_save(self, workspace, tmp_path, monkeypatch):
+        # Save's line list would otherwise sit on top of every candidate.
+        _, fix, _ = workspace
+        learn_rules, save_rules = cli.learn_rules, cli.save_rules
+        candidates, alive_at_save = [], []
+
+        def learning(*args):
+            result = learn_rules(*args)
+            candidates.append(weakref.ref(result[0]))
+            return result
+
+        def saving(store, path):
+            alive_at_save.append(candidates[0]() is not None)
+            save_rules(store, path)
+
+        monkeypatch.setattr(cli, "learn_rules", learning)
+        monkeypatch.setattr(cli, "save_rules", saving)
+        assert main(["learn", "--vectors", str(fix / "vectors.txt"),
+                     "--out", str(tmp_path / "x.db")]) == 0
+        assert alive_at_save == [False]
 
     def test_missing_vectors_is_data_error(self, tmp_path, capsys):
         code = main(["learn", "--vectors", str(tmp_path / "nope.txt"),
@@ -265,6 +328,17 @@ class TestExtract:
         assert main(["extract", "--rules", str(db), "--word", word]) == 0
         assert capsys.readouterr().out.startswith(word + "\t")
 
+    def test_t_w_sem_defaults_to_0_1(self, workspace, tmp_path, capsys):
+        _, fix, db = workspace
+        words = tmp_path / "words.txt"
+        words.write_text("".join(w + "\n" for w in load_gold(fix / "gold.tsv")),
+                         encoding="utf-8")
+        traces = []
+        for flags in [], ["--t-w-sem", "0.1"], ["--t-w-sem", "1"]:
+            assert main(["extract", "--rules", str(db), "--words", str(words), *flags]) == 0
+            traces.append(capsys.readouterr().out)
+        assert traces[0] == traces[1] != traces[2]
+
     @pytest.mark.parametrize("value", ["1.5", "nan"])
     def test_invalid_t_w_sem_is_usage_error(self, workspace, capsys, value):
         _, _, db = workspace
@@ -297,13 +371,28 @@ class TestExtract:
         # Format 2 recorded three settings in a #scoring line. A cache of such
         # a DB holds its lines, so it has no #config line: its decode fails,
         # which is a miss, and the parse refuses the magic line.
+        self.check_old_format_refused(workspace, tmp_path, capsys, "2", lambda line: (
+            "#scoring t_cos_sim=0.5 sample_cap=100 seed=42"))
+
+    def test_format_3_db_is_refused_with_or_without_its_cache(self, workspace, tmp_path,
+                                                              capsys):
+        # Format 3's #config line also recorded t_w_sem, which learn never
+        # read; a cache of such a DB fails the #config check as format 2's does.
+        self.check_old_format_refused(workspace, tmp_path, capsys, "3", lambda line: (
+            line.replace(" t_r_orth=20 ", " t_r_orth=20 t_w_sem=0.1 ")))
+
+    @staticmethod
+    def check_old_format_refused(workspace, tmp_path, capsys, version, old_config):
+        """A DB of `version`, whose #config line `old_config` maps to its own,
+        is refused by the parse and by a hit on the cache an older jzr wrote."""
         _, _, db = workspace
         old = tmp_path / "old.db"
         old.write_bytes(db.read_bytes())
         load_rules(old)  # caches it
         lines = db.read_text(encoding="utf-8").split("\n")
-        config_line, scoring_line = lines[3], "#scoring t_cos_sim=0.5 sample_cap=100 seed=42"
-        lines[0], lines[3] = "#morphruledb 2", scoring_line
+        config_line, old_line = lines[3], old_config(lines[3])
+        assert old_line != config_line
+        lines[0], lines[3] = f"#morphruledb {version}", old_line
         text = "\n".join(lines).encode("utf-8")
         old.write_bytes(text)
         cache = tmp_path / ".old.db.jzrcache.npz"
@@ -313,12 +402,13 @@ class TestExtract:
         np.savez(cache, **arrays)
         assert load_rules(old) == load_rules(db)  # a hit: the parse would refuse it
         arrays["lines"] = np.frombuffer(arrays["lines"].tobytes().replace(
-            config_line.encode("utf-8"), scoring_line.encode("utf-8")), np.uint8)
+            config_line.encode("utf-8"), old_line.encode("utf-8")), np.uint8)
         np.savez(cache, **arrays)
         for _ in range(2):  # with the cache, then without it
             assert main(["extract", "--rules", str(old), "--word", "abcd"]) == 2
             assert capsys.readouterr().err == (
-                "error: rule DB format 2 is no longer read; re-run `jzr learn` to rebuild it\n")
+                f"error: rule DB format {version} is no longer read; "
+                "re-run `jzr learn` to rebuild it\n")
             cache.unlink(missing_ok=True)
 
     def test_db_without_vocab_hash_is_data_error(self, workspace, tmp_path, capsys):
@@ -535,6 +625,7 @@ class TestUsageAndConfig:
         ([1], "config file must hold a JSON object"),
         ({"max_affix": -1}, "max_affix cannot be negative"),
         ({"max_derived_len": -1}, "max_derived_len cannot be negative"),
+        ({"t_w_sem": 0.3}, "unknown config keys: t_w_sem"),  # extraction's alone
     ])
     def test_invalid_config_file_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                       values, message):
@@ -556,7 +647,7 @@ class TestUsageAndConfig:
 
     @pytest.mark.parametrize("flag, value", [("--min-stem", "0"), ("--top-n", "-1"),
                                              ("--t-r-sem", "1.5"), ("--sample-cap", "0"),
-                                             ("--group-cap", "10000"),
+                                             ("--group-cap", "10000"), ("--t-w-sem", "0.3"),
                                              ("--format", "headerless")])
     def test_invalid_flag_value_is_usage_error(self, workspace, tmp_path, capsys,
                                                flag, value):

@@ -13,7 +13,7 @@ from jzr.synthlang import SynthConfig, load_gold, write_fixture
 
 CONFIG = SynthConfig(n_roots=40, chain_depth=2,
                      alphabet=tuple("bBdDfgGjklnprsxzKLNPRSXZ"), seed=42)
-DB_SHA256 = "547b47301269a98c62b44e67204b8a07f2a6b50dbfd5dde0b20e800e119e1b9e"
+DB_SHA256 = "8a7fa39a3144dc79236bc48493e6cd5390a63e6210a941c6775ceba84f7ea31d"
 FULL_SHA256 = "49887231ee0ba7f3298acad9e201521a36286dc8131b5a787a83b789a4b88b43"
 LIMITED_SHA256 = "b2b0e6861135b1ec25f23a0e7e2202023439805819dafb35d60396af8ac0deaa"
 

@@ -47,10 +47,21 @@ def test_readme_configuration_table_is_config(tmp_path):
     assert [name for name, _ in rows] == list(SETTING_TYPES)
     for name, default in rows:
         assert (None if default == "none" else json.loads(default)) == getattr(Config(), name)
-    words = ["abc", "xabc", "abd", "xabd"]
-    _, validated = learn_rules(EmbeddingTable(words, np.eye(4)), Config())
-    save_rules(validated, tmp_path / "rules.db")
-    line = (tmp_path / "rules.db").read_text(encoding="utf-8").split("\n")[3]
-    header, *fields = line.split(" ")
+    header, *fields = config_line(tmp_path).split(" ")
     assert header == "#config"
     assert [field.split("=")[0] for field in fields] == [name for name, _ in rows]
+
+
+def config_line(tmp_path) -> str:
+    """The `#config` line save_rules writes for a store learned with Config()."""
+    words = ["abc", "xabc", "abd", "xabd"]
+    validated = learn_rules(EmbeddingTable(words, np.eye(4)), Config())[1]
+    save_rules(validated, tmp_path / "rules.db")
+    return (tmp_path / "rules.db").read_text(encoding="utf-8").split("\n")[3]
+
+
+def test_readme_config_line_is_what_save_rules_writes(tmp_path):
+    readme = README.read_text(encoding="utf-8")
+    section = readme[readme.index("\n### Rule DB format\n"):]
+    example = re.search(r"^```\n(#config .*)\n```$", section, re.M).group(1)
+    assert example == config_line(tmp_path)

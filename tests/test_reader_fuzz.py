@@ -32,9 +32,9 @@ ODD_VALUES = ("nan", "1e400", "-0.0", "", "\t", "\x01")
 FIELD = re.compile(r"[^\t =]+")
 
 # A value each setting refuses; seed takes any int, so its own is a float.
-OUT_OF_RANGE = {"t_cos_sim": "1.0", "t_r_sem": "1.5", "t_r_orth": "0", "t_w_sem": "-0.1",
-                "max_affix": "-1", "min_stem": "0", "max_derived_len": "-1",
-                "sample_cap": "0", "seed": "4.2", "top_n": "-1"}
+OUT_OF_RANGE = {"t_cos_sim": "1.0", "t_r_sem": "1.5", "t_r_orth": "0", "max_affix": "-1",
+                "min_stem": "0", "max_derived_len": "-1", "sample_cap": "0", "seed": "4.2",
+                "top_n": "-1"}
 
 
 def edits(lines: list[str]):

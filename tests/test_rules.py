@@ -107,7 +107,7 @@ class TestConfig:
     # A wrongly typed value is refused, not truncated or left to fail later.
     @pytest.mark.parametrize("kwargs", [
         {"t_cos_sim": 1.0}, {"t_cos_sim": -1.0}, {"t_r_sem": 1.5},
-        {"t_w_sem": -0.1}, {"t_r_orth": 0}, {"sample_cap": 0},
+        {"max_derived_len": -1}, {"t_r_orth": 0}, {"sample_cap": 0},
         {"sample_cap": -5}, {"seed": 4.2}, {"sample_cap": 2.5}, {"t_r_orth": 20.5},
         {"top_n": True}, {"max_affix": 2.5}, {"t_cos_sim": "0.5"}, {"t_r_sem": None},
         {"min_stem": np.float64(2.0)},
@@ -115,6 +115,11 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             Config(**kwargs)
+
+    def test_t_w_sem_is_not_a_setting(self):
+        # Extraction alone reads it, from Thresholds; no Config or DB holds it.
+        with pytest.raises(TypeError, match="t_w_sem"):
+            Config(t_w_sem=0.1)
 
 
 class TestRuleScores:
@@ -650,8 +655,8 @@ class TestCandidateStore:
 
 
 CONFIG = Config()
-CONFIG_LINE = ("#config t_cos_sim=0.5 t_r_sem=0.1 t_r_orth=20 t_w_sem=0.1 max_affix=6 "
-               "min_stem=2 max_derived_len=12 sample_cap=100 seed=42 top_n=none")
+CONFIG_LINE = ("#config t_cos_sim=0.5 t_r_sem=0.1 t_r_orth=20 max_affix=6 min_stem=2 "
+               "max_derived_len=12 sample_cap=100 seed=42 top_n=none")
 COUNTS = {CONCATENATIVE: 1, TEMPLATIC: 0}
 
 
@@ -729,7 +734,7 @@ class TestDbRoundTrip:
 
     def test_header_records_scoring_and_pairs_their_w_sem(self, tmp_path):
         _, lines = self.saved_lines(tmp_path)
-        assert lines[0] == "#morphruledb 3"
+        assert lines[0] == "#morphruledb 4"
         assert lines[3] == CONFIG_LINE
         assert lines[4:7] == ["rule\tconcatenative\tprefix\t\tal\t2\t1.0\t0",
                               "pair\tjaras\taljaras\t1.0",
@@ -965,8 +970,8 @@ class TestDbRoundTrip:
 
     def test_a_learned_db_records_its_whole_config(self, tmp_path):
         _, table, _ = generate(SynthConfig(n_roots=12, chain_depth=2, seed=3))
-        cfg = Config(t_cos_sim=0.25, t_r_sem=0.05, t_r_orth=2, t_w_sem=0.3, max_affix=4,
-                     min_stem=3, max_derived_len=10, sample_cap=7, seed=9, top_n=len(table))
+        cfg = Config(t_cos_sim=0.25, t_r_sem=0.05, t_r_orth=2, max_affix=4, min_stem=3,
+                     max_derived_len=10, sample_cap=7, seed=9, top_n=len(table))
         _, validated = learn_rules(table, cfg)
         assert len(validated) and validated.config == cfg
         path = tmp_path / "rules.db"
@@ -1062,10 +1067,10 @@ _KEY = st.one_of(
 # Any Config: every setting across its range, top_n set or not.
 _CONFIGS = st.builds(
     Config, t_cos_sim=st.floats(-0.999, 0.999), t_r_sem=st.floats(0.0, 1.0),
-    t_r_orth=st.integers(1, 10**6), t_w_sem=st.floats(0.0, 1.0),
-    max_affix=st.integers(0, 10**6), min_stem=st.integers(1, 10**6),
-    max_derived_len=st.integers(0, 10**6), sample_cap=st.integers(1, 10**6),
-    seed=st.integers(-2**70, 2**70), top_n=st.none() | st.integers(0, 10**9))
+    t_r_orth=st.integers(1, 10**6), max_affix=st.integers(0, 10**6),
+    min_stem=st.integers(1, 10**6), max_derived_len=st.integers(0, 10**6),
+    sample_cap=st.integers(1, 10**6), seed=st.integers(-2**70, 2**70),
+    top_n=st.none() | st.integers(0, 10**9))
 
 
 @st.composite
