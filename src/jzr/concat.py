@@ -65,7 +65,8 @@ class ConcatRule:
 
 class MinedRule:
     """A concatenative rule as mined: its key, its two affix maps in the
-    mining index, and its scores, None until learn gates the rule.
+    mining index, and its scores, None until learn gates the rule. Learn
+    keeps no record: a read of its candidate store mines the records again.
 
     The maps are stem -> word, and the support pairs are (stems1[s],
     stems2[s]) for each stem s in both. `support` builds them afresh at

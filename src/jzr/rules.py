@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import operator
 from array import array
@@ -64,9 +65,10 @@ class RuleScores:
 @dataclass(slots=True)
 class MorphRule:
     """A rule with its support, a tuple of pairs in sorted order, and its
-    scores. Learn keeps an unscored concatenative candidate as the
-    `concat.MinedRule` it was mined as, which reads and compares as a
-    MorphRule does but builds its support tuple at each read."""
+    scores. A read of learn's candidate store gives an unscored
+    concatenative candidate as the `concat.MinedRule` it was mined as, which
+    reads and compares as a MorphRule does but builds its support tuple at
+    each read."""
 
     key: RuleKey
     support: Sequence[Pair]
@@ -234,23 +236,27 @@ def score_rule(key: RuleKey, support: tuple[Pair, ...], table: EmbeddingTable,
 
 
 class RuleStore:
-    """A list of scored rules in insertion order, no two with the same RuleKey.
+    """Scored rules in insertion order, no two with the same RuleKey.
 
     Distinct keys are checked where a store is packed (`pair_arrays`, which
     `save_rules` and `RootExtractor` both call), not when it is built, so
     learn's candidate store holds no set of its keys: the miners make each
     key once, and a Template never equals a ConcatRule. Nothing looks a
     rule up by key but `get`, which scans key texts, so the store holds no
-    map of its rules. A store from `load_rules` holds its pairs only as
-    `PairArrays`, for its whole life: each read of its rules (iteration,
-    `==`) makes their support and w_sem tuples afresh, `get` and
-    `rank_rules` make only those of the rules they return, and `len` none.
+    map of its rules. A store built from rules holds them as a list. The
+    two others make their rules afresh at each read (iteration, `==`,
+    `get`, `rank_rules`, `prune_rules`), and `len` reads none. Learn's
+    candidate store mines them again, from what `learn_rules` keeps. A
+    store from `load_rules`, which holds its pairs only as `PairArrays` for
+    its whole life, makes their support and w_sem tuples, and `get` and
+    `rank_rules` make only those of the rules they return.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
                  candidate_counts: dict[str, int] | None = None,
                  config: Config | None = None):
-        self._rules: list[MorphRule] | None = list(rules)
+        rules = list(rules)
+        self._read, self._len = rules.__iter__, len(rules)  # each read calls _read
         self._arrays: PairArrays | None = None
         self.vocab_hash = vocab_hash
         self.candidate_counts = dict(candidate_counts or {})
@@ -260,20 +266,21 @@ class RuleStore:
         """The rules and their pairs in array form, for a bulk reader.
 
         A loaded store returns the arrays it holds; any other store packs
-        its support and w_sem tuples, and raises ValueError for a repeated
-        key or for a rule without one w_sem per support pair, as one at or
-        below t_r_orth.
+        its support and w_sem tuples, from one read of its rules, and raises
+        ValueError for a repeated key or for a rule without one w_sem per
+        support pair, as one at or below t_r_orth.
         """
         if self._arrays is not None:
             return self._arrays
-        rules, seen = self._rules, set()
-        for rule in rules:
+        rules, seen = [], set()
+        for rule in self:
             if rule.key in seen:
                 raise ValueError(f"duplicate rule key: {rule.key.key_str}")
             seen.add(rule.key)
             if len(rule.scores.w_sem) != len(rule.support):
                 raise ValueError(f"rule {rule.key.key_str} is unscored: it has no w_sem "
                                  "per support pair")
+            rules.append(rule)
         ids: dict[str, int] = {}
         w1 = [ids.setdefault(a, len(ids)) for rule in rules for a, _ in rule.support]
         w2 = [ids.setdefault(b, len(ids)) for rule in rules for _, b in rule.support]
@@ -282,16 +289,15 @@ class RuleStore:
                      [len(rule.support) for rule in rules])
 
     def __iter__(self):
-        rules = self._rules
-        return iter(_unpack(self._arrays, range(len(self))) if rules is None else rules)
+        return self._read()
 
     def __len__(self) -> int:
-        return len(self._arrays.rules if self._rules is None else self._rules)
+        return self._len
 
     def get(self, ks: str) -> MorphRule | None:
         """The rule whose key text is `ks`; a loaded store unpacks only that rule."""
-        if self._rules is not None:
-            return next((rule for rule in self._rules if rule.key.key_str == ks), None)
+        if self._arrays is None:
+            return next((rule for rule in self if rule.key.key_str == ks), None)
         found = [r for r, (key, _) in enumerate(self._arrays.rules) if key.key_str == ks]
         return next(iter(_unpack(self._arrays, found)), None)
 
@@ -299,7 +305,8 @@ class RuleStore:
         """Equal rules in the same order, and equal header fields."""
         if not isinstance(other, RuleStore):
             return NotImplemented
-        return (list(self) == list(other)
+        return (len(self) == len(other)
+                and all(a is b or a == b for a, b in zip(self, other))
                 and self.vocab_hash == other.vocab_hash
                 and self.candidate_counts == other.candidate_counts
                 and self.config == other.config)
@@ -332,15 +339,21 @@ def prune_rules(store: RuleStore, thresholds: Thresholds) -> RuleStore:
 
 def rank_rules(store: RuleStore, kind: str = "all", top_k: int = 30) -> list[MorphRule]:
     """Top rules by semantic score under a kind filter, deterministically
-    tie-broken. A loaded store unpacks only the rules returned."""
+    tie-broken, from one read of the store. A loaded store unpacks only the
+    rules returned."""
     if kind not in ("all", CONCATENATIVE, TEMPLATIC):
         raise ValueError(f"unknown kind filter: {kind!r}")
-    loaded = store._rules is None
-    scored = store._arrays.rules if loaded else [(rule.key, rule.scores) for rule in store]
-    ranked = sorted((r for r, (key, _) in enumerate(scored)
-                     if kind == "all" or rule_kind(key) == kind),
-                    key=lambda r: _order_key(*scored[r]))[: max(top_k, 0)]
-    return _unpack(store._arrays, ranked) if loaded else [store._rules[r] for r in ranked]
+    top_k = max(top_k, 0)
+    arrays = store._arrays
+    if arrays is None:
+        return heapq.nsmallest(top_k, (rule for rule in store
+                                       if kind == "all" or rule_kind(rule.key) == kind),
+                               key=lambda rule: _order_key(rule.key, rule.scores))
+    scored = arrays.rules
+    return _unpack(arrays, heapq.nsmallest(
+        top_k, (r for r, (key, _) in enumerate(scored)
+                if kind == "all" or rule_kind(key) == kind),
+        key=lambda r: _order_key(*scored[r])))
 
 
 def save_rules(store: RuleStore, path) -> None:
@@ -473,7 +486,9 @@ class _DbRecords:
             raise RuleDbError("rule DB has no #candidates header line")
         store = RuleStore(vocab_hash=self.vocab_hash, candidate_counts=self.counts,
                           config=self.config)
-        store._rules, store._arrays = None, arrays
+        n = len(arrays.rules)
+        store._read, store._len = lambda: iter(_unpack(arrays, range(n))), n
+        store._arrays = arrays
         return store
 
 

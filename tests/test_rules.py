@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fail_writes_halfway, random_table
-from jzr import rules
+from jzr import pipeline, rules
 from oracles import (brute_concat_rules, brute_r_sem, brute_templatic_rules, brute_w_sem,
                      tensor_count_passes)
 from jzr.concat import ConcatRule, MinedRule, enumerate_concat_rules
@@ -630,14 +630,13 @@ class TestCandidateStore:
         assert rebuilt < sys.getsizeof(rules) + 4096  # the store object itself
 
     def test_a_gated_candidate_keeps_no_pair(self):
-        # What learn keeps is mostly two objects per gated candidate: its
-        # record as mined, which holds the key, the shared scores and the
-        # two affix maps its support reads, and its key, 64 + 56 bytes on
-        # CPython 3.11, plus its slot in the store and a share of the index
-        # the records read. That came to 188-192 bytes per gated candidate
-        # on three seeds of this language; a MorphRule holding the key, the
-        # scores and a view of the maps came to 228-232, and a support kept
-        # as a tuple of its pairs to 334-338.
+        # Learn keeps the rules it scores, each with its support tuple and
+        # w_sem tuple, the counts and the table it mines again from; a gated
+        # candidate is dropped once it is counted. So what learn keeps is
+        # the scored rules alone: 32-34 bytes per gated candidate on three
+        # seeds of this language. It was 188-192 bytes when learn kept each
+        # gated candidate as its mined record, 228-232 as a MorphRule
+        # holding a view of the affix maps, and 334-338 as a tuple of pairs.
         _, table, _ = generate(SynthConfig(n_roots=25, chain_depth=2, seed=5))
         gc.collect()  # empties the free lists, which would serve some objects untraced
         with collector_paused():
@@ -651,8 +650,65 @@ class TestCandidateStore:
         t_r_orth = Config().thresholds.t_r_orth
         gated = sum(1 for rule in candidates if rule.scores.orth <= t_r_orth)
         assert gated > 10_000
-        assert kept / gated < 210
+        assert kept / gated < 48
 
+    @given(st.lists(st.text("abkt", min_size=2, max_size=6), min_size=1, max_size=40,
+                    unique=True),
+           st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=30)
+    def test_each_read_mines_the_candidates_again(self, words, seed, t_r_orth):
+        # Each read runs the miners once more and gives the same records in
+        # the same order: a scored key's one kept MorphRule, and a gated
+        # one's record made afresh, in the one RuleScores of its orth. The
+        # store reads as a listed copy of one read does, and `len` mines
+        # nothing.
+        vectors = np.random.default_rng(seed).standard_normal((len(words), 8))
+        cfg = Config(t_r_orth=t_r_orth)
+        candidates, validated = learn_rules(EmbeddingTable(words, vectors), cfg)
+        with mock.patch.object(pipeline, "enumerate_concat_rules",
+                               wraps=pipeline.enumerate_concat_rules) as concat, \
+                mock.patch.object(pipeline, "enumerate_templatic_rules",
+                                  wraps=pipeline.enumerate_templatic_rules) as templatic:
+            first, second = list(candidates), list(candidates)
+            assert concat.call_count == templatic.call_count == 2
+            assert len(candidates) == len(first) == sum(candidates.candidate_counts.values())
+            assert concat.call_count == templatic.call_count == 2
+        assert first == second
+        shared: dict[int, RuleScores] = {}
+        for a, b in zip(first, second):
+            if a.scores.orth > t_r_orth:
+                assert a is b and type(a) is MorphRule
+            else:
+                assert a is not b
+                for rule in (a, b):
+                    assert rule.scores is shared.setdefault(rule.scores.orth, rule.scores)
+        listed = RuleStore(first, candidates.vocab_hash, candidates.candidate_counts, cfg)
+        assert candidates == listed and listed == candidates
+        assert candidates == candidates and not candidates != listed
+        for rule in first[:5] + first[-5:]:
+            assert candidates.get(rule.key.key_str) == listed.get(rule.key.key_str) == rule
+        assert candidates.get("concat:prefix:>zz") is listed.get("concat:prefix:>zz") is None
+        assert prune_rules(candidates, cfg.thresholds) == prune_rules(listed, cfg.thresholds)
+        assert prune_rules(candidates, cfg.thresholds) == validated
+        for kind in ("all", CONCATENATIVE, TEMPLATIC):
+            for top_k in (0, 1, 3, len(listed)):
+                ranked = rank_rules(candidates, kind, top_k)
+                want = rank_rules(listed, kind, top_k)
+                assert ranked == want
+                assert all(a is b for a, b in zip(ranked, want) if a.scores.orth > t_r_orth)
+
+        def packed(store):
+            try:
+                return store.pair_arrays()
+            except ValueError as exc:
+                return str(exc)
+
+        got, want = packed(candidates), packed(listed)
+        if isinstance(want, str):
+            assert got == want and "is unscored" in want
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+            assert got.rules == want.rules
 
 CONFIG = Config()
 CONFIG_LINE = ("#config t_cos_sim=0.5 t_r_sem=0.1 t_r_orth=20 max_affix=6 min_stem=2 "
