@@ -59,11 +59,10 @@ def learn_rules(table: EmbeddingTable,
         return scored.get(key) or score(key, support)
 
     def mine():  # learn's pass and every read of the candidates
-        return itertools.chain(
-            map(concatenative, enumerate_concat_rules(table.words, max_affix=cfg.max_affix,
-                                                      min_stem=cfg.min_stem)),
-            itertools.starmap(templatic, enumerate_templatic_rules(
-                table.words, max_derived_len=cfg.max_derived_len).items()))
+        yield from map(concatenative, enumerate_concat_rules(
+            table.words, max_affix=cfg.max_affix, min_stem=cfg.min_stem))
+        yield from itertools.starmap(templatic, enumerate_templatic_rules(
+            table.words, max_derived_len=cfg.max_derived_len).items())
 
     kinds = Counter(map(type, map(operator.attrgetter("key"), mine())))  # scores as it counts
     counts = {CONCATENATIVE: kinds[ConcatRule], TEMPLATIC: kinds[Template]}

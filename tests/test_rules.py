@@ -710,6 +710,7 @@ class TestCandidateStore:
             assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
             assert got.rules == want.rules
 
+
 CONFIG = Config()
 CONFIG_LINE = ("#config t_cos_sim=0.5 t_r_sem=0.1 t_r_orth=20 max_affix=6 min_stem=2 "
                "max_derived_len=12 sample_cap=100 seed=42 top_n=none")
