@@ -242,14 +242,14 @@ class RuleStore:
     `save_rules` and `RootExtractor` both call), not when it is built, so
     learn's candidate store holds no set of its keys: the miners make each
     key once, and a Template never equals a ConcatRule. Nothing looks a
-    rule up by key but `get`, which scans key texts, so the store holds no
-    map of its rules. A store built from rules holds them as a list. The
-    two others make their rules afresh at each read (iteration, `==`,
-    `get`, `rank_rules`, `prune_rules`), and `len` reads none. Learn's
-    candidate store mines them again, from what `learn_rules` keeps. A
-    store from `load_rules`, which holds its pairs only as `PairArrays` for
-    its whole life, makes their support and w_sem tuples, and `get` and
-    `rank_rules` make only those of the rules they return.
+    rule up by key but `get`, which scans key texts, so no store keeps a
+    map of its rules to look them up. A store built from rules holds them
+    as a list. The two others make their rules afresh at each read
+    (iteration, `==`, `get`, `rank_rules`, `prune_rules`), and `len` reads
+    none. Learn's candidate store mines them again, from what `learn_rules`
+    keeps. A store from `load_rules`, which holds its pairs only as
+    `PairArrays` for its whole life, makes their support and w_sem tuples,
+    and `get` and `rank_rules` make only those of the rules they return.
     """
 
     def __init__(self, rules=(), vocab_hash: str = "",
