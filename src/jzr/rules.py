@@ -306,7 +306,7 @@ class RuleStore:
         if not isinstance(other, RuleStore):
             return NotImplemented
         return (len(self) == len(other)
-                and all(a is b or a == b for a, b in zip(self, other))
+                and all(a is b or a == b for a, b in zip(self, other))  # as list == does
                 and self.vocab_hash == other.vocab_hash
                 and self.candidate_counts == other.candidate_counts
                 and self.config == other.config)
